@@ -186,19 +186,13 @@ def _read_hyper(out_dir: str, k: int) -> HyperConfig | None:
 
 @click.group()
 @click.option("--verbose", "-v", is_flag=True, help="debug-level logging")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="worker threads; anything above 1 is advisory only — "
-                   "execution stays sequential, which keeps runs bit-exact")
-def main(verbose: bool, threads: int) -> None:
+def main(verbose: bool) -> None:
     """Federated architecture-search laboratory."""
     logging.basicConfig(
         level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    if threads != 1:
-        logger.info("threads=%d requested; running sequentially for "
-                    "reproducibility", threads)
 
 
 def _common_options(fn):

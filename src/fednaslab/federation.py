@@ -41,7 +41,7 @@ from .nn.model import (
 from .privacy import (
     DPConfig,
     PrivacyLedger,
-    max_steps_within_budget,
+    max_steps_within_budget,  # noqa: F401  unused; perfbench/spans.py traces it here
     train_dp_sgd,
 )
 from .space import Genome, SpaceConfig, materialize
@@ -226,9 +226,11 @@ def local_train(client: ClientState, dataset: Dataset, epochs: int,
     """Train the client's full model (bottom and head jointly) for `epochs`
     local passes; returns per-step losses.
 
-    The whole plan is budget-checked first: if the remaining budget cannot
-    absorb every planned step, nothing runs and the caller should skip this
-    client's round. An infinite budget trains without any privacy machinery.
+    A finite budget trains through train_dp_sgd, whose plan pre-check is the
+    only budget check: if the plan does not fit, it raises
+    BudgetExhaustedError before any step runs and the caller should skip
+    this client's round. An infinite budget trains without any privacy
+    machinery.
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
@@ -242,13 +244,6 @@ def local_train(client: ClientState, dataset: Dataset, epochs: int,
         losses = _plain_steps(client.model.parts, x, y, eta=client.hyper.eta,
                               batch_size=batch, total_steps=steps, rng=rng)
     else:
-        admissible = max_steps_within_budget(client.ledger.dp, client.eps_budget)
-        if client.ledger.steps + steps > admissible:
-            raise BudgetExhaustedError(
-                f"client {client.client_id}: {steps} more steps would pass "
-                f"eps={client.eps_budget} (spent {client.ledger.steps} of "
-                f"{admissible} admissible)"
-            )
         losses = train_dp_sgd(client.model.parts, x, y, client.ledger.dp,
                               eta=client.hyper.eta, batch_size=batch,
                               total_steps=steps, rng=rng,

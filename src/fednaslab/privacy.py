@@ -60,17 +60,40 @@ class DPConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
 
-def _log_a_int(q: float, sigma: float, alpha: int) -> float:
-    """log E[(mu/mu0)^alpha] for integer alpha via the exact binomial sum."""
-    i = np.arange(alpha + 1, dtype=np.float64)
-    log_coef = (
-        special.gammaln(alpha + 1)
-        - special.gammaln(i + 1)
-        - special.gammaln(alpha - i + 1)
+_INT_ORDER_GRID = np.arange(2, 65, dtype=np.float64)
+_INT_LOGBINOM = {
+    a: (
+        special.gammaln(a + 1)
+        - special.gammaln(np.arange(a + 1) + 1.0)
+        - special.gammaln(a - np.arange(a + 1) + 1.0)
     )
-    terms = log_coef + i * math.log(q) + (alpha - i) * math.log1p(-q)
-    terms += (i * i - i) / (2.0 * sigma * sigma)
-    return float(special.logsumexp(terms))
+    for a in range(2, 65)
+}
+
+
+def _log_a_int(lq: np.ndarray, l1q: np.ndarray, inv2s2: np.ndarray, a: int) -> np.ndarray:
+    """log E[(mu/mu0)^a] at integer order a >= 2 via the exact binomial sum.
+
+    lq, l1q and inv2s2 are log(q), log(1 - q) and 1 / (2 sigma^2) for any
+    number of (q, sigma) pairs with 0 < q < 1: arrays that broadcast to one
+    shape, which the result takes. The sum runs along a new trailing axis of
+    length a + 1; coefficients above order 64 (refinement past the grid's
+    right edge) come from gammaln instead of the table.
+    """
+    i = np.arange(a + 1, dtype=np.float64)
+    log_binom = _INT_LOGBINOM.get(a)
+    if log_binom is None:
+        log_binom = (
+            special.gammaln(a + 1) - special.gammaln(i + 1.0) - special.gammaln(a - i + 1.0)
+        )
+    terms = (
+        log_binom
+        + i * lq[..., None]
+        + (a - i) * l1q[..., None]
+        + (i * i - i) * inv2s2[..., None]
+    )
+    peak = terms.max(axis=-1)
+    return peak + np.log(np.exp(terms - peak[..., None]).sum(axis=-1))
 
 
 def _masked_logsumexp(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -164,8 +187,13 @@ def rdp_orders(dp: DPConfig, orders=None) -> np.ndarray:
     out = np.empty(orders.shape, dtype=np.float64)
     near_int = np.abs(orders - np.round(orders)) < _INT_TOL
     is_int = near_int & (np.round(orders) >= 2)
+    # same array arithmetic as privacy_cost_integer_orders, so both agree
+    # bit for bit on the integer orders
+    qs, sigmas = np.array([q]), np.array([sigma])
+    lq, l1q, inv2s2 = np.log(qs), np.log1p(-qs), 1.0 / (2.0 * sigmas ** 2)
     for k in np.flatnonzero(is_int):
-        out[k] = _log_a_int(q, sigma, int(round(orders[k]))) / (orders[k] - 1.0)
+        log_a = _log_a_int(lq, l1q, inv2s2, int(round(orders[k])))[0]
+        out[k] = log_a / (orders[k] - 1.0)
     frac_idx = np.flatnonzero(~is_int)
     if frac_idx.size:
         log_a = _log_a_frac_vec(q, sigma, orders[frac_idx])
@@ -177,17 +205,6 @@ def rdp_orders(dp: DPConfig, orders=None) -> np.ndarray:
 
 def _rdp_at(dp: DPConfig, alpha: float) -> float:
     return float(rdp_orders(dp, np.array([alpha]))[0])
-
-
-_INT_ORDER_GRID = np.arange(2, 65, dtype=np.float64)
-_INT_LOGBINOM = {
-    a: (
-        special.gammaln(a + 1)
-        - special.gammaln(np.arange(a + 1) + 1.0)
-        - special.gammaln(a - np.arange(a + 1) + 1.0)
-    )
-    for a in range(2, 65)
-}
 
 
 def privacy_cost_integer_orders(qs, sigmas, steps, delta: float) -> np.ndarray:
@@ -229,16 +246,7 @@ def privacy_cost_integer_orders(qs, sigmas, steps, delta: float) -> np.ndarray:
         inv2s2 = 1.0 / (2.0 * sigmas[sub] ** 2)
         best = np.full(lq.shape, np.inf)
         for a in range(2, 65):
-            i = np.arange(a + 1, dtype=np.float64)
-            terms = (
-                _INT_LOGBINOM[a][None, :]
-                + i[None, :] * lq[:, None]
-                + (a - i)[None, :] * l1q[:, None]
-                + (i * i - i)[None, :] * inv2s2[:, None]
-            )
-            peak = terms.max(axis=1)
-            log_a = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
-            rdp = np.maximum(log_a, 0.0) / (a - 1.0)
+            rdp = np.maximum(_log_a_int(lq, l1q, inv2s2, a), 0.0) / (a - 1.0)
             best = np.minimum(best, steps[sub] * rdp + log_inv_delta / (a - 1.0))
         eps[sub] = best
 
@@ -370,14 +378,6 @@ class PrivacyLedger:
             indent=2,
             sort_keys=True,
         )
-
-
-def clip(grad: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale a gradient vector to norm at most clip_norm."""
-    norm = float(np.linalg.norm(grad))
-    if norm <= clip_norm or norm == 0.0:
-        return grad
-    return grad * (clip_norm / norm)
 
 
 def dp_sgd_step(parts, x, y, dp: DPConfig, eta: float, rng: np.random.Generator,

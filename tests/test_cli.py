@@ -316,11 +316,6 @@ class TestTopLevel:
         result = _invoke(["nas", "-c", tmp_path / "ghost.yaml"])
         assert result.exit_code == 2
 
-    def test_threads_option_is_advisory(self, tmp_path):
-        config = _write_config(tmp_path, "threaded")
-        result = _invoke(["--threads", "4", "train", "-c", config, "--no-nas"])
-        assert result.exit_code == 0, _all_output(result)
-
     def test_space_dataset_shape_mismatch_exits_2(self, tmp_path):
         config = _write_config(tmp_path, "mismatch",
                                dataset={"per_class": 60, "image_side": 16})

@@ -43,7 +43,7 @@ from fednaslab.federation import (
 )
 from fednaslab.hpo import HyperConfig
 from fednaslab.nn.model import softmax_cross_entropy
-from fednaslab.privacy import DPConfig, max_steps_within_budget, train_dp_sgd
+from fednaslab.privacy import DPConfig, privacy_cost, train_dp_sgd
 from fednaslab.space import SpaceConfig, materialize, sample_random_genome
 
 SMALL = SpaceConfig(
@@ -208,7 +208,9 @@ class TestLocalTrain:
     def test_budget_precheck_blocks_whole_plan(self):
         ds = _dataset()
         client = _client(ds, eps=0.9, sigma=1.2, batch=64)
-        admissible = max_steps_within_budget(client.ledger.dp, 0.9)
+        admissible = 0  # brute-force oracle: largest step count within budget
+        while privacy_cost(client.ledger.dp, admissible + 1) <= 0.9:
+            admissible += 1
         steps_per_round = math.ceil(2 * client.m_k / 64)
         rounds_that_fit = admissible // steps_per_round
         for _ in range(rounds_that_fit):
@@ -217,10 +219,12 @@ class TestLocalTrain:
         assert client.ledger.eps_spent() <= 0.9
         before = client.model.get_flat().copy()
         steps_before = client.ledger.steps
+        rounds_before = client.rounds_trained
         with pytest.raises(BudgetExhaustedError):
             local_train(client, ds, 2, np.random.default_rng(3))
         # nothing ran: no partial spend, no parameter movement
         assert client.ledger.steps == steps_before
+        assert client.rounds_trained == rounds_before
         assert np.array_equal(client.model.get_flat(), before)
 
     def test_dp_training_spends_ledger(self):

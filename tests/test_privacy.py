@@ -22,10 +22,10 @@ from fednaslab.privacy import (
     DPConfig,
     PrivacyLedger,
     calibrate_sigma,
-    clip,
     dp_sgd_step,
     max_steps_within_budget,
     privacy_cost,
+    privacy_cost_integer_orders,
     rdp_orders,
     train_dp_sgd,
 )
@@ -84,7 +84,9 @@ class TestAccountantOracle:
     @pytest.mark.parametrize("sigma", [0.7, 1.0, 2.0, 4.0])
     def test_rdp_matches_quadrature(self, q, sigma):
         dp = DPConfig(1.0, sigma, q, 1e-5)
-        alphas = np.array([1.25, 2.0, 3.5, 7.0, 16.0, 31.75, 64.0])
+        # 128 sits above the precomputed binomial table, where refinement
+        # past the grid's right edge probes integer orders
+        alphas = np.array([1.25, 2.0, 3.5, 7.0, 16.0, 31.75, 64.0, 128.0])
         got = rdp_orders(dp, alphas)
         want = np.array([oracle_rdp(q, sigma, a) for a in alphas])
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-12)
@@ -119,6 +121,17 @@ class TestAccountantOracle:
                 assert privacy_cost(dp_hi_q, steps, refine=False) >= base - 1e-12
             dp_hi_sigma = DPConfig(1.0, sigma * 1.5, q, 1e-5)
             assert privacy_cost(dp_hi_sigma, steps, refine=False) <= base + 1e-12
+
+    @pytest.mark.parametrize("q", [0.05, 0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("sigma", [0.8, 1.3, 2.5])
+    def test_integer_orders_agree_exactly(self, q, sigma):
+        # one integer-order kernel behind both paths: the grid-only cost on
+        # orders {2, ..., 64} is the vectorized filter's value, bit for bit
+        dp = DPConfig(1.0, sigma, q, 1e-5)
+        for steps in (1, 10, 300):
+            scalar = privacy_cost(dp, steps, orders=np.arange(2, 65.0), refine=False)
+            vector = privacy_cost_integer_orders(q, sigma, steps, 1e-5)
+            assert scalar == float(vector), (steps, scalar, float(vector))
 
     def test_degenerate_cases(self):
         dp = DPConfig(1.0, 0.0, 0.5, 1e-5)
@@ -180,13 +193,6 @@ def _tiny_parts(seed=0):
 
 
 class TestDpSgd:
-    def test_clip_contract(self):
-        g = np.array([3.0, 4.0])
-        clipped = clip(g, 1.0)
-        assert abs(np.linalg.norm(clipped) - 1.0) < 1e-12
-        np.testing.assert_array_equal(clip(g, 10.0), g)
-        np.testing.assert_array_equal(clip(np.zeros(2), 1.0), np.zeros(2))
-
     def test_degenerates_to_plain_sgd(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(16, 4)).astype(np.float32)
