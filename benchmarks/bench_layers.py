@@ -1,0 +1,57 @@
+"""Kernel timings for the layers whose channel contractions run on BLAS.
+
+Times forward and backward of PointwiseConv, TransposeConv and AvgPool at
+desk shape (n=32, 8x8 maps) and paper shape (n=64, 32x32 maps), float32.
+TransposeConv takes the half-side input whose output has that side, as in
+the inversion decoder. The file name does not match test_*.py, so the
+tier-1 suite does not collect it. Run it on one BLAS thread, as the stage
+benchmark does:
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
+        python -m pytest benchmarks/bench_layers.py --benchmark-json out.json
+
+Point PYTHONPATH at another checkout's src to time that version.
+"""
+
+import numpy as np
+import pytest
+
+from fednaslab.nn import AvgPool, PointwiseConv, TransposeConv
+
+# name -> (layer factory, input shape)
+CASES = {
+    "pointwise-desk": (lambda: PointwiseConv(32, 64), (32, 32, 8, 8)),
+    "pointwise-paper": (lambda: PointwiseConv(32, 64), (64, 32, 32, 32)),
+    "transpose-desk": (lambda: TransposeConv(32, 16), (32, 32, 4, 4)),
+    "transpose-paper": (lambda: TransposeConv(32, 16), (64, 32, 16, 16)),
+    "avgpool-desk": (AvgPool, (32, 64, 8, 8)),
+    "avgpool-paper": (AvgPool, (64, 64, 32, 32)),
+}
+
+
+def _setup(case):
+    make, shape = CASES[case]
+    rng = np.random.default_rng(0)
+    layer = make()
+    layer.init_params(rng)
+    x = rng.normal(size=shape).astype(np.float32)
+    y, cache = layer.forward(x)
+    gout = rng.normal(size=y.shape).astype(np.float32)
+    return layer, x, cache, gout
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_forward(benchmark, case):
+    layer, x, _, _ = _setup(case)
+    benchmark.group = case
+    y, _ = benchmark(layer.forward, x)
+    assert np.isfinite(y).all()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_backward(benchmark, case):
+    layer, _, cache, gout = _setup(case)
+    benchmark.group = case
+    gin, psg = benchmark(layer.backward, gout, cache)
+    assert np.isfinite(gin).all()
+    assert all(p.shape[0] == gout.shape[0] for p in psg)

@@ -1,10 +1,14 @@
 """Numpy layer kernels with explicit per-sample backward passes.
 
 Every backward keeps the batch axis in its weight-gradient contraction, so
-per-sample gradients come out exact and vectorized. A layer's backward
-returns (grad_wrt_input, [per_sample_grads ...]) where the list holds one
-[n, p_i] array per parameterized primitive inside the layer, in the same
-order as param_layers(). Parameter-free layers return an empty list.
+per-sample gradients come out exact and vectorized. Channel contractions
+run on BLAS: the batch axis is kept through batched matmul over
+(n, channels, positions) views, and a contraction that sums over the batch
+anyway, such as TransposeConv's input gradient, is one GEMM over all
+n * positions rows. A layer's backward returns (grad_wrt_input,
+[per_sample_grads ...]) where the list holds one [n, p_i] array per
+parameterized primitive inside the layer, in the same order as
+param_layers(). Parameter-free layers return an empty list.
 
 Layer code is dtype-generic: arrays keep whatever float dtype the params
 and inputs carry (float32 by default, float64 in gradient checks).
@@ -153,7 +157,8 @@ class PointwiseConv(Layer):
         if x.ndim != 4 or x.shape[1] != self.c_in:
             self._bad_input(x, f"[n, {self.c_in}, h, w]")
         w, b = self._views()
-        y = np.einsum("nchw,cd->ndhw", x, w)
+        n, c, H, W = x.shape
+        y = np.matmul(w.T, x.reshape(n, c, H * W)).reshape(n, self.c_out, H, W)
         if b is not None:
             y += b[None, :, None, None]
         return y, x
@@ -161,9 +166,10 @@ class PointwiseConv(Layer):
     def backward(self, gout, cache):
         x = cache
         w, _ = self._views()
-        n = x.shape[0]
-        gin = np.einsum("ndhw,cd->nchw", gout, w)
-        gw = np.einsum("nchw,ndhw->ncd", x, gout).reshape(n, -1)
+        n, c, H, W = x.shape
+        g3 = gout.reshape(n, self.c_out, H * W)
+        gin = np.matmul(w, g3).reshape(n, c, H, W)
+        gw = np.matmul(x.reshape(n, c, H * W), g3.transpose(0, 2, 1)).reshape(n, -1)
         if self.bias:
             gb = gout.sum(axis=(2, 3))
             return gin, [np.concatenate([gw, gb], axis=1)]
@@ -278,20 +284,23 @@ class AvgPool(Layer):
     def forward(self, x):
         if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2:
             self._bad_input(x, "[n, c, h>=2, w>=2]")
-        n, c, H, W = x.shape
-        H2, W2 = H // 2, W // 2
-        xc = x[:, :, : H2 * 2, : W2 * 2]
-        y = xc.reshape(n, c, H2, 2, W2, 2).mean(axis=(3, 5))
+        H2, W2 = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+        # (top pair) + (bottom pair) adds in the order a reshape-mean over
+        # each window does, and scaling by 1/4 is exact
+        y = (x[:, :, 0:H2:2, 0:W2:2] + x[:, :, 0:H2:2, 1:W2:2]) + (
+            x[:, :, 1:H2:2, 0:W2:2] + x[:, :, 1:H2:2, 1:W2:2]
+        )
+        y *= 0.25
         return y, x.shape
 
     def backward(self, gout, cache):
         n, c, H, W = cache
-        H2, W2 = H // 2, W // 2
+        H2, W2 = H // 2 * 2, W // 2 * 2
         gin = np.zeros((n, c, H, W), dtype=gout.dtype)
-        spread = np.broadcast_to(
-            gout[:, :, :, None, :, None] / 4.0, (n, c, H2, 2, W2, 2)
-        ).reshape(n, c, H2 * 2, W2 * 2)
-        gin[:, :, : H2 * 2, : W2 * 2] = spread
+        g = gout * 0.25
+        for a in (0, 1):
+            for b in (0, 1):
+                gin[:, :, a:H2:2, b:W2:2] = g
         return gin, []
 
 
@@ -438,7 +447,12 @@ class TransposeConv(Layer):
             self._bad_input(x, f"[n, {self.c_in}, h, w]")
         w, b = self._views()
         n, c, H, W = x.shape
-        y = np.einsum("ncij,cdab->ndiajb", x, w).reshape(n, self.c_out, H * 2, W * 2)
+        d = self.c_out
+        # channels last: one (n*H*W, c) @ (c, d*2*2) GEMM, then interleave
+        # the 2 x 2 taps into the doubled spatial axes
+        y = x.transpose(0, 2, 3, 1).reshape(n * H * W, c) @ w.reshape(c, d * 4)
+        y = y.reshape(n, H, W, d, 2, 2).transpose(0, 3, 1, 4, 2, 5)
+        y = y.reshape(n, d, H * 2, W * 2)
         y += b[None, :, None, None]
         return y, x
 
@@ -446,9 +460,13 @@ class TransposeConv(Layer):
         x = cache
         w, _ = self._views()
         n, c, H, W = x.shape
-        g6 = gout.reshape(n, self.c_out, H, 2, W, 2)
-        gin = np.einsum("ndiajb,cdab->ncij", g6, w)
-        gw = np.einsum("ncij,ndiajb->ncdab", x, g6).reshape(n, -1)
+        d = self.c_out
+        # gt[n, i*W + j, (d, a, b)] = gout[n, d, 2i + a, 2j + b]
+        gt = gout.reshape(n, d, H, 2, W, 2).transpose(0, 2, 4, 1, 3, 5)
+        gt = gt.reshape(n, H * W, d * 4)
+        gin = gt.reshape(n * H * W, d * 4) @ w.reshape(c, d * 4).T
+        gin = gin.reshape(n, H, W, c).transpose(0, 3, 1, 2)
+        gw = np.matmul(x.reshape(n, c, H * W), gt).reshape(n, -1)
         gb = gout.sum(axis=(2, 3))
         return gin, [np.concatenate([gw, gb], axis=1)]
 

@@ -390,7 +390,8 @@ def dp_sgd_step(parts, x, y, dp: DPConfig, eta: float, rng: np.random.Generator,
     loss_value, psg_list, _ = loss_and_per_sample_grads(parts, x, y, loss=loss)
     sq = np.zeros(x.shape[0], dtype=np.float64)
     for psg in psg_list:
-        sq += np.einsum("np,np->n", psg.astype(np.float64), psg.astype(np.float64))
+        p64 = psg.astype(np.float64)
+        sq += np.einsum("np,np->n", p64, p64)
     norms = np.sqrt(sq)
     factors = np.minimum(1.0, dp.clip_norm / np.maximum(norms, 1e-12))
     batch = x.shape[0]

@@ -154,12 +154,20 @@ class TestFiniteDifferences:
         _fd_check([seq], x, y)
 
     def test_decoder_layers_mse(self):
+        self._decoder_mse(2, 2)
+
+    def test_decoder_layers_mse_non_square(self):
+        # a swapped H/W axis in TransposeConv's transposes passes square maps
+        self._decoder_mse(2, 3)
+
+    @staticmethod
+    def _decoder_mse(h, w):
         rng = _rng(6)
         seq = _init(
             Sequential(
                 [
-                    Linear(5, 2 * 2 * 2),
-                    Reshape((2, 2, 2)),
+                    Linear(5, 2 * h * w),
+                    Reshape((2, h, w)),
                     ReLU(),
                     TransposeConv(2, 3),
                     ReLU(),
@@ -169,8 +177,42 @@ class TestFiniteDifferences:
             6,
         )
         x = rng.normal(size=(3, 5)).astype(np.float32)
-        t = rng.normal(size=(3, 2, 4, 4)).astype(np.float32)
+        t = rng.normal(size=(3, 2, 2 * h, 2 * w)).astype(np.float32)
         _fd_check([seq], x, t, loss="mse")
+
+    def test_avgpool_odd_map(self):
+        rng = _rng(17)
+        seq = _init(
+            Sequential(
+                [PointwiseConv(2, 3), AvgPool(), ReLU(), GlobalAvgPool(), Linear(3, 3)]
+            ),
+            17,
+        )
+        x = rng.normal(size=(3, 2, 7, 9)).astype(np.float32)
+        y = rng.integers(0, 3, size=3)
+        _fd_check([seq], x, y)
+
+    def test_avgpool_input_gradient_odd_map(self):
+        # the pool is linear, so d sum(r * pool(x)) / dx by central differences
+        # is exact up to rounding; the dropped last row and column get zero
+        rng = _rng(18)
+        pool = AvgPool()
+        x = rng.normal(size=(2, 2, 7, 9))
+        y, cache = pool.forward(x)
+        r = rng.normal(size=y.shape)
+        gin, psg = pool.backward(r, cache)
+        assert psg == []
+        h = 1e-3
+        fd = np.zeros_like(x)
+        for idx in np.ndindex(*x.shape):
+            xp, xm = x.copy(), x.copy()
+            xp[idx] += h
+            xm[idx] -= h
+            fd[idx] = ((pool.forward(xp)[0] - pool.forward(xm)[0]) * r).sum() / (2 * h)
+        np.testing.assert_allclose(gin, fd, rtol=1e-9, atol=1e-12)
+        assert (gin[:, :, 6, :] == 0).all()
+        assert (gin[:, :, :, 8] == 0).all()
+        assert (gin[:, :, :6, :8] != 0).all()
 
 
 class TestGradientStructure:
@@ -233,6 +275,100 @@ class TestGradientStructure:
         x = _rng(11).normal(size=(2, 2, 3, 5)).astype(np.float32)
         y, _ = t.forward(x)
         assert y.shape == (2, 3, 6, 10)
+
+
+def _close(new, ref, rtol):
+    # rtol on each entry, plus rtol times the array's scale, so an entry whose
+    # contraction cancels to near zero is judged against its neighbours
+    assert new.dtype == ref.dtype
+    np.testing.assert_allclose(new, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+
+class TestKernelParity:
+    """The BLAS kernels against the einsum and reshape-mean formulas they replaced."""
+
+    RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+    SHAPES = {
+        "desk": (32, 8, 8),
+        "paper": (64, 32, 32),
+        "non-square": (3, 3, 5),
+        "odd": (4, 7, 9),
+    }
+
+    @staticmethod
+    def _ref_pointwise(layer, x, gout):
+        w, b = layer._views()
+        n = x.shape[0]
+        y = np.einsum("nchw,cd->ndhw", x, w)
+        if b is not None:
+            y += b[None, :, None, None]
+        gin = np.einsum("ndhw,cd->nchw", gout, w)
+        gw = np.einsum("nchw,ndhw->ncd", x, gout).reshape(n, -1)
+        if b is not None:
+            gw = np.concatenate([gw, gout.sum(axis=(2, 3))], axis=1)
+        return y, gin, [gw]
+
+    @staticmethod
+    def _ref_transpose(layer, x, gout):
+        w, b = layer._views()
+        n, c, H, W = x.shape
+        d = layer.c_out
+        y = np.einsum("ncij,cdab->ndiajb", x, w).reshape(n, d, H * 2, W * 2)
+        y += b[None, :, None, None]
+        g6 = gout.reshape(n, d, H, 2, W, 2)
+        gin = np.einsum("ndiajb,cdab->ncij", g6, w)
+        gw = np.einsum("ncij,ndiajb->ncdab", x, g6).reshape(n, -1)
+        return y, gin, [np.concatenate([gw, gout.sum(axis=(2, 3))], axis=1)]
+
+    @staticmethod
+    def _ref_avgpool(layer, x, gout):
+        n, c, H, W = x.shape
+        H2, W2 = H // 2, W // 2
+        y = x[:, :, : H2 * 2, : W2 * 2].reshape(n, c, H2, 2, W2, 2).mean(axis=(3, 5))
+        gin = np.zeros_like(x)
+        gin[:, :, : H2 * 2, : W2 * 2] = np.broadcast_to(
+            gout[:, :, :, None, :, None] / 4.0, (n, c, H2, 2, W2, 2)
+        ).reshape(n, c, H2 * 2, W2 * 2)
+        return y, gin, []
+
+    def _check(self, layer, ref, x_shape, dtype, seed):
+        rng = _rng(seed)
+        if layer.n_params:
+            # random biases too, so a dropped bias term shows
+            layer.params = rng.normal(scale=0.5, size=layer.n_params).astype(dtype)
+        x = rng.normal(size=x_shape).astype(dtype)
+        y, cache = layer.forward(x)
+        gout = rng.normal(size=y.shape).astype(dtype)
+        gin, psg = layer.backward(gout, cache)
+        y_ref, gin_ref, psg_ref = ref(layer, x, gout)
+        rtol = self.RTOL[dtype]
+        _close(y, y_ref, rtol)
+        _close(gin, gin_ref, rtol)
+        assert len(psg) == len(psg_ref)
+        for p, p_ref in zip(psg, psg_ref):
+            assert p.shape == (x_shape[0], layer.n_params)
+            _close(p, p_ref, rtol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ["desk", "paper", "non-square"])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_pointwise(self, dtype, shape, bias):
+        n, H, W = self.SHAPES[shape]
+        layer = PointwiseConv(8, 16, bias=bias)
+        self._check(layer, self._ref_pointwise, (n, 8, H, W), dtype, 21)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ["desk", "paper", "non-square"])
+    def test_transpose(self, dtype, shape):
+        n, H, W = self.SHAPES[shape]
+        layer = TransposeConv(8, 4)
+        self._check(layer, self._ref_transpose, (n, 8, H, W), dtype, 22)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ["desk", "paper", "non-square", "odd"])
+    def test_avgpool(self, dtype, shape):
+        n, H, W = self.SHAPES[shape]
+        self._check(AvgPool(), self._ref_avgpool, (n, 8, H, W), dtype, 23)
 
 
 class TestErrors:
