@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg, special
+from scipy.linalg import lapack
 from scipy.stats import qmc
 
 from .errors import ConfigError, InfeasibleError, NonFiniteError
@@ -178,22 +179,30 @@ class Surrogate:
         self.lengthscales = np.asarray(self.lengthscales, dtype=np.float64)
         self.y_mean = float(self.y.mean())
         kernel = _matern52(self.x, self.x, self.lengthscales, self.signal_var)
+        # LAPACK is called directly (scipy's cholesky/cho_solve wrappers cost
+        # more than the factorization at these sizes), so nothing else
+        # rejects a non-finite kernel or observation
+        if not (np.isfinite(kernel).all() and np.isfinite(self.y).all()):
+            raise ValueError("GP kernel or observations are not finite")
         jitter = self.jitter
         while True:
-            try:
-                self.chol = linalg.cholesky(
-                    kernel + jitter * np.eye(len(self.y)), lower=True
-                )
+            chol, info = lapack.dpotrf(kernel + jitter * np.eye(len(self.y)), lower=1)
+            if info == 0:
                 break
-            except linalg.LinAlgError:
-                jitter *= 10.0
-                if jitter > JITTER_MAX:
-                    raise InfeasibleError(
-                        f"kernel stayed singular up to jitter {JITTER_MAX}"
-                    ) from None
+            if info < 0:
+                raise ValueError(f"dpotrf rejected its argument {-info}")
+            # info > 0: a leading minor is not positive definite
+            jitter *= 10.0
+            if jitter > JITTER_MAX:
+                raise InfeasibleError(
+                    f"kernel stayed singular up to jitter {JITTER_MAX}"
+                )
+        self.chol = chol
         self.jitter = jitter
         resid = self.y - self.y_mean
-        self.alpha = linalg.cho_solve((self.chol, True), resid)
+        self.alpha, info = lapack.dpotrs(chol, resid, lower=1)
+        if info != 0:
+            raise ValueError(f"dpotrs rejected its argument {-info}")
 
     def posterior(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Mean and variance at each query point (vectorized)."""

@@ -8,6 +8,11 @@ orders. The fixed order grid {1.25, 1.5, ..., 64} is reported, and the
 conversion refines the minimizing order continuously between the best grid
 order's neighbors so the returned eps is not quantized by the grid.
 
+The per-step curve on that grid depends only on (q, sigma), not on the clip
+norm or delta, so it is memoized per (q, sigma) pair in a bounded LRU cache:
+calibration leaves the entry that every later budget check and ledger read
+of the same client hits, and each of those pays only for the refinement.
+
 Batches are drawn uniformly without replacement but accounted with the
 subsampled (Poisson-style) bound, the standard approximation in DP-SGD
 implementations.
@@ -18,6 +23,7 @@ and never touches the accountant; only dp_sgd_step advances a ledger.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -177,11 +183,31 @@ def _log_a_frac_vec(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
 
 
 def rdp_orders(dp: DPConfig, orders=None) -> np.ndarray:
-    """Per-step Renyi divergence at each order."""
-    orders = DEFAULT_ORDERS if orders is None else np.asarray(orders, dtype=np.float64)
-    if dp.noise_multiplier == 0:
+    """Per-step Renyi divergence at each order.
+
+    Without `orders` this is the memoized curve on DEFAULT_ORDERS: the array
+    is the shared cache entry for (q, sigma) and is read-only."""
+    if orders is None:
+        return _grid_curve(float(dp.sampling_rate), float(dp.noise_multiplier))
+    return _rdp(dp.sampling_rate, dp.noise_multiplier,
+                np.asarray(orders, dtype=np.float64))
+
+
+# one entry is DEFAULT_ORDERS.size floats (2 KB); the bound keeps a long
+# search over many (q, sigma) pairs from growing the process without limit
+_CURVE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_CURVE_CACHE_SIZE)
+def _grid_curve(q: float, sigma: float) -> np.ndarray:
+    curve = _rdp(q, sigma, DEFAULT_ORDERS)
+    curve.flags.writeable = False
+    return curve
+
+
+def _rdp(q: float, sigma: float, orders: np.ndarray) -> np.ndarray:
+    if sigma == 0:
         return np.full(orders.shape, np.inf)
-    q, sigma = dp.sampling_rate, dp.noise_multiplier
     if q == 1.0:
         return orders / (2.0 * sigma * sigma)
     out = np.empty(orders.shape, dtype=np.float64)
@@ -268,9 +294,9 @@ def privacy_cost(dp: DPConfig, steps: int, orders=None, refine: bool = True) -> 
         return 0.0
     if dp.noise_multiplier == 0:
         return math.inf
+    rdp = rdp_orders(dp, orders)
     orders = DEFAULT_ORDERS if orders is None else np.asarray(orders, dtype=np.float64)
     log_inv_delta = math.log(1.0 / dp.delta)
-    rdp = rdp_orders(dp, orders)
     eps_grid = steps * rdp + log_inv_delta / (orders - 1.0)
     best = int(np.argmin(eps_grid))
     if not refine:
@@ -324,32 +350,60 @@ def max_steps_within_budget(dp: DPConfig, eps_budget: float, orders=None) -> int
     return lo
 
 
+# log-spaced sigma grid for the bracketing pass: 257 points on the default
+# [0.05, 512] give a spacing of about 4%
+_SIGMA_GRID = 257
+_SIGMA_RTOL = 1e-12
+
+
 def calibrate_sigma(
     q: float, steps: int, eps_budget: float, delta: float, lo: float = 0.05, hi: float = 512.0
 ) -> float:
-    """Smallest noise multiplier (up to bisection tolerance) whose cost over
-    `steps` stays within the budget. Infinite budget means no noise."""
+    """Smallest noise multiplier whose cost over `steps` stays within the
+    budget, to a relative tolerance of 1e-12. The returned sigma is one whose
+    refined privacy_cost was evaluated and found <= eps_budget. Infinite
+    budget means no noise.
+
+    One vectorized integer-order pass over a log-spaced grid on [lo, hi]
+    brackets the answer: that bound is never below the refined cost, so a
+    grid point it admits is feasible. The bracket then steps down the grid,
+    in doubling strides, while the refined cost admits the point below, and
+    Brent's method closes it on the refined cost."""
     if eps_budget == math.inf:
         return 0.0
     if eps_budget <= 0:
         raise InfeasibleError(f"eps budget must be positive, got {eps_budget}")
+    excess_at: dict[float, float] = {}
 
-    def cost(sigma: float) -> float:
-        return privacy_cost(DPConfig(1.0, sigma, q, delta), steps)
+    def excess(sigma: float) -> float:
+        # the root-finder re-reads the bracket ends; evaluate each sigma once
+        if sigma not in excess_at:
+            cost = privacy_cost(DPConfig(1.0, sigma, q, delta), steps)
+            excess_at[sigma] = cost - eps_budget
+        return excess_at[sigma]
 
-    if cost(hi) > eps_budget:
+    if excess(hi) > 0:
         raise InfeasibleError(
             f"even sigma={hi} cannot meet eps={eps_budget} over {steps} steps"
         )
-    if cost(lo) <= eps_budget:
+    if excess(lo) <= 0:
         return lo
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if cost(mid) <= eps_budget:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    grid = np.geomspace(lo, hi, _SIGMA_GRID)
+    admitted = np.flatnonzero(
+        privacy_cost_integer_orders(q, grid, steps, delta) <= eps_budget
+    )
+    # the bound cannot admit lo, whose refined cost is over budget; when it
+    # admits no point at all, start from hi, which the refined cost admits
+    top = int(admitted[0]) if admitted.size else grid.size - 1
+    # strides double, so a bound far above the refined cost (optimal orders
+    # below 2, where the integer grid is coarse) costs log2 steps, not one
+    # per grid point
+    stride = 1
+    while (below := max(top - stride, 0)) > 0 and excess(float(grid[below])) <= 0:
+        top, stride = below, stride * 2
+    optimize.brentq(excess, float(grid[below]), float(grid[top]),
+                    xtol=_SIGMA_RTOL * lo, rtol=_SIGMA_RTOL)
+    return min(sigma for sigma, over in excess_at.items() if over <= 0)
 
 
 @dataclass

@@ -219,6 +219,17 @@ class TestSurrogatePosterior:
         _, var = sur.posterior(rng.random((200, 4)))
         assert np.all(var >= 0.0)
 
+    def test_non_finite_input_fails_loudly(self):
+        rng = np.random.default_rng(6)
+        x = rng.random((5, 4))
+        y = rng.random(5)
+        y[2] = np.nan
+        with pytest.raises(ValueError):
+            Surrogate(x, y, np.ones(4), signal_var=1.0)
+        x[1, 0] = np.inf
+        with pytest.raises(ValueError):
+            Surrogate(x, rng.random(5), np.ones(4), signal_var=1.0)
+
 
 class TestGPFit:
     def test_fit_is_deterministic(self):

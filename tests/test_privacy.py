@@ -14,6 +14,7 @@ import pytest
 from scipy import integrate
 from scipy.special import logsumexp
 
+from fednaslab import privacy
 from fednaslab.errors import BudgetExhaustedError, InfeasibleError, NonFiniteError
 from fednaslab.nn import Linear, Sequential
 from fednaslab.privacy import (
@@ -184,6 +185,128 @@ class TestBudgets:
         assert blob["steps"] == 3
         assert blob["sigma"] == 1.92
         assert abs(blob["eps_spent"] - privacy_cost(dp, 3)) < 1e-12
+
+
+def reference_sigma(q, steps, eps_budget, delta, lo=0.05, hi=512.0):
+    """The 60-step bisection on the refined cost that calibrate_sigma replaced."""
+    def cost(sigma):
+        return privacy_cost(DPConfig(1.0, sigma, q, delta), steps)
+
+    if cost(hi) > eps_budget:
+        raise InfeasibleError("reference: infeasible")
+    if cost(lo) <= eps_budget:
+        return lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if cost(mid) <= eps_budget:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.fixture
+def refined_calls(monkeypatch):
+    """Counts privacy_cost calls made from inside the privacy module."""
+    count = [0]
+    real = privacy.privacy_cost
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(privacy, "privacy_cost", counting)
+    return count
+
+
+class TestCalibrateSigma:
+    MAX_REFINED_CALLS = 16
+
+    @pytest.mark.parametrize("q", [0.01, 0.1, 0.5, 1.0])
+    def test_matches_bisection(self, q, refined_calls):
+        for steps in (10, 500):
+            for eps in (1.0, 8.0):
+                refined_calls[0] = 0
+                got = calibrate_sigma(q, steps, eps, 1e-5)
+                assert refined_calls[0] <= self.MAX_REFINED_CALLS, (steps, eps)
+                want = reference_sigma(q, steps, eps, 1e-5)
+                np.testing.assert_allclose(got, want, rtol=1e-9, err_msg=f"{steps} {eps}")
+                assert privacy_cost(DPConfig(1.0, got, q, 1e-5), steps) <= eps
+
+    def test_bound_far_above_refined_cost(self, refined_calls):
+        # optimal orders below 2: the integer-order bound admits sigma about a
+        # third above the answer, nine grid points away
+        got = calibrate_sigma(1.0, 10_000, 6000.0, 1e-5)
+        assert refined_calls[0] <= self.MAX_REFINED_CALLS
+        np.testing.assert_allclose(got, reference_sigma(1.0, 10_000, 6000.0, 1e-5), rtol=1e-9)
+        assert privacy_cost(DPConfig(1.0, got, 1.0, 1e-5), 10_000) <= 6000.0
+
+    def test_no_grid_point_admitted_by_integer_bound(self, refined_calls):
+        # the budget is the refined cost at hi itself, which the coarser
+        # integer-order bound exceeds everywhere on [lo, hi]
+        q, steps, hi = 0.01, 1, 1.0
+        eps = privacy_cost(DPConfig(1.0, hi, q, 1e-5), steps)
+        grid = np.geomspace(0.05, hi, 257)
+        assert not (privacy_cost_integer_orders(q, grid, steps, 1e-5) <= eps).any()
+        got = calibrate_sigma(q, steps, eps, 1e-5, hi=hi)
+        assert refined_calls[0] <= self.MAX_REFINED_CALLS
+        np.testing.assert_allclose(got, reference_sigma(q, steps, eps, 1e-5, hi=hi), rtol=1e-9)
+        assert privacy_cost(DPConfig(1.0, got, q, 1e-5), steps) <= eps
+
+    def test_guards(self, refined_calls):
+        assert calibrate_sigma(0.1, 10, math.inf, 1e-5) == 0.0
+        assert refined_calls[0] == 0
+        with pytest.raises(InfeasibleError):
+            calibrate_sigma(0.1, 10, 0.0, 1e-5)
+        with pytest.raises(InfeasibleError):
+            calibrate_sigma(0.5, 10_000, 1e-4, 1e-5)
+        # lo already within budget: returned as is, after the two guard checks
+        refined_calls[0] = 0
+        assert calibrate_sigma(0.01, 1, 50.0, 1e-5, lo=0.5) == 0.5
+        assert refined_calls[0] == 2
+
+
+class TestCurveMemo:
+    def test_cached_equals_uncached(self):
+        for q, sigma in [(0.01, 0.9), (0.2, 1.3), (0.5, 3.0), (1.0, 2.0)]:
+            dp = DPConfig(1.0, sigma, q, 1e-5)
+            np.testing.assert_array_equal(rdp_orders(dp), rdp_orders(dp, DEFAULT_ORDERS.copy()))
+            for steps in (1, 40, 2000):
+                cached = privacy_cost(dp, steps)
+                assert privacy_cost(dp, steps) == cached
+                assert privacy_cost(dp, steps, orders=DEFAULT_ORDERS.copy()) == cached
+
+    def test_cached_curve_is_read_only(self):
+        curve = rdp_orders(DPConfig(1.0, 1.1, 0.3, 1e-5))
+        assert not curve.flags.writeable
+        with pytest.raises(ValueError):
+            curve[0] = 0.0
+
+    def test_clip_and_delta_share_one_entry(self):
+        privacy._grid_curve.cache_clear()
+        a = rdp_orders(DPConfig(0.5, 1.7, 0.25, 1e-5))
+        b = rdp_orders(DPConfig(4.0, 1.7, 0.25, 1e-3))
+        assert a is b
+        privacy_cost(DPConfig(2.0, 1.7, 0.25, 1e-6), 30)
+        info = privacy._grid_curve.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+
+    def test_custom_orders_bypass_cache(self):
+        dp = DPConfig(1.0, 1.4, 0.15, 1e-5)
+        before = privacy._grid_curve.cache_info()
+        privacy_cost(dp, 25, orders=DEFAULT_ORDERS)
+        privacy_cost(dp, 25, orders=np.arange(2, 65.0), refine=False)
+        rdp_orders(dp, np.array([1.5, 3.0]))
+        assert privacy._grid_curve.cache_info() == before
+
+    def test_cache_is_bounded(self):
+        maxsize = privacy._grid_curve.cache_info().maxsize
+        assert maxsize is not None
+        # q = 1 curves are closed-form, so filling the cache is cheap
+        for k in range(maxsize + 5):
+            rdp_orders(DPConfig(1.0, 1.0 + k / 64.0, 1.0, 1e-5))
+        assert privacy._grid_curve.cache_info().currsize == maxsize
+        privacy._grid_curve.cache_clear()
 
 
 def _tiny_parts(seed=0):
