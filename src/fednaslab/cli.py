@@ -36,7 +36,14 @@ from .analysis import (
     theorem1_rhs,
     write_attack_csv,
 )
-from .config import ExperimentConfig, RunManifest, load_config
+from .config import (
+    ExperimentConfig,
+    RunManifest,
+    load_config,
+    read_record,
+    read_value,
+    read_yaml,
+)
 from .data import (
     Dataset,
     load_cifar_binary,
@@ -178,10 +185,18 @@ def _read_hyper(out_dir: str, k: int) -> HyperConfig | None:
     path = _hyper_path(out_dir, k)
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        doc = json.load(fh)
-    return HyperConfig(doc["eta"], int(doc["batch_size"]), doc["clip"],
-                       doc["sigma"])
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if isinstance(doc, dict):
+            # the search's own scores ride along; they configure nothing
+            doc = {key: value for key, value in doc.items()
+                   if key not in ("predicted", "observed")}
+        return read_record(HyperConfig, doc)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @click.group()
@@ -482,11 +497,6 @@ def attack(config_path: str, out_override: str | None,
     _guarded(body)
 
 
-_CONSTANT_FIELDS = ("B_grad", "L", "var_sigma2", "noise_delta", "C", "d",
-                    "E", "eta_w", "eta_theta", "alpha_dev", "p", "Delta",
-                    "G", "T")
-
-
 @main.command()
 @click.argument("constants_path", type=click.Path())
 @click.option("--out", "out_path", default=None, type=click.Path(),
@@ -499,39 +509,17 @@ def bounds(constants_path: str, out_path: str | None,
     """Evaluate every convergence-bound calculator for one constants file."""
 
     def body() -> None:
-        import yaml
-
-        try:
-            with open(constants_path) as fh:
-                doc = yaml.safe_load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"constants file not found: {constants_path}") from None
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{constants_path}: not valid YAML: {exc}") from exc
+        doc = read_yaml(constants_path, "constants")
         if not isinstance(doc, dict):
             raise ConfigError(f"{constants_path}: expected a mapping")
-        missing = [name for name in _CONSTANT_FIELDS if name not in doc]
-        if missing:
-            raise ConfigError(
-                f"{constants_path}: missing constant(s) {missing}")
-        extra = sorted(set(doc) - set(_CONSTANT_FIELDS)
-                       - {"loss0", "grad_norm_sq_sum"})
-        if extra:
-            raise ConfigError(f"{constants_path}: unknown key(s) {extra}")
-        kwargs = {}
-        for name in _CONSTANT_FIELDS:
-            value = doc[name]
-            if name in ("d", "E", "T"):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"{name} must be an integer, got {value!r}")
-                kwargs[name] = value
-            else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"{name} must be a number, got {value!r}")
-                kwargs[name] = float(value)
-        constants = ConvergenceConstants(**kwargs)
-        loss0 = float(doc.get("loss0", 1.0))
-        gsum = float(doc.get("grad_norm_sq_sum", 1.0))
+        try:
+            # the two single-round inputs, optional, beside the constants
+            loss0 = read_value(float, doc.pop("loss0", 1.0), "loss0")
+            gsum = read_value(float, doc.pop("grad_norm_sq_sum", 1.0),
+                              "grad_norm_sq_sum")
+            constants = read_record(ConvergenceConstants, doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{constants_path}: {exc}") from None
         report = {
             "inputs": {"loss0": loss0, "grad_norm_sq_sum": gsum},
             "theorem1": theorem1_rhs(constants, loss0, gsum),

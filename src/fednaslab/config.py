@@ -6,16 +6,28 @@ hard error, not a warning — so typos cannot silently fall back to
 defaults. A `profile` key pulls in a complete set of defaults (`desk` for
 minutes-scale synthetic runs, `paper` for the full-size schedule) which the
 rest of the document then overrides key by key.
+
+The schema is stated once, by the record dataclasses: `ExperimentConfig`
+and its section records here, `SpaceConfig` (space.py) and `GAConfig`
+(ga.py). A field is an allowed key, a field without a default a required
+one, its annotation the value's type, and the record's `__post_init__`
+checks ranges. `read_record` is the one reader of every input document:
+`build_config` reads a config document into `ExperimentConfig`, and the
+CLI reads `bounds` constants files into `ConvergenceConstants` and
+hyperparameter-search outputs into `HyperConfig`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import math
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 
 import yaml
@@ -29,43 +41,103 @@ OUTPUT_ROOT_ENV = "FEDNASLAB_RUNS"
 _INF_TOKENS = {"inf", "infinity", ".inf"}
 
 
-def _as_float(value, where: str) -> float:
-    """YAML scalars arrive as int, float, or the string spellings of inf."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
+# ---------------------------------------------------------------------------
+# the one reader
+
+
+def _fail(where: str, message: str):
+    raise ConfigError(f"{where}: {message}" if where else message)
+
+
+def read_value(tp, value, where: str):
+    """Coerce one document value to the annotated type `tp`: numbers must
+    be finite and a bool is not one, lists become tuples, a union takes its
+    first member that fits, and a dataclass reads a nested mapping."""
+    if dataclasses.is_dataclass(tp):
+        return read_record(tp, value, where)
+    if isinstance(tp, types.UnionType):
+        errors = []
+        for member in typing.get_args(tp):
+            try:
+                return read_value(member, value, where)
+            except ConfigError as exc:
+                errors.append(exc)
+        raise errors[0]
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            _fail(where, f"expected a list, got {value!r}")
+        args = typing.get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            _fail(where, f"expected a list of {len(args)}, got {value!r}")
+        return tuple(read_value(a, v, where) for a, v in zip(args, value))
+    if tp is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _fail(where, f"expected a number, got {value!r}")
+        if not math.isfinite(value):
+            _fail(where, f"expected a finite number, got {value!r}")
         return float(value)
-    if isinstance(value, str) and value.strip().lower() in _INF_TOKENS:
-        return math.inf
-    raise ConfigError(f"{where}: expected a number, got {value!r}")
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _as_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    if isinstance(value, bool) and tp is int or not isinstance(value, tp):
+        kind = {int: "an integer", bool: "a boolean", str: "a string"}
+        _fail(where, f"expected {kind.get(tp, tp.__name__)}, got {value!r}")
     return value
 
 
-def _as_pair(value, where: str) -> tuple[float, float]:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2):
-        raise ConfigError(f"{where}: expected [low, high], got {value!r}")
-    lo, hi = (_as_float(v, where) for v in value)
-    if not (0 < lo < hi):
-        raise ConfigError(f"{where}: need 0 < low < high, got {value!r}")
-    return (lo, hi)
+@functools.cache
+def _schema(cls) -> tuple:
+    """(document key, field, type, required) for each field of `cls`."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.metadata.get("key", f.name), f, hints[f.name],
+                  f.default is f.default_factory is dataclasses.MISSING)
+                 for f in dataclasses.fields(cls))
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
+def read_record(cls, mapping, where: str = ""):
+    """Build the dataclass `cls` from a parsed document mapping.
+
+    The dataclass is the schema: its fields are the allowed keys, fields
+    without a default are required, and each annotation is the value's
+    type (`read_value`). A field's metadata may give its document `key`
+    and a `read` function of its own. `cls.__post_init__` then checks
+    ranges. `where` names the mapping in messages ("train" for a section,
+    "" for a whole document); every failure is a `ConfigError`.
+    """
+    if not isinstance(mapping, dict):
+        _fail(where, f"expected a mapping, got {mapping!r}")
+    schema = _schema(cls)
+    keys = [key for key, *_ in schema]
+    unknown = sorted(set(mapping) - set(keys))
     if unknown:
-        raise ConfigError(
-            f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
+        _fail(where, f"unknown key(s) {unknown}; allowed: {sorted(keys)}")
+    missing = [key for key, _, _, required in schema
+               if required and key not in mapping]
+    if missing:
+        _fail(where, f"missing key(s) {missing}")
+    kwargs = {}
+    for key, f, tp, _ in schema:
+        if key in mapping:
+            read = f.metadata.get("read", read_value)
+            kwargs[f.name] = read(tp, mapping[key],
+                                  f"{where}.{key}" if where else key)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        _fail(where, str(exc))
+
+
+def _read_budgets(tp, value, where: str) -> tuple[float, ...]:
+    """`clients.eps_budget`: one budget for every client or a list of one
+    per client. The one key where inf (also spelled "inf") is allowed: it
+    means no privacy."""
+    budgets = []
+    for v in value if isinstance(value, (list, tuple)) else [value]:
+        if v == math.inf or (isinstance(v, str)
+                             and v.strip().lower() in _INF_TOKENS):
+            budgets.append(math.inf)
+        else:
+            budgets.append(read_value(float, v, where))
+    return tuple(budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +200,9 @@ class ClientSpec:
 
     count: int = 5
     participation: float = 1.0
-    eps_budgets: tuple[float, ...] = (math.inf,)
+    eps_budgets: tuple[float, ...] = field(
+        default=(math.inf,),
+        metadata={"key": "eps_budget", "read": _read_budgets})
     delta: float = 1e-5
 
     def __post_init__(self):
@@ -172,6 +246,14 @@ class BOSpec:
             raise ConfigError(f"bo.n_iter must be >= 0, got {self.n_iter}")
         if self.trial_epochs < 1:
             raise ConfigError(f"bo.trial_epochs must be >= 1, got {self.trial_epochs}")
+        for name in ("eta_range", "q_range", "clip_range", "sigma_range"):
+            lo, hi = getattr(self, name)
+            if not (0 < lo < hi):
+                raise ConfigError(
+                    f"bo.{name}: need 0 < low < high, got {(lo, hi)}")
+        if self.q_range[1] > 1.0:
+            raise ConfigError(
+                f"bo.q_range: high must be <= 1, got {self.q_range[1]}")
 
 
 @dataclass(frozen=True)
@@ -340,204 +422,33 @@ def _merge(base: dict, override: dict) -> dict:
 # ---------------------------------------------------------------------------
 # document -> records
 
-_TOP_KEYS = {"profile", "seed", "output_dir", "dataset", "partition",
-             "clients", "space", "ga", "bo", "train", "attack"}
-
-
-def _build_dataset(section: dict) -> DatasetSpec:
-    allowed = {"kind", "num_classes", "per_class", "separation",
-               "image_side", "path", "coarse"}
-    _check_keys(section, allowed, "dataset")
-    kwargs = {}
-    if "kind" in section:
-        kwargs["kind"] = _as_str(section["kind"], "dataset.kind")
-    for key in ("num_classes", "per_class", "image_side"):
-        if key in section:
-            kwargs[key] = _as_int(section[key], f"dataset.{key}")
-    if "separation" in section:
-        kwargs["separation"] = _as_float(section["separation"], "dataset.separation")
-    if "path" in section and section["path"] is not None:
-        kwargs["path"] = _as_str(section["path"], "dataset.path")
-    if "coarse" in section:
-        if not isinstance(section["coarse"], bool):
-            raise ConfigError("dataset.coarse must be a boolean")
-        kwargs["coarse"] = section["coarse"]
-    return DatasetSpec(**kwargs)
-
-
-def _build_partition(section: dict) -> PartitionSpec:
-    allowed = {"scheme", "alpha", "classes_per_client", "skew"}
-    _check_keys(section, allowed, "partition")
-    kwargs = {}
-    if "scheme" in section:
-        kwargs["scheme"] = _as_str(section["scheme"], "partition.scheme")
-    if "alpha" in section:
-        kwargs["alpha"] = _as_float(section["alpha"], "partition.alpha")
-    if "classes_per_client" in section:
-        kwargs["classes_per_client"] = _as_int(
-            section["classes_per_client"], "partition.classes_per_client")
-    if "skew" in section:
-        kwargs["skew"] = _as_float(section["skew"], "partition.skew")
-    return PartitionSpec(**kwargs)
-
-
-def _build_clients(section: dict) -> ClientSpec:
-    allowed = {"count", "participation", "eps_budget", "delta"}
-    _check_keys(section, allowed, "clients")
-    kwargs = {}
-    if "count" in section:
-        kwargs["count"] = _as_int(section["count"], "clients.count")
-    if "participation" in section:
-        kwargs["participation"] = _as_float(
-            section["participation"], "clients.participation")
-    if "eps_budget" in section:
-        raw = section["eps_budget"]
-        if isinstance(raw, (list, tuple)):
-            kwargs["eps_budgets"] = tuple(
-                _as_float(v, "clients.eps_budget") for v in raw)
-        else:
-            kwargs["eps_budgets"] = (_as_float(raw, "clients.eps_budget"),)
-    if "delta" in section:
-        kwargs["delta"] = _as_float(section["delta"], "clients.delta")
-    return ClientSpec(**kwargs)
-
-
-def _build_space(section: dict) -> SpaceConfig:
-    allowed = {"input_shape", "d_rep", "num_classes", "min_len", "max_len",
-               "channel_choices", "kernel_choices", "pool_types"}
-    _check_keys(section, allowed, "space")
-    kwargs = {}
-    if "input_shape" in section:
-        shape = section["input_shape"]
-        if not isinstance(shape, (list, tuple)) or len(shape) != 3:
-            raise ConfigError(f"space.input_shape must be [c, h, w], got {shape!r}")
-        kwargs["input_shape"] = tuple(_as_int(v, "space.input_shape") for v in shape)
-    for key in ("d_rep", "num_classes", "min_len", "max_len"):
-        if key in section:
-            kwargs[key] = _as_int(section[key], f"space.{key}")
-    for key in ("channel_choices", "kernel_choices"):
-        if key in section:
-            values = section[key]
-            if not isinstance(values, (list, tuple)):
-                raise ConfigError(f"space.{key} must be a list")
-            kwargs[key] = tuple(_as_int(v, f"space.{key}") for v in values)
-    if "pool_types" in section:
-        values = section["pool_types"]
-        if not isinstance(values, (list, tuple)):
-            raise ConfigError("space.pool_types must be a list")
-        kwargs["pool_types"] = tuple(_as_str(v, "space.pool_types") for v in values)
-    try:
-        return SpaceConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"space: {exc}") from exc
-
-
-def _build_ga(section: dict) -> GAConfig:
-    allowed = {"pop_size", "generations", "p_cross", "p_mut", "eval_epochs"}
-    _check_keys(section, allowed, "ga")
-    kwargs = {}
-    for key in ("pop_size", "generations", "eval_epochs"):
-        if key in section:
-            kwargs[key] = _as_int(section[key], f"ga.{key}")
-    for key in ("p_cross", "p_mut"):
-        if key in section:
-            kwargs[key] = _as_float(section[key], f"ga.{key}")
-    return GAConfig(**kwargs)
-
-
-def _build_bo(section: dict) -> BOSpec:
-    allowed = {"k_init", "n_iter", "trial_epochs", "eta_range", "q_range",
-               "clip_range", "sigma_range"}
-    _check_keys(section, allowed, "bo")
-    kwargs = {}
-    for key in ("k_init", "n_iter", "trial_epochs"):
-        if key in section:
-            kwargs[key] = _as_int(section[key], f"bo.{key}")
-    for key in ("eta_range", "q_range", "clip_range", "sigma_range"):
-        if key in section:
-            kwargs[key] = _as_pair(section[key], f"bo.{key}")
-    return BOSpec(**kwargs)
-
-
-def _build_train(section: dict) -> TrainSpec:
-    allowed = {"rounds", "local_epochs", "eta", "batch_size", "clip", "sigma",
-               "head_epochs", "eta_theta", "head_batch", "target_acc"}
-    _check_keys(section, allowed, "train")
-    kwargs = {}
-    for key in ("rounds", "local_epochs", "batch_size", "head_epochs",
-                "head_batch"):
-        if key in section:
-            kwargs[key] = _as_int(section[key], f"train.{key}")
-    for key in ("eta", "clip", "eta_theta"):
-        if key in section:
-            kwargs[key] = _as_float(section[key], f"train.{key}")
-    if "sigma" in section:
-        raw = section["sigma"]
-        kwargs["sigma"] = raw if raw == "auto" else _as_float(raw, "train.sigma")
-    if "target_acc" in section and section["target_acc"] is not None:
-        kwargs["target_acc"] = _as_float(section["target_acc"], "train.target_acc")
-    return TrainSpec(**kwargs)
-
-
-def _build_attack(section: dict) -> AttackSpec:
-    allowed = {"seeds", "decoder_epochs", "decoder_lr", "aux_fraction",
-               "victim_count"}
-    _check_keys(section, allowed, "attack")
-    kwargs = {}
-    for key in ("seeds", "decoder_epochs", "victim_count"):
-        if key in section:
-            kwargs[key] = _as_int(section[key], f"attack.{key}")
-    for key in ("decoder_lr", "aux_fraction"):
-        if key in section:
-            kwargs[key] = _as_float(section[key], f"attack.{key}")
-    return AttackSpec(**kwargs)
-
 
 def build_config(document: dict) -> ExperimentConfig:
     """Validate a parsed document and resolve it over its profile."""
     if not isinstance(document, dict):
         raise ConfigError(f"config root must be a mapping, got {type(document).__name__}")
-    _check_keys(document, _TOP_KEYS, "config")
     profile = document.get("profile", "desk")
-    if profile not in PROFILES:
+    if not isinstance(profile, str) or profile not in PROFILES:
         raise ConfigError(
             f"profile must be one of {sorted(PROFILES)}, got {profile!r}")
-    merged = _merge(PROFILES[profile], {k: v for k, v in document.items()
-                                        if k not in ("profile", "seed", "output_dir")})
-    for key in merged:
-        if not isinstance(merged[key], dict):
-            raise ConfigError(f"{key}: expected a mapping, got {merged[key]!r}")
-    seed = _as_int(document.get("seed", 0), "seed")
-    output_dir = None
-    if document.get("output_dir") is not None:
-        output_dir = _as_str(document["output_dir"], "output_dir")
-    return ExperimentConfig(
-        seed=seed,
-        profile=profile,
-        output_dir=output_dir,
-        dataset=_build_dataset(merged.get("dataset", {})),
-        partition=_build_partition(merged.get("partition", {})),
-        clients=_build_clients(merged.get("clients", {})),
-        space=_build_space(merged.get("space", {})),
-        ga=_build_ga(merged.get("ga", {})),
-        bo=_build_bo(merged.get("bo", {})),
-        train=_build_train(merged.get("train", {})),
-        attack=_build_attack(merged.get("attack", {})),
-    )
+    return read_record(ExperimentConfig, _merge(PROFILES[profile], document))
+
+
+def read_yaml(path, what: str):
+    """Parse a YAML file; a missing or malformed file is a `ConfigError`."""
+    try:
+        with open(path) as fh:
+            return yaml.safe_load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse a YAML document from disk and validate it."""
-    try:
-        with open(path) as fh:
-            document = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
-    if document is None:
-        document = {}
-    return build_config(document)
+    document = read_yaml(path, "config")
+    return build_config({} if document is None else document)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ what architecture its search found.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -152,20 +153,7 @@ class SpaceConfig:
         return int(math.floor(math.log2(min(h, w))))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "input_shape": list(self.input_shape),
-                "d_rep": self.d_rep,
-                "num_classes": self.num_classes,
-                "min_len": self.min_len,
-                "max_len": self.max_len,
-                "channel_choices": list(self.channel_choices),
-                "kernel_choices": list(self.kernel_choices),
-                "pool_types": list(self.pool_types),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SpaceConfig":

@@ -155,6 +155,34 @@ class TestTrain:
         assert result.exit_code == 3
         assert "sigma" in _all_output(result)
 
+    @pytest.mark.parametrize("content,needle", [
+        (json.dumps({"eta": 0.01, "batch_size": 8, "clip": 1.0,
+                     "predicted": 0.5, "observed": 0.5}), "sigma"),
+        (json.dumps({"eta": 0.01, "batch_size": 8.5, "clip": 1.0,
+                     "sigma": 1.0}), "batch_size"),
+        ('{"eta": 0.01, "batch_size": 8,', "JSON"),
+        ("[1, 2]", "mapping"),
+    ])
+    def test_malformed_hyper_file_exits_2_naming_it(self, tmp_path, content,
+                                                     needle):
+        config = _write_config(tmp_path, "hyper")
+        (tmp_path / "hyper").mkdir()
+        (tmp_path / "hyper" / "hyper_client0.json").write_text(content)
+        result = _invoke(["train", "-c", config, "--no-nas"])
+        assert result.exit_code == 2, _all_output(result)
+        text = _all_output(result)
+        assert "hyper_client0.json" in text and needle in text
+        assert "Traceback" not in text
+
+    def test_non_finite_learning_rate_exits_2(self, tmp_path):
+        path = tmp_path / "inf.yaml"
+        path.write_text("clients:\n  count: 2\ntrain:\n  eta: .inf\n")
+        result = _invoke(["train", "-c", path, "--no-nas",
+                          "--out", tmp_path / "out"])
+        assert result.exit_code == 2
+        assert "train.eta" in _all_output(result)
+        assert not (tmp_path / "out" / "rounds.csv").exists()
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, pipeline_dir, tmp_path):
@@ -284,6 +312,17 @@ class TestBounds:
     def test_missing_file_exits_2(self, tmp_path):
         result = _invoke(["bounds", tmp_path / "absent.yaml"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("loss0", "abc"), ("grad_norm_sq_sum", "abc"), ("loss0", True),
+        ("loss0", math.inf), ("d", 1.5), ("L", "abc"),
+    ])
+    def test_bad_input_exits_2_naming_it(self, tmp_path, key, value):
+        result, _ = self._run(tmp_path, {**_CONSTANTS, key: value})
+        assert result.exit_code == 2
+        text = _all_output(result)
+        assert key in text and "constants.yaml" in text
+        assert "Traceback" not in text
 
 
 class TestReport:

@@ -1,5 +1,6 @@
 """Schema strictness, profile resolution, and manifest round-trips."""
 
+import dataclasses
 import json
 import math
 import os
@@ -95,6 +96,10 @@ class TestSectionValidation:
         {"k_init": 1},
         {"n_iter": -1},
         {"trial_epochs": 0},
+        {"eta_range": (0.1, 0.01)},
+        {"clip_range": (0.0, 1.0)},
+        {"sigma_range": (2.0, 2.0)},
+        {"q_range": (0.1, 1.5)},
     ])
     def test_bo_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -173,9 +178,99 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="seed"):
             build_config({"seed": True})
 
+    @pytest.mark.parametrize("key", ["eta", "clip", "sigma"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "inf"])
+    def test_train_rejects_non_finite(self, key, value):
+        with pytest.raises(ConfigError, match=rf"train\.{key}\b"):
+            build_config({"train": {key: value}})
+
+    def test_yaml_inf_rejected_except_in_eps_budget(self, tmp_path):
+        path = tmp_path / "inf.yaml"
+        path.write_text("train:\n  eta: .inf\n")
+        with pytest.raises(ConfigError, match=r"train\.eta"):
+            load_config(path)
+        path.write_text("train:\n  clip: .nan\n")
+        with pytest.raises(ConfigError, match=r"train\.clip"):
+            load_config(path)
+        path.write_text("clients:\n  count: 2\n  eps_budget: [.inf, 3]\n")
+        config = load_config(path)
+        assert math.isinf(config.clients.budget_for(0))
+        assert config.clients.budget_for(1) == 3.0
+
     def test_bo_range_override_validated(self):
         with pytest.raises(ConfigError, match="eta_range"):
             build_config({"bo": {"eta_range": [0.1, 0.01]}})
+
+
+# One wrong-typed value for every key a document may hold: a bool for an
+# int, a string for a number, a scalar for a list, a two-element
+# input_shape, a non-bool coarse.
+_WRONG_TYPED = {
+    "dataset": {"kind": 5, "num_classes": True, "per_class": True,
+                "separation": "abc", "image_side": True, "path": 5,
+                "coarse": "yes"},
+    "partition": {"scheme": 5, "alpha": "abc", "classes_per_client": True,
+                  "skew": "abc"},
+    "clients": {"count": True, "participation": "abc", "eps_budget": "abc",
+                "delta": "abc"},
+    "space": {"input_shape": [3, 8], "d_rep": True, "num_classes": True,
+              "min_len": True, "max_len": True, "channel_choices": 16,
+              "kernel_choices": 3, "pool_types": "avg"},
+    "ga": {"pop_size": True, "generations": True, "p_cross": "abc",
+           "p_mut": "abc", "eval_epochs": True},
+    "bo": {"k_init": True, "n_iter": True, "trial_epochs": True,
+           "eta_range": 0.1, "q_range": 0.5, "clip_range": 1.0,
+           "sigma_range": 2.0},
+    "train": {"rounds": True, "local_epochs": True, "eta": "abc",
+              "batch_size": True, "clip": "abc", "sigma": True,
+              "head_epochs": True, "eta_theta": "abc", "head_batch": True,
+              "target_acc": "abc"},
+    "attack": {"seeds": True, "decoder_epochs": True, "decoder_lr": "abc",
+               "aux_fraction": "abc", "victim_count": True},
+}
+
+
+class TestSchemaParity:
+    def test_table_covers_every_section_key(self):
+        for section, wrong in _WRONG_TYPED.items():
+            spec = getattr(ExperimentConfig(), section)
+            names = {f.name for f in dataclasses.fields(spec)}
+            if section == "clients":
+                names = names - {"eps_budgets"} | {"eps_budget"}
+            assert set(wrong) == names, section
+
+    @pytest.mark.parametrize("section,key,value", [
+        (section, key, value)
+        for section, wrong in _WRONG_TYPED.items()
+        for key, value in wrong.items()
+    ])
+    def test_wrong_type_names_section_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}\b"):
+            build_config({section: {key: value}})
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", True), ("seed", 1.5), ("output_dir", 5),
+    ])
+    def test_wrong_type_names_top_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            build_config({key: value})
+
+    def test_eps_budgets_spelling_stays_unknown(self):
+        with pytest.raises(ConfigError, match="eps_budgets"):
+            build_config({"clients": {"eps_budgets": [1.0]}})
+
+    def test_profile_hashes_pinned(self):
+        assert build_config({}).config_hash() == "580f434610461658"
+        assert (build_config({"profile": "paper"}).config_hash()
+                == "718e2228cdfb451d")
+
+    def test_optional_keys_accept_null(self):
+        config = build_config({"dataset": {"path": None},
+                               "train": {"target_acc": None},
+                               "output_dir": None})
+        assert config.dataset.path is None
+        assert config.train.target_acc is None
+        assert config.output_dir is None
 
 
 class TestOutputDirAndHash:
