@@ -238,22 +238,34 @@ def check_eta_w(c: ConvergenceConstants) -> dict:
 # representation-inversion probe
 
 
-@dataclasses.dataclass(frozen=True)
-class DecoderConfig:
-    """Training recipe for the attacker's decoder."""
+# The decoder's minibatch and the width of its first upsampling block.
+DECODER_BATCH = 64
+DECODER_CHANNELS = 32
 
-    epochs: int = 40
-    batch_size: int = 64
-    lr: float = 1e-3
-    base_channels: int = 32
+
+@dataclasses.dataclass(frozen=True)
+class AttackSpec:
+    """The `attack` config section: the inversion probe's schedule and its
+    decoder's training recipe."""
+
+    seeds: int = 5
+    decoder_epochs: int = 40
+    decoder_lr: float = 1e-3
+    aux_fraction: float = 0.5
+    victim_count: int = 40
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("decoder epochs and batch_size must be >= 1")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"decoder lr must be finite and > 0, got {self.lr}")
-        if self.base_channels < 1:
-            raise ConfigError("decoder base_channels must be >= 1")
+        if self.seeds < 1:
+            raise ConfigError(f"attack.seeds must be >= 1, got {self.seeds}")
+        if self.decoder_epochs < 1:
+            raise ConfigError("attack.decoder_epochs must be >= 1")
+        if self.decoder_lr <= 0:
+            raise ConfigError("attack.decoder_lr must be > 0")
+        if not (0.0 < self.aux_fraction < 1.0):
+            raise ConfigError(
+                f"attack.aux_fraction must be in (0, 1), got {self.aux_fraction}")
+        if self.victim_count < 1:
+            raise ConfigError("attack.victim_count must be >= 1")
 
 
 @dataclasses.dataclass
@@ -263,7 +275,7 @@ class AttackReport:
     eps_label: float
     mse: float
     per_sample: np.ndarray
-    config: DecoderConfig
+    spec: AttackSpec
     seed: int
     failed: bool = False
 
@@ -317,14 +329,15 @@ def _encode(bottom, x: np.ndarray) -> np.ndarray:
 
 
 def inversion_attack(bottom, aux_images: np.ndarray, victim_images: np.ndarray,
-                     config: DecoderConfig, rng: np.random.Generator, *,
+                     spec: AttackSpec, rng: np.random.Generator, *,
                      eps_label: float = math.inf, seed: int = 0) -> AttackReport:
     """Fit a decoder on auxiliary data, then score it on victim inputs.
 
     The attacker is assumed to know the encoder (worst case) and to hold
     auxiliary images from the same distribution but disjoint from the
     victim shard — that disjointness is the caller's contract. The decoder
-    minimizes per-pixel MSE on the auxiliary pairs (x, encode(x)); the
+    minimizes per-pixel MSE on the auxiliary pairs (x, encode(x)) for
+    `spec.decoder_epochs` epochs of Adam at `spec.decoder_lr`; the
     report carries the mean and per-sample reconstruction errors of the
     victim images. Decoder divergence is reported via `failed`, not raised.
     """
@@ -335,14 +348,14 @@ def inversion_attack(bottom, aux_images: np.ndarray, victim_images: np.ndarray,
             f"aux {aux.shape} and victim {victim.shape} must be [n, c, h, w] "
             "with matching image shapes")
     z_aux = _encode(bottom, aux)
-    decoder = build_decoder(z_aux.shape[1], aux.shape[1:],
-                            config.base_channels, rng)
-    optimizer = Adam(decoder.param_layers(), lr=config.lr)
+    decoder = build_decoder(z_aux.shape[1], aux.shape[1:], DECODER_CHANNELS,
+                            rng)
+    optimizer = Adam(decoder.param_layers(), lr=spec.decoder_lr)
     n = aux.shape[0]
-    batch = min(config.batch_size, n)
+    batch = min(DECODER_BATCH, n)
     failed = False
     try:
-        for _ in range(config.epochs):
+        for _ in range(spec.decoder_epochs):
             order = rng.permutation(n)
             for lo in range(0, n, batch):
                 idx = order[lo:lo + batch]
@@ -355,7 +368,7 @@ def inversion_attack(bottom, aux_images: np.ndarray, victim_images: np.ndarray,
                        eps_label, seed)
     if failed:
         return AttackReport(eps_label, math.inf,
-                            np.full(victim.shape[0], np.inf), config, seed,
+                            np.full(victim.shape[0], np.inf), spec, seed,
                             failed=True)
     z_victim = _encode(bottom, victim)
     recon, _ = decoder.forward(z_victim)
@@ -363,10 +376,10 @@ def inversion_attack(bottom, aux_images: np.ndarray, victim_images: np.ndarray,
                          axis=(1, 2, 3))
     if not np.isfinite(per_sample).all():
         return AttackReport(eps_label, math.inf,
-                            np.full(victim.shape[0], np.inf), config, seed,
+                            np.full(victim.shape[0], np.inf), spec, seed,
                             failed=True)
     return AttackReport(eps_label, float(per_sample.mean()), per_sample,
-                        config, seed)
+                        spec, seed)
 
 
 def write_attack_csv(path, reports: list[AttackReport]) -> None:

@@ -14,6 +14,8 @@ Exit codes: 0 success, 2 configuration or input error, 3 infeasibility
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import json
 import logging
 import math
@@ -27,7 +29,6 @@ import numpy as np
 from .analysis import (
     AttackReport,
     ConvergenceConstants,
-    DecoderConfig,
     check_eta_w,
     corollary1_rhs,
     corollary2_avg_grad_bound,
@@ -36,14 +37,7 @@ from .analysis import (
     theorem1_rhs,
     write_attack_csv,
 )
-from .config import (
-    ExperimentConfig,
-    RunManifest,
-    load_config,
-    read_record,
-    read_value,
-    read_yaml,
-)
+from .config import ExperimentConfig, RunManifest, load_config, read_yaml
 from .data import (
     Dataset,
     load_cifar_binary,
@@ -59,10 +53,11 @@ from .errors import (
     InfeasibleError,
     ParseError,
 )
-from .federation import ClientState, FederationPlan, run_rounds
+from .federation import ClientState, run_rounds
 from .ga import TrainingEvaluator, run_ga
-from .hpo import DPTrialEvaluator, HyperConfig, SearchDomain, TrialPlan, run_bo
+from .hpo import DPTrialEvaluator, HyperConfig, SearchDomain, run_bo
 from .privacy import calibrate_sigma
+from .records import read_record, read_value
 from .space import (
     Genome,
     genome_from_string,
@@ -271,28 +266,21 @@ def hpo(config_path: str, out_override: str | None) -> None:
         manifest.write(manifest_path)
         dataset, _, splits = _prepare(config)
         genomes = _read_genomes(out_dir, config.clients.count)
-        plan = TrialPlan(config.bo.trial_epochs)
         artifacts = {}
         for k in range(config.clients.count):
             split = splits[k]
+            domain = SearchDomain(config.bo, len(split.nas_train))
             evaluator = DPTrialEvaluator(
                 genomes[k], config.space,
                 dataset.images[split.nas_train], dataset.labels[split.nas_train],
                 dataset.images[split.nas_val], dataset.labels[split.nas_val],
-                plan, seed=(config.seed * 1000 + k) & 0x7FFFFFFF,
+                domain, seed=(config.seed * 1000 + k) & 0x7FFFFFFF,
                 delta=config.clients.delta)
-            domain = SearchDomain(
-                dataset_size=len(split.nas_train),
-                eta_range=config.bo.eta_range, q_range=config.bo.q_range,
-                clip_range=config.bo.clip_range,
-                sigma_range=config.bo.sigma_range)
             trace_path = os.path.join(out_dir, f"bo_client{k}.csv")
             eps_budget = config.clients.budget_for(k)
             try:
                 result = run_bo(
-                    evaluator, domain, eps_budget, plan=plan,
-                    delta=config.clients.delta, k_init=config.bo.k_init,
-                    n_iter=config.bo.n_iter,
+                    evaluator, domain, eps_budget, delta=config.clients.delta,
                     rng=np.random.default_rng((config.seed, _TAG_HPO, k)),
                     csv_path=trace_path)
             except InfeasibleError as exc:
@@ -370,19 +358,12 @@ def train(config_path: str, out_override: str | None, no_nas: bool,
                 splits[k].nas_test, config.clients.budget_for(k),
                 np.random.default_rng((config.seed, _TAG_TRAIN, k)),
                 delta=config.clients.delta))
-        plan = FederationPlan(
-            rounds=config.train.rounds,
-            local_epochs=config.train.local_epochs,
-            participation=config.clients.participation,
-            head_epochs=config.train.head_epochs,
-            eta_theta=config.train.eta_theta,
-            head_batch=config.train.head_batch,
-            target_acc=config.train.target_acc,
-            aggregate=not local_only)
         rounds_path = os.path.join(out_dir, "rounds.csv")
         summary_path = os.path.join(out_dir, "summary.json")
-        reports = run_rounds(plan, clients, dataset,
+        reports = run_rounds(config.train, clients, dataset,
                              np.random.default_rng((config.seed, _TAG_TRAIN)),
+                             participation=config.clients.participation,
+                             aggregate=not local_only,
                              csv_path=rounds_path, summary_path=summary_path)
         artifacts = {"rounds": rounds_path, "summary": summary_path}
         for client in clients:
@@ -451,15 +432,13 @@ def attack(config_path: str, out_override: str | None,
                     f"{path}: encoder expects {mspace.input_shape}, config "
                     f"data is {config.space.input_shape}")
             models.append((eps, model))
-        dec_cfg = DecoderConfig(epochs=spec.decoder_epochs,
-                                lr=spec.decoder_lr)
         reports: list[AttackReport] = []
         per_seed_ordered = []
         for s in range(spec.seeds):
             seed_reports = []
             for j, (eps, model) in enumerate(models):
                 report = inversion_attack(
-                    model, aux, victims, dec_cfg,
+                    model, aux, victims, spec,
                     np.random.default_rng((config.seed, _TAG_ATTACK, s, j)),
                     eps_label=eps, seed=s)
                 seed_reports.append(report)
@@ -555,16 +534,14 @@ def bounds(constants_path: str, out_path: str | None,
                         f"{t_sweep!r}") from None
                 if not ts or min(ts) < 1:
                     raise ConfigError("--t-sweep values must be >= 1")
-                import csv as _csv
-                import dataclasses as _dc
                 sweep_path = (os.path.splitext(out_path)[0] + "_tsweep.csv"
                               if out_path else "bounds_tsweep.csv")
                 with open(sweep_path, "w", newline="") as fh:
-                    writer = _csv.writer(fh, lineterminator="\n")
+                    writer = csv.writer(fh, lineterminator="\n")
                     writer.writerow(["T", "bound"])
                     for t_val in ts:
                         value = corollary2_avg_grad_bound(
-                            _dc.replace(constants, T=t_val))
+                            dataclasses.replace(constants, T=t_val))
                         writer.writerow([t_val, f"{value:.10g}"])
                 click.echo(f"T sweep written to {sweep_path}", err=True)
 

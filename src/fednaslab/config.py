@@ -7,33 +7,38 @@ defaults. A `profile` key pulls in a complete set of defaults (`desk` for
 minutes-scale synthetic runs, `paper` for the full-size schedule) which the
 rest of the document then overrides key by key.
 
-The schema is stated once, by the record dataclasses: `ExperimentConfig`
-and its section records here, `SpaceConfig` (space.py) and `GAConfig`
-(ga.py). A field is an allowed key, a field without a default a required
-one, its annotation the value's type, and the record's `__post_init__`
-checks ranges. `read_record` is the one reader of every input document:
-`build_config` reads a config document into `ExperimentConfig`, and the
-CLI reads `bounds` constants files into `ConvergenceConstants` and
-hyperparameter-search outputs into `HyperConfig`.
+The schema is stated once, by the record dataclasses. Each section record
+lives with the stage that takes it, and the CLI hands the section over
+unchanged: `SpaceConfig` in space.py, `GAConfig` in ga.py, `BOSpec` in
+hpo.py, `TrainSpec` in federation.py and `AttackSpec` in analysis.py;
+`DatasetSpec`, `PartitionSpec` and `ClientSpec` live here. A field is an
+allowed key, a field without a default a required one, its annotation the
+value's type, and the record's `__post_init__` checks ranges.
+`records.read_record` is the one reader of every input document:
+`build_config` reads a config document into `ExperimentConfig`, the CLI
+reads `bounds` constants files into `ConvergenceConstants` and
+hyperparameter-search outputs into `HyperConfig`, and `load_model_npz`
+reads a saved model's space into `SpaceConfig`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime
-import functools
 import hashlib
 import json
 import math
 import os
-import types
-import typing
 from dataclasses import dataclass, field
 
 import yaml
 
+from .analysis import AttackSpec
 from .errors import ConfigError
+from .federation import TrainSpec
 from .ga import GAConfig
+from .hpo import BOSpec
+from .records import read_record, read_value
 from .space import SpaceConfig
 
 OUTPUT_ROOT_ENV = "FEDNASLAB_RUNS"
@@ -42,88 +47,7 @@ _INF_TOKENS = {"inf", "infinity", ".inf"}
 
 
 # ---------------------------------------------------------------------------
-# the one reader
-
-
-def _fail(where: str, message: str):
-    raise ConfigError(f"{where}: {message}" if where else message)
-
-
-def read_value(tp, value, where: str):
-    """Coerce one document value to the annotated type `tp`: numbers must
-    be finite and a bool is not one, lists become tuples, a union takes its
-    first member that fits, and a dataclass reads a nested mapping."""
-    if dataclasses.is_dataclass(tp):
-        return read_record(tp, value, where)
-    if isinstance(tp, types.UnionType):
-        errors = []
-        for member in typing.get_args(tp):
-            try:
-                return read_value(member, value, where)
-            except ConfigError as exc:
-                errors.append(exc)
-        raise errors[0]
-    if typing.get_origin(tp) is tuple:
-        if not isinstance(value, (list, tuple)):
-            _fail(where, f"expected a list, got {value!r}")
-        args = typing.get_args(tp)
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            _fail(where, f"expected a list of {len(args)}, got {value!r}")
-        return tuple(read_value(a, v, where) for a, v in zip(args, value))
-    if tp is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(where, f"expected a number, got {value!r}")
-        if not math.isfinite(value):
-            _fail(where, f"expected a finite number, got {value!r}")
-        return float(value)
-    if isinstance(value, bool) and tp is int or not isinstance(value, tp):
-        kind = {int: "an integer", bool: "a boolean", str: "a string"}
-        _fail(where, f"expected {kind.get(tp, tp.__name__)}, got {value!r}")
-    return value
-
-
-@functools.cache
-def _schema(cls) -> tuple:
-    """(document key, field, type, required) for each field of `cls`."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f.metadata.get("key", f.name), f, hints[f.name],
-                  f.default is f.default_factory is dataclasses.MISSING)
-                 for f in dataclasses.fields(cls))
-
-
-def read_record(cls, mapping, where: str = ""):
-    """Build the dataclass `cls` from a parsed document mapping.
-
-    The dataclass is the schema: its fields are the allowed keys, fields
-    without a default are required, and each annotation is the value's
-    type (`read_value`). A field's metadata may give its document `key`
-    and a `read` function of its own. `cls.__post_init__` then checks
-    ranges. `where` names the mapping in messages ("train" for a section,
-    "" for a whole document); every failure is a `ConfigError`.
-    """
-    if not isinstance(mapping, dict):
-        _fail(where, f"expected a mapping, got {mapping!r}")
-    schema = _schema(cls)
-    keys = [key for key, *_ in schema]
-    unknown = sorted(set(mapping) - set(keys))
-    if unknown:
-        _fail(where, f"unknown key(s) {unknown}; allowed: {sorted(keys)}")
-    missing = [key for key, _, _, required in schema
-               if required and key not in mapping]
-    if missing:
-        _fail(where, f"missing key(s) {missing}")
-    kwargs = {}
-    for key, f, tp, _ in schema:
-        if key in mapping:
-            read = f.metadata.get("read", read_value)
-            kwargs[f.name] = read(tp, mapping[key],
-                                  f"{where}.{key}" if where else key)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        _fail(where, str(exc))
+# section records
 
 
 def _read_budgets(tp, value, where: str) -> tuple[float, ...]:
@@ -138,10 +62,6 @@ def _read_budgets(tp, value, where: str) -> tuple[float, ...]:
         else:
             budgets.append(read_value(float, v, where))
     return tuple(budgets)
-
-
-# ---------------------------------------------------------------------------
-# section records
 
 
 @dataclass(frozen=True)
@@ -225,100 +145,6 @@ class ClientSpec:
         if len(self.eps_budgets) == 1:
             return self.eps_budgets[0]
         return self.eps_budgets[client_id]
-
-
-@dataclass(frozen=True)
-class BOSpec:
-    """Hyperparameter-search schedule and box bounds."""
-
-    k_init: int = 3
-    n_iter: int = 5
-    trial_epochs: int = 3
-    eta_range: tuple[float, float] = (1e-4, 1e-1)
-    q_range: tuple[float, float] = (0.02, 1.0)
-    clip_range: tuple[float, float] = (0.1, 4.0)
-    sigma_range: tuple[float, float] = (0.5, 4.0)
-
-    def __post_init__(self):
-        if self.k_init < 2:
-            raise ConfigError(f"bo.k_init must be >= 2, got {self.k_init}")
-        if self.n_iter < 0:
-            raise ConfigError(f"bo.n_iter must be >= 0, got {self.n_iter}")
-        if self.trial_epochs < 1:
-            raise ConfigError(f"bo.trial_epochs must be >= 1, got {self.trial_epochs}")
-        for name in ("eta_range", "q_range", "clip_range", "sigma_range"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo < hi):
-                raise ConfigError(
-                    f"bo.{name}: need 0 < low < high, got {(lo, hi)}")
-        if self.q_range[1] > 1.0:
-            raise ConfigError(
-                f"bo.q_range: high must be <= 1, got {self.q_range[1]}")
-
-
-@dataclass(frozen=True)
-class TrainSpec:
-    """Federated schedule plus the fallback local recipe used when no
-    hyperparameter-search output is supplied.
-
-    `sigma` may be the string "auto", meaning: calibrate the noise
-    multiplier per client to the smallest value whose whole-run cost fits
-    the client's budget.
-    """
-
-    rounds: int = 20
-    local_epochs: int = 2
-    eta: float = 0.02
-    batch_size: int = 32
-    clip: float = 1.0
-    sigma: float | str = 0.0
-    head_epochs: int = 5
-    eta_theta: float = 0.01
-    head_batch: int = 64
-    target_acc: float | None = None
-
-    def __post_init__(self):
-        if self.rounds < 1 or self.local_epochs < 0:
-            raise ConfigError(
-                f"train.rounds must be >= 1 and train.local_epochs >= 0, got "
-                f"{self.rounds}, {self.local_epochs}")
-        if self.eta <= 0 or self.batch_size < 1 or self.clip <= 0:
-            raise ConfigError("train.eta and train.clip must be > 0, "
-                              "train.batch_size >= 1")
-        if isinstance(self.sigma, str):
-            if self.sigma != "auto":
-                raise ConfigError(
-                    f'train.sigma must be a number or "auto", got {self.sigma!r}')
-        elif self.sigma < 0:
-            raise ConfigError(f"train.sigma must be >= 0, got {self.sigma}")
-        if self.head_epochs < 1 or self.eta_theta <= 0 or self.head_batch < 1:
-            raise ConfigError("bad train head parameters")
-        if self.target_acc is not None and not (0.0 < self.target_acc <= 1.0):
-            raise ConfigError(f"train.target_acc must be in (0, 1], got {self.target_acc}")
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """Inversion-probe schedule."""
-
-    seeds: int = 5
-    decoder_epochs: int = 40
-    decoder_lr: float = 1e-3
-    aux_fraction: float = 0.5
-    victim_count: int = 40
-
-    def __post_init__(self):
-        if self.seeds < 1:
-            raise ConfigError(f"attack.seeds must be >= 1, got {self.seeds}")
-        if self.decoder_epochs < 1:
-            raise ConfigError("attack.decoder_epochs must be >= 1")
-        if self.decoder_lr <= 0:
-            raise ConfigError("attack.decoder_lr must be > 0")
-        if not (0.0 < self.aux_fraction < 1.0):
-            raise ConfigError(
-                f"attack.aux_fraction must be in (0, 1), got {self.aux_fraction}")
-        if self.victim_count < 1:
-            raise ConfigError("attack.victim_count must be >= 1")
 
 
 @dataclass(frozen=True)

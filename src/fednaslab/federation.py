@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +54,48 @@ _HEADER = struct.Struct("<4sHIIII")  # magic, version, client_id, n, d_rep, m_k
 HEADER_BYTES = _HEADER.size  # 22
 _HEAD_PREFIX = struct.Struct("<I")
 LABEL_BYTES = 2
+
+
+@dataclass(frozen=True)
+class TrainSpec:
+    """The `train` config section: the federated schedule, the server's
+    head-training recipe, and the fallback local recipe used when no
+    hyperparameter-search output is supplied.
+
+    `sigma` may be the string "auto", meaning: calibrate the noise
+    multiplier per client to the smallest value whose whole-run cost fits
+    the client's budget.
+    """
+
+    rounds: int = 20
+    local_epochs: int = 2
+    eta: float = 0.02
+    batch_size: int = 32
+    clip: float = 1.0
+    sigma: float | str = 0.0
+    head_epochs: int = 5
+    eta_theta: float = 0.01
+    head_batch: int = 64
+    target_acc: float | None = None
+
+    def __post_init__(self):
+        if self.rounds < 1 or self.local_epochs < 0:
+            raise ConfigError(
+                f"train.rounds must be >= 1 and train.local_epochs >= 0, got "
+                f"{self.rounds}, {self.local_epochs}")
+        if self.eta <= 0 or self.batch_size < 1 or self.clip <= 0:
+            raise ConfigError("train.eta and train.clip must be > 0, "
+                              "train.batch_size >= 1")
+        if isinstance(self.sigma, str):
+            if self.sigma != "auto":
+                raise ConfigError(
+                    f'train.sigma must be a number or "auto", got {self.sigma!r}')
+        elif self.sigma < 0:
+            raise ConfigError(f"train.sigma must be >= 0, got {self.sigma}")
+        if self.head_epochs < 1 or self.eta_theta <= 0 or self.head_batch < 1:
+            raise ConfigError("bad train head parameters")
+        if self.target_acc is not None and not (0.0 < self.target_acc <= 1.0):
+            raise ConfigError(f"train.target_acc must be in (0, 1], got {self.target_acc}")
 
 
 @dataclass
@@ -292,10 +334,10 @@ def head_objective_weighted(head: Sequential, batches: list[RepresentationBatch]
 
 
 def aggregate_and_update_head(head: Sequential, batches: list[RepresentationBatch],
-                              *, head_epochs: int = 5, eta_theta: float = 0.01,
-                              batch_size: int = 64,
+                              spec: TrainSpec, *,
                               rng: np.random.Generator) -> np.ndarray:
-    """Retrain the shared head on pooled uploads; returns the new flat params.
+    """Retrain the shared head on pooled uploads with the `spec.head_*`
+    recipe; returns the new flat params.
 
     Uniform per-sample weighting over the pooled set is algebraically the
     client-size-weighted mean of per-client mean losses, which is the
@@ -308,8 +350,8 @@ def aggregate_and_update_head(head: Sequential, batches: list[RepresentationBatc
         raise ShapeMismatchError(f"representation widths differ: {d_reps}")
     z = np.vstack([b.z for b in batches])
     y = np.concatenate([b.y for b in batches])
-    train_plain_sgd([head], z, y, epochs=head_epochs, eta=eta_theta,
-                    batch_size=batch_size, rng=rng)
+    train_plain_sgd([head], z, y, epochs=spec.head_epochs, eta=spec.eta_theta,
+                    batch_size=spec.head_batch, rng=rng)
     return head.get_flat().astype(np.float32, copy=True)
 
 
@@ -353,32 +395,6 @@ class RoundReport:
         return float(np.std([r.val_acc for r in self.rows]))
 
 
-@dataclass(frozen=True)
-class FederationPlan:
-    """Outer-loop schedule for a federated run."""
-
-    rounds: int
-    local_epochs: int
-    participation: float = 1.0
-    head_epochs: int = 5
-    eta_theta: float = 0.01
-    head_batch: int = 64
-    target_acc: float | None = None
-    aggregate: bool = True  # False = local-training baseline, no communication
-
-    def __post_init__(self):
-        if self.rounds < 1 or self.local_epochs < 0:
-            raise ConfigError(
-                f"bad schedule: rounds={self.rounds}, epochs={self.local_epochs}"
-            )
-        if not (0.0 < self.participation <= 1.0):
-            raise ConfigError(
-                f"participation must be in (0, 1], got {self.participation}"
-            )
-        if self.head_epochs < 1 or self.eta_theta <= 0 or self.head_batch < 1:
-            raise ConfigError("bad head-training parameters")
-
-
 def _eval_loss(model: Model, x, y, batch_size: int = 512) -> float:
     n = x.shape[0]
     total = 0.0
@@ -406,15 +422,19 @@ def write_round_csv(path, reports: list[RoundReport]) -> None:
                 ])
 
 
-def run_rounds(plan: FederationPlan, clients: list[ClientState],
+def run_rounds(spec: TrainSpec, clients: list[ClientState],
                dataset: Dataset, rng: np.random.Generator, *,
+               participation: float = 1.0, aggregate: bool = True,
                csv_path=None, summary_path=None) -> list[RoundReport]:
-    """Drive the full simulation for `plan.rounds` rounds.
+    """Drive the full simulation for `spec.rounds` rounds.
 
-    Per-(round, client) seeding keeps every client's trajectory independent
-    of which other clients participate or fail; failures are isolated to the
-    failing client's round. The returned reports carry one row per client per
-    round (participants and spectators alike).
+    Each round trains a `participation` fraction of the clients (at least
+    one); `aggregate=False` is the local-training baseline, with no
+    communication. Per-(round, client) seeding keeps every client's
+    trajectory independent of which other clients participate or fail;
+    failures are isolated to the failing client's round. The returned
+    reports carry one row per client per round (participants and spectators
+    alike); the broadcast overwrites, and is charged to, every client.
     """
     if not clients:
         raise ConfigError("need at least one client")
@@ -423,8 +443,8 @@ def run_rounds(plan: FederationPlan, clients: list[ClientState],
         raise ConfigError(f"duplicate client ids: {sorted(ids)}")
     run_seed = int(rng.integers(2**63 - 1))
     reports: list[RoundReport] = []
-    for t in range(1, plan.rounds + 1):
-        k_part = max(1, round(plan.participation * len(clients)))
+    for t in range(1, spec.rounds + 1):
+        k_part = max(1, round(participation * len(clients)))
         chosen = sorted(rng.choice(len(clients), size=k_part, replace=False))
         uploads: list[RepresentationBatch] = []
         stats = {c.client_id: {"up": 0, "down": 0, "note": ""} for c in clients}
@@ -432,8 +452,8 @@ def run_rounds(plan: FederationPlan, clients: list[ClientState],
             client = clients[pos]
             crng = np.random.default_rng((run_seed, t, client.client_id))
             try:
-                local_train(client, dataset, plan.local_epochs, crng)
-                if plan.aggregate:
+                local_train(client, dataset, spec.local_epochs, crng)
+                if aggregate:
                     batch = emit_representations(client, dataset)
                     uploads.append(decode_batch(encode_batch(batch)))
                     stats[client.client_id]["up"] = comm_bytes(batch)
@@ -443,16 +463,13 @@ def run_rounds(plan: FederationPlan, clients: list[ClientState],
                                t, client.client_id, err)
         if uploads:
             srng = np.random.default_rng((run_seed, t, 2**32))
-            theta = aggregate_and_update_head(
-                _reference_head(clients),
-                uploads, head_epochs=plan.head_epochs,
-                eta_theta=plan.eta_theta, batch_size=plan.head_batch, rng=srng,
-            )
+            theta = aggregate_and_update_head(_reference_head(clients),
+                                              uploads, spec, rng=srng)
             broadcast(theta, clients)
             down = comm_bytes(theta)
-            for pos in chosen:
-                stats[clients[pos].client_id]["down"] = down
-        elif plan.aggregate:
+            for entry in stats.values():
+                entry["down"] = down
+        elif aggregate:
             logger.warning("round %d: no uploads, head unchanged", t)
         rows = []
         for client in clients:
@@ -486,7 +503,7 @@ def run_rounds(plan: FederationPlan, clients: list[ClientState],
         write_round_csv(csv_path, reports)
     if summary_path is not None:
         with open(summary_path, "w") as fh:
-            json.dump(summarize(reports, plan.target_acc), fh, indent=2,
+            json.dump(summarize(reports, spec.target_acc), fh, indent=2,
                       sort_keys=True)
             fh.write("\n")
     return reports

@@ -60,78 +60,86 @@ class HyperConfig:
 
 
 @dataclass(frozen=True)
-class TrialPlan:
-    """How long a single HPO trial trains; step counts follow the sampling
-    rate so each epoch visits the shard roughly once."""
+class BOSpec:
+    """The `bo` config section: search schedule, trial length, and the box
+    bounds of the four dimensions."""
 
-    epochs: int = 5
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-
-    def steps_for(self, batch_size: int, dataset_size: int) -> int:
-        return self.epochs * max(1, round(dataset_size / batch_size))
-
-
-# Shortened plan for small-machine runs: sized so that a full-batch client
-# (sampling rate 1) with sigma near 2 still clears an eps = 5 budget.
-DESK_TRIAL_PLAN = TrialPlan(epochs=3)
-
-
-@dataclass(frozen=True)
-class SearchDomain:
-    """Box bounds for the four dimensions plus the shard size that converts
-    sampling rates into batch sizes."""
-
-    dataset_size: int
+    k_init: int = 3
+    n_iter: int = 5
+    # short enough that a full-batch trial (sampling rate 1) with sigma
+    # near 2 still clears an eps = 5 budget
+    trial_epochs: int = 3
     eta_range: tuple[float, float] = (1e-4, 1e-1)
     q_range: tuple[float, float] = (0.02, 1.0)
     clip_range: tuple[float, float] = (0.1, 4.0)
     sigma_range: tuple[float, float] = (0.5, 4.0)
 
     def __post_init__(self):
-        if self.dataset_size < 1:
-            raise ConfigError(f"dataset_size must be >= 1, got {self.dataset_size}")
+        if self.k_init < 2:
+            raise ConfigError(f"bo.k_init must be >= 2, got {self.k_init}")
+        if self.n_iter < 0:
+            raise ConfigError(f"bo.n_iter must be >= 0, got {self.n_iter}")
+        if self.trial_epochs < 1:
+            raise ConfigError(f"bo.trial_epochs must be >= 1, got {self.trial_epochs}")
         for name in ("eta_range", "q_range", "clip_range", "sigma_range"):
             lo, hi = getattr(self, name)
             if not (0 < lo < hi):
-                raise ConfigError(f"{name} must satisfy 0 < lo < hi, got {(lo, hi)}")
+                raise ConfigError(
+                    f"bo.{name}: need 0 < low < high, got {(lo, hi)}")
         if self.q_range[1] > 1.0:
-            raise ConfigError(f"q upper bound must be <= 1, got {self.q_range[1]}")
-        if self.sigma_range[0] <= 0:
-            raise ConfigError("sigma lower bound must be > 0 for DP search")
+            raise ConfigError(
+                f"bo.q_range: high must be <= 1, got {self.q_range[1]}")
+
+
+@dataclass(frozen=True)
+class SearchDomain:
+    """One client's search: the `bo` section plus the size of the shard the
+    trials train on. The shard size converts sampling rates into batch
+    sizes and trial epochs into steps."""
+
+    spec: BOSpec
+    dataset_size: int
+
+    def __post_init__(self):
+        if self.dataset_size < 1:
+            raise ConfigError(f"dataset_size must be >= 1, got {self.dataset_size}")
+
+    def trial_steps(self, batch_size: int) -> int:
+        """Steps of one trial: each epoch visits the shard roughly once."""
+        return self.spec.trial_epochs * max(1, round(self.dataset_size / batch_size))
 
     def _log_unit(self, value, lo, hi):
         return math.log(value / lo) / math.log(hi / lo)
 
     def to_unit(self, config: HyperConfig) -> np.ndarray:
-        q = min(max(config.batch_size / self.dataset_size, self.q_range[0]),
-                self.q_range[1])
-        eta = min(max(config.eta, self.eta_range[0]), self.eta_range[1])
-        clip = min(max(config.clip, self.clip_range[0]), self.clip_range[1])
-        sig_lo, sig_hi = self.sigma_range
+        spec = self.spec
+        q = min(max(config.batch_size / self.dataset_size, spec.q_range[0]),
+                spec.q_range[1])
+        eta = min(max(config.eta, spec.eta_range[0]), spec.eta_range[1])
+        clip = min(max(config.clip, spec.clip_range[0]), spec.clip_range[1])
+        sig_lo, sig_hi = spec.sigma_range
         sigma = min(max(config.sigma, sig_lo), sig_hi)
         return np.array([
-            self._log_unit(eta, *self.eta_range),
-            self._log_unit(q, *self.q_range),
-            self._log_unit(clip, *self.clip_range),
+            self._log_unit(eta, *spec.eta_range),
+            self._log_unit(q, *spec.q_range),
+            self._log_unit(clip, *spec.clip_range),
             (sigma - sig_lo) / (sig_hi - sig_lo),
         ])
 
     def from_unit(self, u) -> HyperConfig:
+        spec = self.spec
         u = np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0)
 
         def log_interp(t, lo, hi):
             return lo * (hi / lo) ** t
 
-        q = log_interp(u[1], *self.q_range)
+        q = log_interp(u[1], *spec.q_range)
         batch = int(min(max(round(q * self.dataset_size), 1), self.dataset_size))
-        sig_lo, sig_hi = self.sigma_range
+        sig_lo, sig_hi = spec.sigma_range
         return HyperConfig(
-            eta=float(log_interp(u[0], *self.eta_range)),
+            eta=float(log_interp(u[0], *spec.eta_range)),
             batch_size=batch,
-            clip=float(log_interp(u[2], *self.clip_range)),
+            clip=float(log_interp(u[2], *spec.clip_range)),
             sigma=float(sig_lo + u[3] * (sig_hi - sig_lo)),
         )
 
@@ -298,24 +306,22 @@ def expected_improvement(surrogate: Surrogate, point, incumbent: float,
 
 
 def _planned_costs(configs: list[HyperConfig], domain: SearchDomain,
-                   plan: TrialPlan, delta: float) -> np.ndarray:
+                   delta: float) -> np.ndarray:
     qs = np.array([domain.sampling_rate(c) for c in configs])
     sigmas = np.array([c.sigma for c in configs])
-    steps = np.array(
-        [plan.steps_for(c.batch_size, domain.dataset_size) for c in configs]
-    )
+    steps = np.array([domain.trial_steps(c.batch_size) for c in configs])
     return privacy_cost_integer_orders(qs, sigmas, steps, delta)
 
 
-def planned_cost(config: HyperConfig, domain: SearchDomain, plan: TrialPlan,
+def planned_cost(config: HyperConfig, domain: SearchDomain,
                  delta: float) -> float:
     """Exact planned privacy cost of one trial (full order grid)."""
     dp = DPConfig(config.clip, config.sigma, domain.sampling_rate(config), delta)
-    return privacy_cost(dp, plan.steps_for(config.batch_size, domain.dataset_size))
+    return privacy_cost(dp, domain.trial_steps(config.batch_size))
 
 
 def propose_next(surrogate: Surrogate, domain: SearchDomain, eps_budget: float,
-                 plan: TrialPlan, delta: float, rng: np.random.Generator,
+                 delta: float, rng: np.random.Generator,
                  incumbent: float, xi: float = XI_DEFAULT) -> HyperConfig:
     """Argmax-EI over a scrambled Sobol pool, feasible candidates only.
 
@@ -328,7 +334,7 @@ def propose_next(surrogate: Surrogate, domain: SearchDomain, eps_budget: float,
     if math.isinf(eps_budget):
         feasible = np.ones(len(configs), dtype=bool)
     else:
-        feasible = _planned_costs(configs, domain, plan, delta) <= eps_budget
+        feasible = _planned_costs(configs, domain, delta) <= eps_budget
     if not feasible.any():
         raise InfeasibleError(
             f"no candidate of {len(configs)} fits eps={eps_budget}; widen the "
@@ -380,18 +386,24 @@ class DPTrialEvaluator:
     """Trains a genome's network under a candidate config and scores it.
 
     Each call materializes fresh weights from a per-trial seed (deterministic
-    in call order), runs the trial plan's worth of DP-SGD, and returns
-    validation accuracy. A diverged (non-finite) trial scores 0.
+    in call order), runs `domain.trial_steps` DP-SGD steps at the sampling
+    rate the domain assigns the config, and returns validation accuracy, so
+    a trial spends exactly what `planned_cost` charged it. `x_train` is the
+    domain's shard. A diverged (non-finite) trial scores 0.
     """
 
     def __init__(self, genome: Genome, space: SpaceConfig, x_train, y_train,
-                 x_val, y_val, plan: TrialPlan, seed: int = 0,
+                 x_val, y_val, domain: SearchDomain, seed: int = 0,
                  delta: float = 1e-5):
+        if len(x_train) != domain.dataset_size:
+            raise ConfigError(
+                f"trial shard has {len(x_train)} samples, the search domain "
+                f"{domain.dataset_size}")
         self.genome = genome
         self.space = space
         self.x_train, self.y_train = x_train, y_train
         self.x_val, self.y_val = x_val, y_val
-        self.plan = plan
+        self.domain = domain
         self.delta = delta
         self.seed = int(seed)
         self.calls = 0
@@ -400,14 +412,13 @@ class DPTrialEvaluator:
         self.calls += 1
         rng = np.random.default_rng((self.seed, self.calls))
         model = materialize(self.genome, self.space, rng)
-        n = len(self.x_train)
         dp = DPConfig(config.clip, config.sigma,
-                      min(config.batch_size / n, 1.0), self.delta)
-        steps = self.plan.steps_for(config.batch_size, n)
+                      self.domain.sampling_rate(config), self.delta)
         try:
             train_dp_sgd(model.parts, self.x_train, self.y_train, dp,
                          eta=config.eta, batch_size=config.batch_size,
-                         total_steps=steps, rng=rng)
+                         total_steps=self.domain.trial_steps(config.batch_size),
+                         rng=rng)
             return float(evaluate_accuracy(model, self.x_val, self.y_val))
         except NonFiniteError:
             logger.warning("trial diverged (eta=%.3g): scored 0", config.eta)
@@ -415,23 +426,18 @@ class DPTrialEvaluator:
 
 
 def run_bo(evaluate, domain: SearchDomain, eps_budget: float, *,
-           plan: TrialPlan | None = None, delta: float = 1e-5, k_init: int = 5,
-           n_iter: int = 30, rng: np.random.Generator | None = None,
+           delta: float = 1e-5, rng: np.random.Generator | None = None,
            csv_path=None, xi: float = XI_DEFAULT) -> BOResult:
-    """Full constrained-BO loop.
+    """Full constrained-BO loop over `domain`.
 
-    Phase one draws random configs until k_init feasible ones have been
-    trial-trained (infeasible draws are logged and discarded untouched);
-    phase two runs n_iter propose/train/refit rounds. The answer is the
-    evaluated config the surrogate scores highest, ties broken by observed
-    accuracy.
+    Phase one draws random configs until `domain.spec.k_init` feasible ones
+    have been trial-trained (infeasible draws are logged and discarded
+    untouched); phase two runs `domain.spec.n_iter` propose/train/refit
+    rounds. The answer is the evaluated config the surrogate scores
+    highest, ties broken by observed accuracy.
     """
-    plan = plan or TrialPlan()
+    k_init, n_iter = domain.spec.k_init, domain.spec.n_iter
     rng = rng if rng is not None else np.random.default_rng()
-    if k_init < 2:
-        raise ConfigError(f"k_init must be >= 2, got {k_init}")
-    if n_iter < 0:
-        raise ConfigError(f"n_iter must be >= 0, got {n_iter}")
     trace: list[BORecord] = []
     xs: list[np.ndarray] = []
     configs: list[HyperConfig] = []
@@ -457,7 +463,7 @@ def run_bo(evaluate, domain: SearchDomain, eps_budget: float, *,
             )
         attempts += 1
         cand = domain.from_unit(rng.random(4))
-        cost = planned_cost(cand, domain, plan, delta)
+        cost = planned_cost(cand, domain, delta)
         if cost <= eps_budget:
             observe(cand, cost)
         else:
@@ -469,9 +475,9 @@ def run_bo(evaluate, domain: SearchDomain, eps_budget: float, *,
     for _ in range(n_iter):
         surrogate = gp_fit(np.array(xs), np.array(ys))
         incumbent = max(ys)
-        cand = propose_next(surrogate, domain, eps_budget, plan, delta, rng,
+        cand = propose_next(surrogate, domain, eps_budget, delta, rng,
                             incumbent, xi)
-        observe(cand, planned_cost(cand, domain, plan, delta))
+        observe(cand, planned_cost(cand, domain, delta))
 
     surrogate = gp_fit(np.array(xs), np.array(ys))
     mean, _ = surrogate.posterior(np.array(xs))

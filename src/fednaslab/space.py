@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, ParseError
+from .errors import ConfigError, InfeasibleError, ParseError
 from .nn import (
     AvgPool,
     ConvBlock,
@@ -28,6 +28,7 @@ from .nn import (
     Model,
     Sequential,
 )
+from .records import read_record
 
 
 @dataclass(frozen=True)
@@ -155,20 +156,6 @@ class SpaceConfig:
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SpaceConfig":
-        raw = json.loads(text)
-        return cls(
-            input_shape=tuple(raw["input_shape"]),
-            d_rep=raw["d_rep"],
-            num_classes=raw["num_classes"],
-            min_len=raw["min_len"],
-            max_len=raw["max_len"],
-            channel_choices=tuple(raw["channel_choices"]),
-            kernel_choices=tuple(raw["kernel_choices"]),
-            pool_types=tuple(raw["pool_types"]),
-        )
-
 
 def conv_alphabet(space: SpaceConfig) -> list[BlockGene]:
     return [
@@ -283,10 +270,16 @@ def save_model_npz(path, model: Model, genome: Genome, space: SpaceConfig) -> No
 
 
 def load_model_npz(path) -> tuple[Model, Genome, SpaceConfig]:
-    """Rebuild a saved model; returns (model, genome, space)."""
+    """Rebuild a saved model; returns (model, genome, space). The space
+    must hold every field, as `save_model_npz` writes them all; a bad one
+    is a `ParseError` naming the file and the key."""
     with np.load(path, allow_pickle=False) as data:
         genome = genome_from_string(str(data["genome"]))
-        space = SpaceConfig.from_json(str(data["space"]))
+        try:
+            space = read_record(SpaceConfig, json.loads(str(data["space"])),
+                                "space", complete=True)
+        except (ConfigError, json.JSONDecodeError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
         params = np.asarray(data["params"])
     model = materialize(genome, space, np.random.default_rng(0))
     if params.size != model.n_params:

@@ -20,8 +20,8 @@ import yaml
 from click.testing import CliRunner
 
 from fednaslab.analysis import (
+    AttackSpec,
     ConvergenceConstants,
-    DecoderConfig,
     corollary1_rhs,
     corollary2_avg_grad_bound,
     inversion_attack,
@@ -33,8 +33,8 @@ from fednaslab.data import partition_dirichlet, split_nas_subsets, synth_dataset
 from fednaslab.federation import (
     HEADER_BYTES,
     ClientState,
-    FederationPlan,
     RepresentationBatch,
+    TrainSpec,
     comm_bytes,
     encode_batch,
     head_objective_pooled,
@@ -43,12 +43,11 @@ from fednaslab.federation import (
 )
 from fednaslab.ga import GAConfig, roulette_indices, run_ga
 from fednaslab.hpo import (
-    DESK_TRIAL_PLAN,
+    BOSpec,
     DPTrialEvaluator,
     HyperConfig,
     SearchDomain,
     Surrogate,
-    TrialPlan,
     expected_improvement_values,
     gp_posterior,
     planned_cost,
@@ -339,24 +338,24 @@ def test_criterion_06_hpo_trains_only_within_budget():
     genome = genome_from_string(DEFAULT_GENOME)
     ds = synth_dataset(2, 300, 8, 1.5, np.random.default_rng((600, 0)))
     part = partition_dirichlet(ds.labels, 5, 0.5, np.random.default_rng((600, 1)))
-    plan = TrialPlan(3)
+    spec = BOSpec(k_init=3, n_iter=4, trial_epochs=3)
     audited = trained = 0
     for k, shard in enumerate(part.client_indices):
         split = split_nas_subsets(shard, ds.labels,
                                   np.random.default_rng((600, 2, k)))
         tr, va = split.nas_train, split.nas_val
+        domain = SearchDomain(spec, dataset_size=len(tr))
         evaluator = DPTrialEvaluator(
             genome, space, ds.images[tr], ds.labels[tr],
-            ds.images[va], ds.labels[va], plan=plan,
+            ds.images[va], ds.labels[va], domain,
             seed=600 * 1000 + k, delta=1e-5)
-        domain = SearchDomain(dataset_size=len(tr))
-        res = run_bo(evaluator, domain, budget, plan=plan, delta=1e-5,
-                     k_init=3, n_iter=4, rng=np.random.default_rng((600, 20, k)))
+        res = run_bo(evaluator, domain, budget, delta=1e-5,
+                     rng=np.random.default_rng((600, 20, k)))
         # audit the trace: recompute every cost from scratch; any trial that
         # actually trained must have fit the budget
         for rec in res.trace:
             audited += 1
-            recomputed = planned_cost(rec.config, domain, plan, 1e-5)
+            recomputed = planned_cost(rec.config, domain, 1e-5)
             assert abs(recomputed - rec.eps_planned) <= 1e-9 * max(1.0, recomputed)
             if rec.val_acc is not None:
                 trained += 1
@@ -366,7 +365,8 @@ def test_criterion_06_hpo_trains_only_within_budget():
     assert trained >= 5 * 3, f"only {trained} trials trained across 5 clients"
 
     # a published low-budget recipe must fit the trial plan at eps=5
-    steps = DESK_TRIAL_PLAN.steps_for(100, 100)  # full-shard batches
+    # full-shard batches
+    steps = SearchDomain(BOSpec(trial_epochs=3), 100).trial_steps(100)
     cost = privacy_cost(DPConfig(0.5, 1.92, 1.0, 1e-5), steps)
     assert cost <= budget, f"reference config costs {cost:.4f} > {budget}"
     print(f"[criterion 06] PASS {audited} trials audited, {trained} trained, "
@@ -420,8 +420,8 @@ def _federated_final_acc(eps_budget, run_seed, ds, splits, genome, space):
         clients.append(ClientState.create(
             k, genome, space, hyper, train_idx, split.nas_test,
             eps_budget, np.random.default_rng((run_seed, 3, k)), delta=1e-5))
-    plan = FederationPlan(rounds=20, local_epochs=2)
-    reports = run_rounds(plan, clients, ds, np.random.default_rng((run_seed, 3)))
+    spec = TrainSpec(rounds=20, local_epochs=2)
+    reports = run_rounds(spec, clients, ds, np.random.default_rng((run_seed, 3)))
     accs = [rep.mean_acc for rep in reports]
     return accs[-1], max(accs)
 
@@ -513,8 +513,8 @@ def test_criterion_10_comm_bytes_exact_and_budget_respected():
         clients.append(ClientState.create(
             k, genome, space, hyper, train_idx, test_idx, budget,
             np.random.default_rng((1000, 3, k)), delta=1e-5))
-    plan = FederationPlan(rounds=rounds, local_epochs=local_epochs)
-    reports = run_rounds(plan, clients, ds, np.random.default_rng((1000, 3)))
+    spec = TrainSpec(rounds=rounds, local_epochs=local_epochs)
+    reports = run_rounds(spec, clients, ds, np.random.default_rng((1000, 3)))
     last_spend = {c.client_id: 0.0 for c in clients}
     for report in reports:
         for row in report.rows:
@@ -634,7 +634,7 @@ def test_criterion_12_inversion_error_orders_with_privacy():
                          eta=0.5, batch_size=50, total_steps=ref_steps,
                          rng=np.random.default_rng((seed, 7, j)))
             report = inversion_attack(model, aux, victims,
-                                      DecoderConfig(epochs=60),
+                                      AttackSpec(decoder_epochs=60),
                                       np.random.default_rng((seed, 8, j)),
                                       eps_label=eps, seed=seed)
             mses.append(report.mse)

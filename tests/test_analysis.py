@@ -15,8 +15,8 @@ import sympy
 
 from fednaslab.analysis import (
     AttackReport,
+    AttackSpec,
     ConvergenceConstants,
-    DecoderConfig,
     EtaThetaBound,
     build_decoder,
     check_eta_w,
@@ -338,7 +338,7 @@ class TestInversionAttack:
         model = _encoder(7)
         report = inversion_attack(
             model, _images(rng, 128), _images(rng, 32),
-            DecoderConfig(epochs=10), np.random.default_rng(5))
+            AttackSpec(decoder_epochs=10), np.random.default_rng(5))
         assert not report.failed
         assert report.mse > 0
         assert report.per_sample.shape == (32,)
@@ -350,7 +350,7 @@ class TestInversionAttack:
         one = _images(rng, 1)
         victims = np.repeat(one, 3, axis=0)
         report = inversion_attack(
-            model, _images(rng, 96), victims, DecoderConfig(epochs=5),
+            model, _images(rng, 96), victims, AttackSpec(decoder_epochs=5),
             np.random.default_rng(6))
         assert report.per_sample[0] == report.per_sample[1]
         assert report.per_sample[1] == report.per_sample[2]
@@ -360,9 +360,11 @@ class TestInversionAttack:
         rng = np.random.default_rng(9)
         aux, victims = _images(rng, 192), _images(rng, 48)
         model = _encoder(10)
-        short = inversion_attack(model, aux, victims, DecoderConfig(epochs=1),
+        short = inversion_attack(model, aux, victims,
+                                 AttackSpec(decoder_epochs=1),
                                  np.random.default_rng(7))
-        long = inversion_attack(model, aux, victims, DecoderConfig(epochs=25),
+        long = inversion_attack(model, aux, victims,
+                                AttackSpec(decoder_epochs=25),
                                 np.random.default_rng(7))
         assert long.mse < short.mse
 
@@ -372,7 +374,8 @@ class TestInversionAttack:
         model = _encoder(11)
         report = inversion_attack(
             model, _images(rng, 64), _images(rng, 16),
-            DecoderConfig(epochs=3, lr=1e12), np.random.default_rng(8),
+            AttackSpec(decoder_epochs=3, decoder_lr=1e12),
+            np.random.default_rng(8),
             eps_label=5.0, seed=3)
         assert report.failed
         assert math.isinf(report.mse)
@@ -392,7 +395,7 @@ class TestInversionAttack:
                           sampling_rate=0.25, delta=1e-5)
             train_dp_sgd(noisy.parts, x, y, dp, eta=2.0, batch_size=50,
                          total_steps=100, rng=np.random.default_rng(seed))
-            cfg = DecoderConfig(epochs=12)
+            cfg = AttackSpec(decoder_epochs=12)
             mse_clean = inversion_attack(
                 clean, aux, victims, cfg, np.random.default_rng(seed)).mse
             mse_noisy = inversion_attack(
@@ -403,7 +406,7 @@ class TestInversionAttack:
 
 class TestAttackCsv:
     def test_exact_rows(self, tmp_path):
-        cfg = DecoderConfig()
+        cfg = AttackSpec()
         reports = [
             AttackReport(math.inf, 0.02, np.array([0.02]), cfg, 0),
             AttackReport(0.5, 0.68999999, np.array([0.69]), cfg, 4),

@@ -111,6 +111,15 @@ class TestHpo:
                 header = fh.readline().strip()
             assert header == "iter,eta,B,C,sigma,eps_planned,val_acc,feasible"
 
+    def test_trace_trains_k_init_plus_n_iter_trials(self, pipeline_dir):
+        out, _ = pipeline_dir
+        bo = _TINY["bo"]
+        for k in range(2):
+            with open(out / f"bo_client{k}.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            trained = [r for r in rows if r["val_acc"] != ""]
+            assert len(trained) == bo["k_init"] + bo["n_iter"]
+
 
 class TestTrain:
     def test_round_log_and_models(self, pipeline_dir):
@@ -139,6 +148,18 @@ class TestTrain:
             rows = list(csv.DictReader(fh))
         assert all(r["bytes_up"] == "0" and r["bytes_down"] == "0"
                    for r in rows)
+
+    def test_partial_participation_one_uploader_per_round(self, tmp_path):
+        config = _write_config(tmp_path, "half",
+                               clients={"count": 2, "participation": 0.5})
+        result = _invoke(["train", "-c", config, "--no-nas"])
+        assert result.exit_code == 0, _all_output(result)
+        with open(tmp_path / "half" / "rounds.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for t in range(1, _TINY["train"]["rounds"] + 1):
+            uploads = [int(r["bytes_up"]) for r in rows if r["round"] == str(t)]
+            assert len(uploads) == 2
+            assert sum(b > 0 for b in uploads) == 1
 
     def test_aggregated_run_moves_bytes(self, pipeline_dir):
         out, _ = pipeline_dir
@@ -236,6 +257,22 @@ class TestAttack:
         result = _invoke(["attack", "-c", config, "--out", tmp_path / "bad",
                           "--model", pair])
         assert result.exit_code == 2
+
+    def test_space_missing_key_exits_2_naming_it(self, pipeline_dir, tmp_path):
+        out, config = pipeline_dir
+        with np.load(out / "model_client0.npz") as data:
+            fields = dict(data)
+        space = json.loads(str(fields["space"]))
+        del space["d_rep"]
+        fields["space"] = json.dumps(space)
+        damaged = tmp_path / "damaged.npz"
+        np.savez(damaged, **fields)
+        result = _invoke(["attack", "-c", config, "--out", tmp_path / "bad3",
+                          "--model", f"inf={damaged}"])
+        assert result.exit_code == 2
+        text = _all_output(result)
+        assert "d_rep" in text and "damaged.npz" in text
+        assert "Traceback" not in text
 
     def test_missing_model_file_exits_2(self, pipeline_dir, tmp_path):
         _, config = pipeline_dir

@@ -24,8 +24,8 @@ from fednaslab.errors import (
 from fednaslab.federation import (
     HEADER_BYTES,
     ClientState,
-    FederationPlan,
     RepresentationBatch,
+    TrainSpec,
     aggregate_and_update_head,
     broadcast,
     comm_bytes,
@@ -299,8 +299,9 @@ class TestAggregateAndBroadcast:
         batch = emit_representations(client, ds)
         head = client.model.head
         before = head_objective_pooled(head, [batch])
-        aggregate_and_update_head(head, [batch], head_epochs=5,
-                                  eta_theta=0.01, rng=np.random.default_rng(11))
+        aggregate_and_update_head(head, [batch],
+                                  TrainSpec(head_epochs=5, eta_theta=0.01),
+                                  rng=np.random.default_rng(11))
         after = head_objective_pooled(head, [batch])
         assert after < before
 
@@ -311,10 +312,10 @@ class TestAggregateAndBroadcast:
             np.random.default_rng(0),
         ).head
         with pytest.raises(ConfigError):
-            aggregate_and_update_head(head, [], rng=rng)
+            aggregate_and_update_head(head, [], TrainSpec(), rng=rng)
         bad = [_batch(rng, client_id=3, d_rep=16), _batch(rng, client_id=9, d_rep=8)]
         with pytest.raises(ShapeMismatchError, match="3.*9|9.*3"):
-            aggregate_and_update_head(head, bad, rng=rng)
+            aggregate_and_update_head(head, bad, TrainSpec(), rng=rng)
 
     def test_broadcast_bit_exact_and_bottom_untouched(self):
         ds = _dataset()
@@ -341,16 +342,16 @@ class TestRunRounds:
         # rather than optimizer luck.
         ds = _dataset(20, per_class=150, separation=1.5)
         client = _client(ds, eps=math.inf, eta=0.02, genome_seed=1)
-        plan = FederationPlan(rounds=2, local_epochs=8)
-        reports = run_rounds(plan, [client], ds, np.random.default_rng(21))
+        spec = TrainSpec(rounds=2, local_epochs=8)
+        reports = run_rounds(spec, [client], ds, np.random.default_rng(21))
         assert reports[-1].rows[0].val_acc >= 0.9
 
     def test_full_participation_trains_everyone(self):
         ds = _dataset(22)
         clients = [_client(ds, client_id=i, seed=i, genome_seed=i)
                    for i in range(3)]
-        plan = FederationPlan(rounds=2, local_epochs=1)
-        reports = run_rounds(plan, clients, ds, np.random.default_rng(23))
+        spec = TrainSpec(rounds=2, local_epochs=1)
+        reports = run_rounds(spec, clients, ds, np.random.default_rng(23))
         for report in reports:
             assert all(r.participated for r in report.rows)
             assert all(r.bytes_up > 0 for r in report.rows)
@@ -358,17 +359,31 @@ class TestRunRounds:
     def test_partial_participation_counts(self):
         ds = _dataset(24)
         clients = [_client(ds, client_id=i, seed=i) for i in range(5)]
-        plan = FederationPlan(rounds=3, local_epochs=1, participation=0.4)
-        reports = run_rounds(plan, clients, ds, np.random.default_rng(25))
+        spec = TrainSpec(rounds=3, local_epochs=1)
+        reports = run_rounds(spec, clients, ds, np.random.default_rng(25),
+                             participation=0.4)
         for report in reports:
             assert sum(r.participated for r in report.rows) == 2
+
+    def test_broadcast_charges_every_client_bytes_down(self):
+        # the broadcast overwrites every head, spectators' included
+        ds = _dataset(24)
+        clients = [_client(ds, client_id=i, seed=i) for i in range(5)]
+        head_bytes = 4 * clients[0].model.head.n_params
+        reports = run_rounds(TrainSpec(rounds=3, local_epochs=1), clients, ds,
+                             np.random.default_rng(25), participation=0.4)
+        uploading = [r for r in reports if any(row.bytes_up for row in r.rows)]
+        assert uploading
+        for report in uploading:
+            assert sum(not row.participated for row in report.rows) == 3
+            assert [row.bytes_down for row in report.rows] == [head_bytes] * 5
 
     def test_budget_exhaustion_isolated_and_safe(self):
         ds = _dataset(26)
         limited = _client(ds, client_id=0, eps=0.35, sigma=1.1, batch=64)
         healthy = [_client(ds, client_id=i, seed=i) for i in (1, 2)]
-        plan = FederationPlan(rounds=4, local_epochs=2)
-        reports = run_rounds(plan, [limited] + healthy, ds,
+        spec = TrainSpec(rounds=4, local_epochs=2)
+        reports = run_rounds(spec, [limited] + healthy, ds,
                              np.random.default_rng(27))
         notes = [r.rows[0].note for r in reports]
         assert "BudgetExhaustedError" in notes  # it eventually runs dry
@@ -396,8 +411,8 @@ class TestRunRounds:
         ]
         assert np.array_equal(clients[0].model.get_flat(),
                               clients[1].model.get_flat())
-        plan = FederationPlan(rounds=2, local_epochs=2)
-        run_rounds(plan, clients, ds, np.random.default_rng(29))
+        spec = TrainSpec(rounds=2, local_epochs=2)
+        run_rounds(spec, clients, ds, np.random.default_rng(29))
         assert np.array_equal(clients[0].model.get_head_flat(),
                               clients[1].model.get_head_flat())
         assert not np.array_equal(clients[0].model.bottom.get_flat(),
@@ -408,10 +423,10 @@ class TestRunRounds:
         for run in range(2):
             ds = _dataset(30)
             clients = [_client(ds, client_id=i, seed=i) for i in range(3)]
-            plan = FederationPlan(rounds=2, local_epochs=1, target_acc=0.5)
+            spec = TrainSpec(rounds=2, local_epochs=1, target_acc=0.5)
             csv_path = tmp_path / f"rounds_{run}.csv"
             summary_path = tmp_path / f"summary_{run}.json"
-            run_rounds(plan, clients, ds, np.random.default_rng(31),
+            run_rounds(spec, clients, ds, np.random.default_rng(31),
                        csv_path=csv_path, summary_path=summary_path)
             outputs.append((csv_path.read_bytes(), summary_path.read_bytes()))
         assert outputs[0] == outputs[1]
@@ -423,8 +438,8 @@ class TestRunRounds:
     def test_summary_rounds_to_target(self):
         ds = _dataset(32)
         client = _client(ds, eps=math.inf, eta=0.1)
-        plan = FederationPlan(rounds=3, local_epochs=3, target_acc=0.85)
-        reports = run_rounds(plan, [client], ds, np.random.default_rng(33))
+        spec = TrainSpec(rounds=3, local_epochs=3, target_acc=0.85)
+        reports = run_rounds(spec, [client], ds, np.random.default_rng(33))
         summary = summarize(reports, 0.85)
         hits = [r.round_index for r in reports if r.mean_acc >= 0.85]
         assert summary["rounds_to_target"] == (hits[0] if hits else None)
@@ -436,5 +451,5 @@ class TestRunRounds:
         ds = _dataset(34)
         clients = [_client(ds, client_id=1), _client(ds, client_id=1)]
         with pytest.raises(ConfigError):
-            run_rounds(FederationPlan(rounds=1, local_epochs=1), clients, ds,
+            run_rounds(TrainSpec(rounds=1, local_epochs=1), clients, ds,
                        np.random.default_rng(35))

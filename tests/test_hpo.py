@@ -16,14 +16,13 @@ from scipy.stats import norm
 from fednaslab.errors import ConfigError, InfeasibleError
 from fednaslab.hpo import (
     CANDIDATE_POOL,
-    DESK_TRIAL_PLAN,
     JITTER_MAX,
     BORecord,
+    BOSpec,
     DPTrialEvaluator,
     HyperConfig,
     SearchDomain,
     Surrogate,
-    TrialPlan,
     expected_improvement,
     expected_improvement_values,
     gp_fit,
@@ -101,14 +100,14 @@ class TestHyperConfigAndDomain:
 
     def test_invalid_domain_rejected(self):
         with pytest.raises(ConfigError):
-            SearchDomain(dataset_size=0)
+            SearchDomain(BOSpec(), dataset_size=0)
         with pytest.raises(ConfigError):
-            SearchDomain(dataset_size=100, eta_range=(0.1, 0.01))
+            BOSpec(eta_range=(0.1, 0.01))
         with pytest.raises(ConfigError):
-            SearchDomain(dataset_size=100, q_range=(0.1, 1.5))
+            BOSpec(q_range=(0.1, 1.5))
 
     def test_unit_roundtrip(self):
-        dom = SearchDomain(dataset_size=500)
+        dom = SearchDomain(BOSpec(), dataset_size=500)
         cfg = HyperConfig(eta=0.001, batch_size=500, clip=0.5, sigma=1.92)
         back = dom.from_unit(dom.to_unit(cfg))
         assert abs(back.eta - cfg.eta) / cfg.eta < 1e-9
@@ -117,7 +116,7 @@ class TestHyperConfigAndDomain:
         assert abs(back.sigma - cfg.sigma) < 1e-9
 
     def test_batch_size_always_valid(self):
-        dom = SearchDomain(dataset_size=37)
+        dom = SearchDomain(BOSpec(), dataset_size=37)
         rng = np.random.default_rng(0)
         for _ in range(300):
             cfg = dom.from_unit(rng.random(4))
@@ -126,7 +125,7 @@ class TestHyperConfigAndDomain:
         assert dom.from_unit([1.0, 1.0, 1.0, 1.0]).batch_size == 37
 
     def test_eta_draws_are_log_uniform(self):
-        dom = SearchDomain(dataset_size=500, eta_range=(1e-4, 1e-1))
+        dom = SearchDomain(BOSpec(eta_range=(1e-4, 1e-1)), dataset_size=500)
         rng = np.random.default_rng(42)
         etas = np.array([c.eta for c in init_candidates(10_000, dom, rng)])
         geo_mean = math.sqrt(1e-4 * 1e-1)
@@ -134,7 +133,7 @@ class TestHyperConfigAndDomain:
         assert etas.min() >= 1e-4 and etas.max() <= 1e-1
 
     def test_init_candidates_reproducible(self):
-        dom = SearchDomain(dataset_size=200)
+        dom = SearchDomain(BOSpec(), dataset_size=200)
         a = init_candidates(5, dom, np.random.default_rng(9))
         b = init_candidates(5, dom, np.random.default_rng(9))
         assert a == b
@@ -142,12 +141,12 @@ class TestHyperConfigAndDomain:
             init_candidates(1, dom, np.random.default_rng(0))
 
     def test_trial_plan_steps(self):
-        plan = TrialPlan(epochs=3)
-        assert plan.steps_for(batch_size=500, dataset_size=500) == 3
-        assert plan.steps_for(batch_size=50, dataset_size=500) == 30
-        assert plan.steps_for(batch_size=900, dataset_size=500) == 3  # >= 1/epoch
+        dom = SearchDomain(BOSpec(trial_epochs=3), dataset_size=500)
+        assert dom.trial_steps(batch_size=500) == 3
+        assert dom.trial_steps(batch_size=50) == 30
+        assert dom.trial_steps(batch_size=900) == 3  # >= 1/epoch
         with pytest.raises(ConfigError):
-            TrialPlan(epochs=0)
+            BOSpec(trial_epochs=0)
 
 
 class TestSurrogatePosterior:
@@ -347,10 +346,10 @@ class TestPlannedCostFilter:
 
     def test_reference_full_batch_config_fits_eps_5(self):
         # eta 0.0010, sigma 1.92, clip 0.50, sampling rate 1.00 must clear an
-        # eps = 5 budget at delta = 1e-5 under the desk trial plan.
-        dom = SearchDomain(dataset_size=500)
+        # eps = 5 budget at delta = 1e-5 over the desk trial length (3 epochs).
+        dom = SearchDomain(BOSpec(trial_epochs=3), dataset_size=500)
         cfg = HyperConfig(eta=0.0010, batch_size=500, clip=0.50, sigma=1.92)
-        cost = planned_cost(cfg, dom, DESK_TRIAL_PLAN, 1e-5)
+        cost = planned_cost(cfg, dom, 1e-5)
         analytic = _analytic_eps_full_batch(1.92, 3, 1e-5)
         assert cost <= 5.0
         # accountant sits at the closed-form optimum (never below it)
@@ -367,36 +366,38 @@ class TestProposeNext:
         return gp_fit(xs, ys), float(ys.max())
 
     def test_infinite_budget_returns_in_domain_config(self):
-        dom = SearchDomain(dataset_size=300)
+        dom = SearchDomain(BOSpec(trial_epochs=3), dataset_size=300)
         rng = np.random.default_rng(11)
         sur, inc = self._fitted(dom, rng)
-        cfg = propose_next(sur, dom, math.inf, TrialPlan(3), 1e-5, rng, inc)
-        assert dom.eta_range[0] <= cfg.eta <= dom.eta_range[1]
+        cfg = propose_next(sur, dom, math.inf, 1e-5, rng, inc)
+        assert dom.spec.eta_range[0] <= cfg.eta <= dom.spec.eta_range[1]
         assert 1 <= cfg.batch_size <= 300
-        assert dom.sigma_range[0] <= cfg.sigma <= dom.sigma_range[1]
+        assert dom.spec.sigma_range[0] <= cfg.sigma <= dom.spec.sigma_range[1]
 
     def test_forced_infeasibility_raises_with_advice(self):
-        dom = SearchDomain(dataset_size=300, sigma_range=(0.5, 0.6))
+        dom = SearchDomain(BOSpec(trial_epochs=3, sigma_range=(0.5, 0.6)),
+                           dataset_size=300)
         rng = np.random.default_rng(12)
         sur, inc = self._fitted(dom, rng)
         with pytest.raises(InfeasibleError, match="sigma range|budget"):
-            propose_next(sur, dom, 1e-3, TrialPlan(3), 1e-5, rng, inc)
+            propose_next(sur, dom, 1e-3, 1e-5, rng, inc)
 
     def test_admitted_configs_reverified_by_full_accountant(self):
-        dom = SearchDomain(dataset_size=500)
+        dom = SearchDomain(BOSpec(trial_epochs=3), dataset_size=500)
         budget = 2.0
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             sur, inc = self._fitted(dom, rng)
-            cfg = propose_next(sur, dom, budget, DESK_TRIAL_PLAN, 1e-5, rng, inc)
-            assert planned_cost(cfg, dom, DESK_TRIAL_PLAN, 1e-5) <= budget
+            cfg = propose_next(sur, dom, budget, 1e-5, rng, inc)
+            assert planned_cost(cfg, dom, 1e-5) <= budget
 
 
 class TestRunBO:
     def test_quadratic_bowl_finds_optimum(self):
         # Known-optimum objective on the unit cube; 18 of 20 seeds must land
         # within 5% of the peak value.
-        dom = SearchDomain(dataset_size=500)
+        dom = SearchDomain(BOSpec(k_init=5, n_iter=30, trial_epochs=3),
+                           dataset_size=500)
         target = np.array([0.3, 0.7, 0.5, 0.2])
 
         def bowl(cfg):
@@ -405,51 +406,48 @@ class TestRunBO:
 
         wins = 0
         for seed in range(20):
-            res = run_bo(bowl, dom, math.inf, plan=TrialPlan(3), k_init=5,
-                         n_iter=30, rng=np.random.default_rng(seed))
+            res = run_bo(bowl, dom, math.inf, rng=np.random.default_rng(seed))
             wins += bowl(res.best) >= 0.95
         assert wins >= 18
 
     def test_best_observed_never_decreases(self):
-        dom = SearchDomain(dataset_size=500)
+        dom = SearchDomain(BOSpec(k_init=4, n_iter=8, trial_epochs=3),
+                           dataset_size=500)
 
         def objective(cfg):
             return 1.0 / (1.0 + abs(math.log10(cfg.eta) + 2.5))
 
-        res = run_bo(objective, dom, math.inf, plan=TrialPlan(3), k_init=4,
-                     n_iter=8, rng=np.random.default_rng(21))
+        res = run_bo(objective, dom, math.inf, rng=np.random.default_rng(21))
         accs = [r.val_acc for r in res.trace if r.val_acc is not None]
         running = np.maximum.accumulate(accs)
         assert np.array_equal(running, np.maximum.accumulate(running))
         assert res.best_observed == max(accs)
 
     def test_zero_iterations_uses_init_phase_only(self):
-        dom = SearchDomain(dataset_size=500)
-        res = run_bo(lambda c: c.eta, dom, math.inf, plan=TrialPlan(3),
-                     k_init=3, n_iter=0, rng=np.random.default_rng(13))
+        dom = SearchDomain(BOSpec(k_init=3, n_iter=0, trial_epochs=3),
+                           dataset_size=500)
+        res = run_bo(lambda c: c.eta, dom, math.inf,
+                     rng=np.random.default_rng(13))
         assert len(res.trace) == 3
         assert res.best in [r.config for r in res.trace]
 
     def test_invalid_loop_parameters(self):
-        dom = SearchDomain(dataset_size=100)
         with pytest.raises(ConfigError):
-            run_bo(lambda c: 0.5, dom, math.inf, k_init=1,
-                   rng=np.random.default_rng(0))
+            BOSpec(k_init=1)
         with pytest.raises(ConfigError):
-            run_bo(lambda c: 0.5, dom, math.inf, n_iter=-1,
-                   rng=np.random.default_rng(0))
+            BOSpec(n_iter=-1)
 
     def test_budget_audit_every_trained_trial_fits(self):
         # Recompute every logged cost from the raw hyperparameters: trained
         # rows must fit the budget, discarded rows must exceed it.
-        dom = SearchDomain(dataset_size=400)
+        dom = SearchDomain(BOSpec(k_init=4, n_iter=4, trial_epochs=3),
+                           dataset_size=400)
         budget = 2.5
         res = run_bo(lambda c: min(1.0, 10 * c.eta), dom, budget,
-                     plan=DESK_TRIAL_PLAN, k_init=4, n_iter=4,
                      rng=np.random.default_rng(14))
         trained = discarded = 0
         for rec in res.trace:
-            cost = planned_cost(rec.config, dom, DESK_TRIAL_PLAN, 1e-5)
+            cost = planned_cost(rec.config, dom, 1e-5)
             assert abs(cost - rec.eps_planned) < 1e-9
             if rec.val_acc is not None:
                 assert rec.feasible and cost <= budget
@@ -459,22 +457,22 @@ class TestRunBO:
                 discarded += 1
         assert trained == 8
         assert discarded >= 1  # the budget actually bit during random init
-        best_cost = planned_cost(res.best, dom, DESK_TRIAL_PLAN, 1e-5)
+        best_cost = planned_cost(res.best, dom, 1e-5)
         assert best_cost <= budget
 
     def test_no_feasible_draws_raises(self):
-        dom = SearchDomain(dataset_size=400)
+        dom = SearchDomain(BOSpec(k_init=2, n_iter=0, trial_epochs=3),
+                           dataset_size=400)
         with pytest.raises(InfeasibleError, match="sigma range|budget"):
-            run_bo(lambda c: 0.5, dom, 1e-4, plan=DESK_TRIAL_PLAN, k_init=2,
-                   n_iter=0, rng=np.random.default_rng(15))
+            run_bo(lambda c: 0.5, dom, 1e-4, rng=np.random.default_rng(15))
 
     def test_trace_csv_schema_and_reproducibility(self, tmp_path):
-        dom = SearchDomain(dataset_size=400)
+        dom = SearchDomain(BOSpec(k_init=3, n_iter=2, trial_epochs=3),
+                           dataset_size=400)
         paths = []
         for run in range(2):
             path = tmp_path / f"bo_{run}.csv"
             run_bo(lambda c: min(1.0, 5 * c.eta), dom, 3.0,
-                   plan=DESK_TRIAL_PLAN, k_init=3, n_iter=2,
                    rng=np.random.default_rng(16), csv_path=path)
             paths.append(path)
         first, second = (p.read_bytes() for p in paths)
@@ -501,11 +499,15 @@ class TestDPTrialEvaluator:
         assert _centroid_oracle_accuracy(x_tr, y_tr, x_va, y_va) >= 0.99
         return x_tr, y_tr, x_va, y_va
 
+    @staticmethod
+    def _domain(x_train, epochs):
+        return SearchDomain(BOSpec(trial_epochs=epochs), len(x_train))
+
     def test_learns_separable_blobs_without_noise(self):
         x_tr, y_tr, x_va, y_va = self._data()
         genome = sample_random_genome(self.SMALL, np.random.default_rng(3))
         ev = DPTrialEvaluator(genome, self.SMALL, x_tr, y_tr, x_va, y_va,
-                              TrialPlan(epochs=5), seed=1)
+                              self._domain(x_tr, 5), seed=1)
         acc = ev(HyperConfig(eta=0.1, batch_size=32, clip=10.0, sigma=0.0))
         assert acc >= 0.9
 
@@ -514,7 +516,7 @@ class TestDPTrialEvaluator:
         x_tr, y_tr, x_va, y_va = self._data(18)
         genome = sample_random_genome(self.SMALL, np.random.default_rng(3))
         ev = DPTrialEvaluator(genome, self.SMALL, x_tr, y_tr, x_va, y_va,
-                              TrialPlan(epochs=2), seed=1)
+                              self._domain(x_tr, 2), seed=1)
         acc = ev(HyperConfig(eta=1e12, batch_size=64, clip=100.0, sigma=0.0))
         assert acc == 0.0
 
@@ -528,10 +530,19 @@ class TestDPTrialEvaluator:
         runs = []
         for _ in range(2):
             ev = DPTrialEvaluator(genome, self.SMALL, x_tr, y_tr, x_va, y_va,
-                                  TrialPlan(epochs=1), seed=7)
+                                  self._domain(x_tr, 1), seed=7)
             runs.append([ev(c) for c in cfgs])
         assert runs[0] == runs[1]
         assert ev.calls == 2
+
+    def test_shard_must_match_domain(self):
+        # the domain sizes the sampling rate and the steps a trial is
+        # charged for, so it must describe the shard the trial trains on
+        x_tr, y_tr, x_va, y_va = self._data(20)
+        genome = sample_random_genome(self.SMALL, np.random.default_rng(4))
+        with pytest.raises(ConfigError, match="240"):
+            DPTrialEvaluator(genome, self.SMALL, x_tr, y_tr, x_va, y_va,
+                             SearchDomain(BOSpec(), len(x_tr) + 1))
 
 
 class TestTraceWriter:

@@ -1,5 +1,7 @@
 """Space module: codec round-trips, validity, parameter accounting."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,12 +13,33 @@ from fednaslab.space import (
     conv_gene,
     genome_from_string,
     genome_to_string,
+    load_model_npz,
     materialize,
     param_count,
     pool_gene,
     sample_random_genome,
+    save_model_npz,
     validate_genome,
 )
+
+DESK_SPACE = SpaceConfig(input_shape=(3, 8, 8), d_rep=16, num_classes=2,
+                         min_len=3, max_len=4)
+
+
+def _saved_model(tmp_path, edit_space=None):
+    """Save a desk model; `edit_space` may rewrite its space JSON mapping."""
+    genome = genome_from_string("C3x16-Pavg-C5x32")
+    model = materialize(genome, DESK_SPACE, np.random.default_rng(2))
+    path = tmp_path / "model.npz"
+    save_model_npz(path, model, genome, DESK_SPACE)
+    if edit_space is not None:
+        with np.load(path) as data:
+            fields = dict(data)
+        space = json.loads(str(fields["space"]))
+        edit_space(space)
+        fields["space"] = json.dumps(space)
+        np.savez(path, **fields)
+    return path, model
 
 
 def test_codec_round_trip():
@@ -112,3 +135,28 @@ def test_size_guard_under_default_bounds():
     for _ in range(100):
         g = sample_random_genome(space, rng)
         assert 4 * param_count(g, space) < 2 * 1024 * 1024
+
+
+def test_model_npz_round_trip(tmp_path):
+    path, model = _saved_model(tmp_path)
+    loaded, genome, space = load_model_npz(path)
+    assert space == DESK_SPACE
+    assert str(genome) == "C3x16-Pavg-C5x32"
+    assert np.array_equal(loaded.get_flat(), model.get_flat())
+
+
+@pytest.mark.parametrize("key", ["max_len", "d_rep", "pool_types"])
+def test_load_model_npz_requires_every_space_key(tmp_path, key):
+    # a default would rebuild a different space than the one saved
+    path, _ = _saved_model(tmp_path, lambda space: space.pop(key))
+    with pytest.raises(ParseError, match=rf"model\.npz.*missing.*{key}"):
+        load_model_npz(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("max_len", "4"), ("input_shape", [3, 8]), ("num_classes", 1),
+])
+def test_load_model_npz_rejects_bad_space_value(tmp_path, key, value):
+    path, _ = _saved_model(tmp_path, lambda space: space.update({key: value}))
+    with pytest.raises(ParseError, match="model.npz"):
+        load_model_npz(path)
