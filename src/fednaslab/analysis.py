@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import logging
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,22 +157,12 @@ def corollary2_avg_grad_bound(c: ConvergenceConstants) -> float:
     return numer / denom
 
 
-class EtaThetaBound(tuple):
+class EtaThetaBound(NamedTuple):
     """(value, feasible) — the largest admissible head rate and whether any
     positive head rate is admissible at all."""
 
-    __slots__ = ()
-
-    def __new__(cls, value: float, feasible: bool):
-        return tuple.__new__(cls, (float(value), bool(feasible)))
-
-    @property
-    def value(self) -> float:
-        return self[0]
-
-    @property
-    def feasible(self) -> bool:
-        return self[1]
+    value: float
+    feasible: bool
 
 
 def max_eta_theta(c: ConvergenceConstants) -> EtaThetaBound:
@@ -275,7 +266,6 @@ class AttackReport:
     eps_label: float
     mse: float
     per_sample: np.ndarray
-    spec: AttackSpec
     seed: int
     failed: bool = False
 
@@ -284,7 +274,7 @@ class AttackReport:
             raise ConfigError(f"reconstruction MSE must be >= 0, got {self.mse}")
 
 
-def build_decoder(d_rep: int, image_shape, base_channels: int,
+def build_decoder(d_rep: int, image_shape,
                   rng: np.random.Generator) -> Sequential:
     """Transposed-convolution decoder from a representation to an image.
 
@@ -299,11 +289,11 @@ def build_decoder(d_rep: int, image_shape, base_channels: int,
     start = 2 if h <= 16 else 4
     n_up = int(math.log2(h // start))
     layers = [
-        Linear(d_rep, base_channels * start * start),
-        Reshape((base_channels, start, start)),
+        Linear(d_rep, DECODER_CHANNELS * start * start),
+        Reshape((DECODER_CHANNELS, start, start)),
         ReLU(),
     ]
-    chan = base_channels
+    chan = DECODER_CHANNELS
     for i in range(n_up):
         nxt = c_out if i == n_up - 1 else max(8, chan // 2)
         layers.append(TransposeConv(chan, nxt))
@@ -318,18 +308,9 @@ def build_decoder(d_rep: int, image_shape, base_channels: int,
     return decoder
 
 
-def _encode(bottom, x: np.ndarray) -> np.ndarray:
-    """Representations from either a full split model or a bare encoder stack."""
-    if isinstance(bottom, Model):
-        return bottom.forward_bottom(x)
-    z, _ = bottom.forward(x)
-    if not np.isfinite(z).all():
-        raise NonFiniteError("encoder produced non-finite representations")
-    return z
-
-
-def inversion_attack(bottom, aux_images: np.ndarray, victim_images: np.ndarray,
-                     spec: AttackSpec, rng: np.random.Generator, *,
+def inversion_attack(model: Model, aux_images: np.ndarray,
+                     victim_images: np.ndarray, spec: AttackSpec,
+                     rng: np.random.Generator, *,
                      eps_label: float = math.inf, seed: int = 0) -> AttackReport:
     """Fit a decoder on auxiliary data, then score it on victim inputs.
 
@@ -347,9 +328,8 @@ def inversion_attack(bottom, aux_images: np.ndarray, victim_images: np.ndarray,
         raise ConfigError(
             f"aux {aux.shape} and victim {victim.shape} must be [n, c, h, w] "
             "with matching image shapes")
-    z_aux = _encode(bottom, aux)
-    decoder = build_decoder(z_aux.shape[1], aux.shape[1:], DECODER_CHANNELS,
-                            rng)
+    z_aux = model.forward_bottom(aux)
+    decoder = build_decoder(z_aux.shape[1], aux.shape[1:], rng)
     optimizer = Adam(decoder.param_layers(), lr=spec.decoder_lr)
     n = aux.shape[0]
     batch = min(DECODER_BATCH, n)
@@ -368,18 +348,17 @@ def inversion_attack(bottom, aux_images: np.ndarray, victim_images: np.ndarray,
                        eps_label, seed)
     if failed:
         return AttackReport(eps_label, math.inf,
-                            np.full(victim.shape[0], np.inf), spec, seed,
+                            np.full(victim.shape[0], np.inf), seed,
                             failed=True)
-    z_victim = _encode(bottom, victim)
+    z_victim = model.forward_bottom(victim)
     recon, _ = decoder.forward(z_victim)
     per_sample = np.mean((recon.astype(np.float64) - victim) ** 2,
                          axis=(1, 2, 3))
     if not np.isfinite(per_sample).all():
         return AttackReport(eps_label, math.inf,
-                            np.full(victim.shape[0], np.inf), spec, seed,
+                            np.full(victim.shape[0], np.inf), seed,
                             failed=True)
-    return AttackReport(eps_label, float(per_sample.mean()), per_sample,
-                        spec, seed)
+    return AttackReport(eps_label, float(per_sample.mean()), per_sample, seed)
 
 
 def write_attack_csv(path, reports: list[AttackReport]) -> None:

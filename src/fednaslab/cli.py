@@ -53,7 +53,7 @@ from .errors import (
     InfeasibleError,
     ParseError,
 )
-from .federation import ClientState, run_rounds
+from .federation import ClientState, local_steps, run_rounds
 from .ga import TrainingEvaluator, run_ga
 from .hpo import DPTrialEvaluator, HyperConfig, SearchDomain, run_bo
 from .privacy import calibrate_sigma
@@ -316,10 +316,9 @@ def _resolve_hyper(config: ExperimentConfig, out_dir: str, k: int,
     batch = min(t.batch_size, m_k)
     sigma = t.sigma
     if sigma == "auto":
-        q = min(batch / m_k, 1.0)
-        steps_per_round = math.ceil(t.local_epochs * m_k / batch)
-        total = max(1, t.rounds * steps_per_round)
-        sigma = calibrate_sigma(q, total, config.clients.budget_for(k),
+        total = t.rounds * local_steps(t.local_epochs, m_k, batch)
+        sigma = calibrate_sigma(batch / m_k, total,
+                                config.clients.budget_for(k),
                                 config.clients.delta)
         logger.info("client %d: calibrated sigma=%.4g for %d steps",
                     k, sigma, total)

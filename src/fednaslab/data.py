@@ -9,7 +9,6 @@ subsets with geometrically skewed sampling.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -22,6 +21,9 @@ logger = logging.getLogger(__name__)
 _IMAGE_BYTES = 3072  # 3 channel planes of 32x32
 _REC10 = 1 + _IMAGE_BYTES
 _REC100 = 2 + _IMAGE_BYTES
+
+# per-pixel standard deviation of the synthetic blobs
+SYNTH_NOISE = 0.1
 
 
 @dataclass
@@ -68,10 +70,6 @@ class PartitionPlan:
             np.asarray(ix, dtype=np.int64) for ix in self.client_indices
         ]
 
-    @property
-    def n_clients(self) -> int:
-        return len(self.client_indices)
-
     def validate(self, n_total: int) -> None:
         """Exact disjoint-cover check against range(n_total)."""
         merged = np.concatenate(self.client_indices) if self.client_indices else \
@@ -83,17 +81,6 @@ class PartitionPlan:
             )
         if n_total and (merged.min() < 0 or merged.max() >= n_total):
             raise ConfigError("plan references out-of-range indices")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {str(k): ix.tolist() for k, ix in enumerate(self.client_indices)}
-        )
-
-    @classmethod
-    def from_json(cls, text: str, scheme: str = "imported") -> "PartitionPlan":
-        raw = json.loads(text)
-        ordered = [raw[str(k)] for k in range(len(raw))]
-        return cls([np.asarray(ix, dtype=np.int64) for ix in ordered], scheme)
 
 
 def load_cifar_binary(path) -> Dataset:
@@ -337,8 +324,7 @@ def split_nas_subsets(indices, labels, rng: np.random.Generator) -> SplitSets:
 
 
 def synth_dataset(num_classes: int, per_class: int, image_hw: int,
-                  separation: float, rng: np.random.Generator,
-                  noise: float = 0.1) -> Dataset:
+                  separation: float, rng: np.random.Generator) -> Dataset:
     """Class-conditional Gaussian blobs around 0.5 with unit-norm class
     directions scaled by `separation`; separation 0 makes classes
     statistically identical.
@@ -364,7 +350,7 @@ def synth_dataset(num_classes: int, per_class: int, image_hw: int,
     )
     labels = np.repeat(np.arange(num_classes), per_class)
     images = 0.5 + separation * directions[labels] + rng.normal(
-        scale=noise, size=(len(labels),) + shape
+        scale=SYNTH_NOISE, size=(len(labels),) + shape
     )
     order = rng.permutation(len(labels))
     return Dataset(

@@ -5,8 +5,12 @@ head. A round samples participants, trains them locally (DP-SGD under a
 per-client privacy ledger, or plain SGD for an infinite budget), uploads
 per-sample representations over a fixed little-endian wire format, retrains
 the head on the pooled samples server-side, and broadcasts the head back to
-every client bit-exactly. Server work is post-processing: it never touches
-any client's ledger.
+every client bit-exactly.
+
+A client's ledger covers its local DP-SGD steps only. The uploaded
+representations z_i = f(theta, x_i) read the raw samples x_i, so they, their
+labels and the server's head training on them are released outside the
+ledger's guarantee, and no server work touches a ledger.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 from .errors import (
     BudgetExhaustedError,
     ConfigError,
+    FedNasError,
     NonFiniteError,
     ParseError,
     ShapeMismatchError,
@@ -31,6 +36,7 @@ from .data import Dataset
 from .hpo import HyperConfig
 from .nn.layers import Sequential
 from .nn.model import (
+    EVAL_BATCH,
     Model,
     batch_gradient,
     apply_update,
@@ -79,9 +85,9 @@ class TrainSpec:
     target_acc: float | None = None
 
     def __post_init__(self):
-        if self.rounds < 1 or self.local_epochs < 0:
+        if self.rounds < 1 or self.local_epochs < 1:
             raise ConfigError(
-                f"train.rounds must be >= 1 and train.local_epochs >= 0, got "
+                f"train.rounds and train.local_epochs must be >= 1, got "
                 f"{self.rounds}, {self.local_epochs}")
         if self.eta <= 0 or self.batch_size < 1 or self.clip <= 0:
             raise ConfigError("train.eta and train.clip must be > 0, "
@@ -129,21 +135,18 @@ class ClientState:
     @classmethod
     def create(cls, client_id: int, genome: Genome, space: SpaceConfig,
                hyper: HyperConfig, shard, test_idx, eps_budget: float,
-               rng: np.random.Generator, delta: float = 1e-5) -> "ClientState":
+               rng: np.random.Generator, *, delta: float) -> "ClientState":
         """Materialize the model and fix the ledger's mechanism parameters.
 
         The sampling rate is pinned at creation (batch over shard size) so
         that composed privacy accounting stays valid across rounds.
         """
-        shard = np.asarray(shard, dtype=np.int64)
         if len(shard) < 1:
             raise ConfigError(f"client {client_id} has an empty shard")
         batch = min(hyper.batch_size, len(shard))
-        dp = DPConfig(hyper.clip, hyper.sigma, min(batch / len(shard), 1.0),
-                      delta)
+        dp = DPConfig(hyper.clip, hyper.sigma, batch / len(shard), delta)
         model = materialize(genome, space, rng)
-        return cls(client_id, genome, model, hyper, shard,
-                   np.asarray(test_idx, dtype=np.int64),
+        return cls(client_id, genome, model, hyper, shard, test_idx,
                    PrivacyLedger(dp), eps_budget)
 
 
@@ -246,7 +249,9 @@ def comm_bytes(item) -> int:
     return 4 * arr.size
 
 
-def _steps_for(epochs: int, m_k: int, batch: int) -> int:
+def local_steps(epochs: int, m_k: int, batch: int) -> int:
+    """DP-SGD steps in one round of `epochs` local passes over a shard of
+    `m_k` samples in batches of `batch`."""
     return math.ceil(epochs * m_k / batch)
 
 
@@ -281,7 +286,7 @@ def local_train(client: ClientState, dataset: Dataset, epochs: int,
     x = dataset.images[client.shard]
     y = dataset.labels[client.shard]
     batch = min(client.hyper.batch_size, client.m_k)
-    steps = _steps_for(epochs, client.m_k, batch)
+    steps = local_steps(epochs, client.m_k, batch)
     if math.isinf(client.eps_budget):
         losses = _plain_steps(client.model.parts, x, y, eta=client.hyper.eta,
                               batch_size=batch, total_steps=steps, rng=rng)
@@ -298,7 +303,9 @@ def local_train(client: ClientState, dataset: Dataset, epochs: int,
 def emit_representations(client: ClientState, dataset: Dataset) -> RepresentationBatch:
     """Forward the full local shard through the bottom in evaluation mode.
 
-    Pure post-processing of already-private parameters: no ledger change.
+    No ledger change, but not post-processing of the private parameters:
+    each z_i = f(theta, x_i) reads its raw sample x_i, so the upload is
+    released outside the ledger's guarantee.
     """
     if client.rounds_trained < 1:
         raise ConfigError(
@@ -364,7 +371,7 @@ def broadcast(theta: np.ndarray, clients: list[ClientState]) -> None:
                 f"client {client.client_id} head has "
                 f"{client.model.head.n_params} params, broadcast has {theta.size}"
             )
-        client.model.set_head_flat(theta.copy())
+        client.model.head.set_flat(theta.copy())
 
 
 @dataclass(frozen=True)
@@ -395,11 +402,11 @@ class RoundReport:
         return float(np.std([r.val_acc for r in self.rows]))
 
 
-def _eval_loss(model: Model, x, y, batch_size: int = 512) -> float:
+def _eval_loss(model: Model, x, y) -> float:
     n = x.shape[0]
     total = 0.0
-    for start in range(0, n, batch_size):
-        xb, yb = x[start:start + batch_size], y[start:start + batch_size]
+    for start in range(0, n, EVAL_BATCH):
+        xb, yb = x[start:start + EVAL_BATCH], y[start:start + EVAL_BATCH]
         _, logits = model.forward(xb)
         loss, _ = softmax_cross_entropy(logits, yb)
         total += loss * len(xb)
@@ -475,10 +482,10 @@ def run_rounds(spec: TrainSpec, clients: list[ClientState],
         for client in clients:
             if math.isfinite(client.eps_budget):
                 spent = client.ledger.eps_spent()
-                assert spent <= client.eps_budget + 1e-9, (
-                    f"budget safety violated: client {client.client_id} "
-                    f"spent {spent} of {client.eps_budget}"
-                )
+                if spent > client.eps_budget + 1e-9:
+                    raise FedNasError(
+                        f"budget safety violated: client {client.client_id} "
+                        f"spent {spent} of {client.eps_budget}")
             else:
                 spent = 0.0
             x_te = dataset.images[client.test_idx]

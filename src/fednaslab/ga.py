@@ -247,7 +247,7 @@ class TrainingEvaluator:
     """
 
     def __init__(self, space: SpaceConfig, x_train, y_train, x_val, y_val, *,
-                 epochs: int = 5, eta: float = 0.05, batch_size: int = 32):
+                 epochs: int, eta: float, batch_size: int):
         self.space = space
         self.x_train, self.y_train = x_train, y_train
         self.x_val, self.y_val = x_val, y_val

@@ -147,14 +147,6 @@ class SearchDomain:
         return min(config.batch_size / self.dataset_size, 1.0)
 
 
-def init_candidates(k: int, domain: SearchDomain,
-                    rng: np.random.Generator) -> list[HyperConfig]:
-    """k configs drawn log-uniform (eta, q, clip) / uniform (sigma)."""
-    if k < 2:
-        raise ConfigError(f"need at least 2 initial candidates, got {k}")
-    return [domain.from_unit(rng.random(4)) for _ in range(k)]
-
-
 def _matern52(a: np.ndarray, b: np.ndarray, lengthscales: np.ndarray,
               signal_var: float) -> np.ndarray:
     """Matérn-5/2 kernel matrix with per-dimension lengthscales."""
@@ -297,14 +289,6 @@ def expected_improvement_values(mu, sigma_p, incumbent: float,
     return np.maximum(out, 0.0)
 
 
-def expected_improvement(surrogate: Surrogate, point, incumbent: float,
-                         xi: float = XI_DEFAULT) -> float:
-    mean, var = surrogate.posterior(np.atleast_2d(point))
-    return float(
-        expected_improvement_values(mean, np.sqrt(var), incumbent, xi)[0]
-    )
-
-
 def _planned_costs(configs: list[HyperConfig], domain: SearchDomain,
                    delta: float) -> np.ndarray:
     qs = np.array([domain.sampling_rate(c) for c in configs])
@@ -322,7 +306,7 @@ def planned_cost(config: HyperConfig, domain: SearchDomain,
 
 def propose_next(surrogate: Surrogate, domain: SearchDomain, eps_budget: float,
                  delta: float, rng: np.random.Generator,
-                 incumbent: float, xi: float = XI_DEFAULT) -> HyperConfig:
+                 incumbent: float) -> HyperConfig:
     """Argmax-EI over a scrambled Sobol pool, feasible candidates only.
 
     Feasibility uses the integer-order cost bound, which can only
@@ -342,7 +326,7 @@ def propose_next(surrogate: Surrogate, domain: SearchDomain, eps_budget: float,
         )
     idx = np.flatnonzero(feasible)
     mean, var = surrogate.posterior(unit[idx])
-    ei = expected_improvement_values(mean, np.sqrt(var), incumbent, xi)
+    ei = expected_improvement_values(mean, np.sqrt(var), incumbent)
     return configs[int(idx[int(np.argmax(ei))])]
 
 
@@ -393,8 +377,8 @@ class DPTrialEvaluator:
     """
 
     def __init__(self, genome: Genome, space: SpaceConfig, x_train, y_train,
-                 x_val, y_val, domain: SearchDomain, seed: int = 0,
-                 delta: float = 1e-5):
+                 x_val, y_val, domain: SearchDomain, *, seed: int,
+                 delta: float):
         if len(x_train) != domain.dataset_size:
             raise ConfigError(
                 f"trial shard has {len(x_train)} samples, the search domain "
@@ -426,8 +410,8 @@ class DPTrialEvaluator:
 
 
 def run_bo(evaluate, domain: SearchDomain, eps_budget: float, *,
-           delta: float = 1e-5, rng: np.random.Generator | None = None,
-           csv_path=None, xi: float = XI_DEFAULT) -> BOResult:
+           delta: float, rng: np.random.Generator,
+           csv_path=None) -> BOResult:
     """Full constrained-BO loop over `domain`.
 
     Phase one draws random configs until `domain.spec.k_init` feasible ones
@@ -437,7 +421,6 @@ def run_bo(evaluate, domain: SearchDomain, eps_budget: float, *,
     highest, ties broken by observed accuracy.
     """
     k_init, n_iter = domain.spec.k_init, domain.spec.n_iter
-    rng = rng if rng is not None else np.random.default_rng()
     trace: list[BORecord] = []
     xs: list[np.ndarray] = []
     configs: list[HyperConfig] = []
@@ -476,7 +459,7 @@ def run_bo(evaluate, domain: SearchDomain, eps_budget: float, *,
         surrogate = gp_fit(np.array(xs), np.array(ys))
         incumbent = max(ys)
         cand = propose_next(surrogate, domain, eps_budget, delta, rng,
-                            incumbent, xi)
+                            incumbent)
         observe(cand, planned_cost(cand, domain, delta))
 
     surrogate = gp_fit(np.array(xs), np.array(ys))

@@ -7,6 +7,9 @@ import numpy as np
 from ..errors import NonFiniteError, ShapeMismatchError
 from .layers import Sequential
 
+# inference minibatch for evaluation passes (accuracy and held-out loss)
+EVAL_BATCH = 512
+
 
 def softmax_cross_entropy(logits, labels):
     """Mean CE loss and the per-sample gradient wrt logits.
@@ -99,12 +102,6 @@ class Model:
         self.bottom.set_flat(vec[:nb])
         self.head.set_flat(vec[nb:])
 
-    def get_head_flat(self):
-        return self.head.get_flat()
-
-    def set_head_flat(self, vec):
-        self.head.set_flat(vec)
-
     def astype(self, dtype):
         self.bottom.astype(dtype)
         self.head.astype(dtype)
@@ -179,15 +176,15 @@ def train_plain_sgd(parts, x, y, *, epochs, eta, batch_size, rng, loss="ce"):
     return losses
 
 
-def evaluate_accuracy(model: Model, x, y, batch_size=512):
-    """Top-1 accuracy, computed in inference-sized batches."""
+def evaluate_accuracy(model: Model, x, y):
+    """Top-1 accuracy, computed in EVAL_BATCH-sized batches."""
     n = x.shape[0]
     if n == 0:
         return 0.0
     hits = 0
-    for start in range(0, n, batch_size):
-        _, logits = model.forward(x[start : start + batch_size])
-        hits += int((logits.argmax(axis=1) == y[start : start + batch_size]).sum())
+    for start in range(0, n, EVAL_BATCH):
+        _, logits = model.forward(x[start : start + EVAL_BATCH])
+        hits += int((logits.argmax(axis=1) == y[start : start + EVAL_BATCH]).sum())
     return hits / n
 
 

@@ -17,14 +17,15 @@ Batches are drawn uniformly without replacement but accounted with the
 subsampled (Poisson-style) bound, the standard approximation in DP-SGD
 implementations.
 
-Server-side head training is post-processing of uploaded representations
-and never touches the accountant; only dp_sgd_step advances a ledger.
+The ledger covers local DP-SGD steps only; only dp_sgd_step advances it.
+The representations and labels a client uploads are computed from its raw
+samples (z_i = f(theta, x_i) reads x_i directly), so they and the server's
+head training on them are released outside the ledger's guarantee.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -280,13 +281,13 @@ def privacy_cost_integer_orders(qs, sigmas, steps, delta: float) -> np.ndarray:
     return eps
 
 
-def privacy_cost(dp: DPConfig, steps: int, orders=None, refine: bool = True) -> float:
+def privacy_cost(dp: DPConfig, steps: int) -> float:
     """(eps, delta)-cost of `steps` compositions of the mechanism.
 
     Composition is linear in the Renyi domain; conversion takes
-    min over orders of [steps * rdp(order) + ln(1/delta) / (order - 1)].
-    With refine=False only the fixed grid is searched, which upper-bounds
-    the refined value (useful as a fast conservative feasibility filter).
+    min over orders of [steps * rdp(order) + ln(1/delta) / (order - 1)],
+    first on DEFAULT_ORDERS and then continuously between the best grid
+    order's neighbors, so the result never exceeds the grid-only value.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -294,13 +295,11 @@ def privacy_cost(dp: DPConfig, steps: int, orders=None, refine: bool = True) -> 
         return 0.0
     if dp.noise_multiplier == 0:
         return math.inf
-    rdp = rdp_orders(dp, orders)
-    orders = DEFAULT_ORDERS if orders is None else np.asarray(orders, dtype=np.float64)
+    rdp = rdp_orders(dp)
+    orders = DEFAULT_ORDERS
     log_inv_delta = math.log(1.0 / dp.delta)
     eps_grid = steps * rdp + log_inv_delta / (orders - 1.0)
     best = int(np.argmin(eps_grid))
-    if not refine:
-        return float(eps_grid[best])
 
     def objective(alpha: float) -> float:
         return steps * _rdp_at(dp, alpha) + log_inv_delta / (alpha - 1.0)
@@ -327,23 +326,23 @@ def privacy_cost(dp: DPConfig, steps: int, orders=None, refine: bool = True) -> 
     return float(min(eps_grid[best], res.fun))
 
 
-def max_steps_within_budget(dp: DPConfig, eps_budget: float, orders=None) -> int:
+def max_steps_within_budget(dp: DPConfig, eps_budget: float) -> int:
     """Largest step count whose composed cost stays within the budget."""
     if eps_budget == math.inf:
         return STEP_CAP
     if eps_budget <= 0 or dp.noise_multiplier == 0:
         return 0
-    if privacy_cost(dp, 1, orders) > eps_budget:
+    if privacy_cost(dp, 1) > eps_budget:
         return 0
     lo, hi = 1, 2
-    while hi <= STEP_CAP and privacy_cost(dp, hi, orders) <= eps_budget:
+    while hi <= STEP_CAP and privacy_cost(dp, hi) <= eps_budget:
         lo, hi = hi, hi * 2
     if hi > STEP_CAP:
         return STEP_CAP
     # invariant: cost(lo) <= budget < cost(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if privacy_cost(dp, mid, orders) <= eps_budget:
+        if privacy_cost(dp, mid) <= eps_budget:
             lo = mid
         else:
             hi = mid
@@ -416,22 +415,8 @@ class PrivacyLedger:
     def increment(self, n: int = 1) -> None:
         self.steps += n
 
-    def eps_spent(self, orders=None) -> float:
-        return privacy_cost(self.dp, self.steps, orders)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "steps": self.steps,
-                "sigma": self.dp.noise_multiplier,
-                "q": self.dp.sampling_rate,
-                "C": self.dp.clip_norm,
-                "delta": self.dp.delta,
-                "eps_spent": self.eps_spent(),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def eps_spent(self) -> float:
+        return privacy_cost(self.dp, self.steps)
 
 
 def dp_sgd_step(parts, x, y, dp: DPConfig, eta: float, rng: np.random.Generator,

@@ -316,19 +316,19 @@ def _encoder(seed):
 
 class TestDecoderShape:
     def test_small_image_path(self):
-        dec = build_decoder(16, (3, 8, 8), 32, np.random.default_rng(0))
+        dec = build_decoder(16, (3, 8, 8), np.random.default_rng(0))
         z = np.random.default_rng(1).normal(size=(5, 16)).astype(np.float32)
         out, _ = dec.forward(z)
         assert out.shape == (5, 3, 8, 8)
 
     def test_large_image_path(self):
-        dec = build_decoder(128, (3, 32, 32), 64, np.random.default_rng(0))
+        dec = build_decoder(128, (3, 32, 32), np.random.default_rng(0))
         assert dec.out_shape((128,)) == (3, 32, 32)
 
     @pytest.mark.parametrize("shape", [(3, 6, 6), (3, 8, 4), (3, 2, 2)])
     def test_bad_image_shapes_rejected(self, shape):
         with pytest.raises(ConfigError, match="square"):
-            build_decoder(16, shape, 32, np.random.default_rng(0))
+            build_decoder(16, shape, np.random.default_rng(0))
 
 
 class TestInversionAttack:
@@ -406,10 +406,9 @@ class TestInversionAttack:
 
 class TestAttackCsv:
     def test_exact_rows(self, tmp_path):
-        cfg = AttackSpec()
         reports = [
-            AttackReport(math.inf, 0.02, np.array([0.02]), cfg, 0),
-            AttackReport(0.5, 0.68999999, np.array([0.69]), cfg, 4),
+            AttackReport(math.inf, 0.02, np.array([0.02]), 0),
+            AttackReport(0.5, 0.68999999, np.array([0.69]), 4),
         ]
         path = tmp_path / "attack.csv"
         write_attack_csv(path, reports)

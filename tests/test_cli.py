@@ -176,6 +176,24 @@ class TestTrain:
         assert result.exit_code == 3
         assert "sigma" in _all_output(result)
 
+    def test_auto_sigma_run_spends_its_budget(self, tmp_path):
+        # sigma is calibrated for the steps the rounds take, so every round
+        # trains and the last one ends just inside the budget
+        config = _write_config(
+            tmp_path, "auto",
+            clients={"count": 2, "eps_budget": 5.0},
+            train={**_TINY["train"], "sigma": "auto"})
+        result = _invoke(["train", "-c", config, "--no-nas"])
+        assert result.exit_code == 0, _all_output(result)
+        with open(tmp_path / "auto" / "rounds.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(int(r["bytes_up"]) > 0 for r in rows)
+        last = str(_TINY["train"]["rounds"])
+        final = [float(r["eps_spent"]) for r in rows if r["round"] == last]
+        assert len(final) == 2
+        for spent in final:
+            assert 0.99 * 5.0 <= spent <= 5.0
+
     @pytest.mark.parametrize("content,needle", [
         (json.dumps({"eta": 0.01, "batch_size": 8, "clip": 1.0,
                      "predicted": 0.5, "observed": 0.5}), "sigma"),

@@ -92,6 +92,13 @@ class TestSectionValidation:
         with pytest.raises(ConfigError):
             TrainSpec(**kwargs)
 
+    def test_zero_local_epochs_rejected_at_load(self):
+        # a round without local training has nothing to upload
+        with pytest.raises(ConfigError, match=r"train\.local_epochs"):
+            TrainSpec(local_epochs=0)
+        with pytest.raises(ConfigError, match=r"train\.local_epochs"):
+            build_config({"train": {"local_epochs": 0}})
+
     @pytest.mark.parametrize("kwargs", [
         {"k_init": 1},
         {"n_iter": -1},

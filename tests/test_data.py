@@ -146,14 +146,6 @@ class TestDatasetAndPlanTypes:
         with pytest.raises(ConfigError):
             PartitionPlan([np.array([0])], "t").validate(2)
 
-    def test_plan_json_round_trip(self):
-        plan = PartitionPlan([np.array([3, 1]), np.array([0, 2, 4])], "t")
-        back = PartitionPlan.from_json(plan.to_json())
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(plan.client_indices, back.client_indices)
-        )
-
 
 class TestDirichletPartition:
     def test_disjoint_cover(self):

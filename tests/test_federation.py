@@ -17,6 +17,7 @@ from fednaslab.data import synth_dataset
 from fednaslab.errors import (
     BudgetExhaustedError,
     ConfigError,
+    FedNasError,
     NonFiniteError,
     ParseError,
     ShapeMismatchError,
@@ -66,7 +67,8 @@ def _client(dataset, client_id=0, *, eps=math.inf, seed=0, eta=0.05,
     genome = sample_random_genome(SMALL, np.random.default_rng(genome_seed))
     hyper = HyperConfig(eta=eta, batch_size=batch, clip=clip, sigma=sigma)
     return ClientState.create(client_id, genome, SMALL, hyper, shard,
-                              test_idx, eps, np.random.default_rng(seed))
+                              test_idx, eps, np.random.default_rng(seed),
+                              delta=1e-5)
 
 
 def _batch(rng, client_id=0, n=20, d_rep=16, m_k=None, num_classes=2):
@@ -252,7 +254,7 @@ class TestEmitRepresentations:
         assert a.n == client.m_k == a.m_k
         assert a.z.dtype == np.float32
         assert np.array_equal(a.z, b.z)  # purity: same params, same inputs
-        assert client.ledger.steps == steps_before  # post-processing
+        assert client.ledger.steps == steps_before  # emitting spends nothing
 
 
 class TestHeadObjectives:
@@ -325,7 +327,7 @@ class TestAggregateAndBroadcast:
         bottoms = [c.model.bottom.get_flat().copy() for c in clients]
         broadcast(theta, clients)
         for c, b in zip(clients, bottoms):
-            assert np.array_equal(c.model.get_head_flat(), theta)
+            assert np.array_equal(c.model.head.get_flat(), theta)
             assert np.array_equal(c.model.bottom.get_flat(), b)
 
     def test_broadcast_size_mismatch(self):
@@ -396,6 +398,16 @@ class TestRunRounds:
         frozen = [r.rows[0].eps_spent for r in reports if r.rows[0].note]
         assert all(s == frozen[0] for s in frozen)
 
+    def test_overspent_ledger_stops_the_run(self):
+        # the budget-safety check raises, so it also holds under python -O
+        ds = _dataset(26)
+        client = _client(ds, eps=0.35, sigma=1.1, batch=64)
+        client.ledger.increment(1000)
+        assert client.ledger.eps_spent() > 0.35
+        with pytest.raises(FedNasError, match="budget safety violated"):
+            run_rounds(TrainSpec(rounds=1, local_epochs=1), [client], ds,
+                       np.random.default_rng(27))
+
     def test_heads_synchronized_bottoms_diverge(self):
         ds = _dataset(28)
         # identical init (same creation seed), disjoint single-class shards
@@ -413,8 +425,8 @@ class TestRunRounds:
                               clients[1].model.get_flat())
         spec = TrainSpec(rounds=2, local_epochs=2)
         run_rounds(spec, clients, ds, np.random.default_rng(29))
-        assert np.array_equal(clients[0].model.get_head_flat(),
-                              clients[1].model.get_head_flat())
+        assert np.array_equal(clients[0].model.head.get_flat(),
+                              clients[1].model.head.get_flat())
         assert not np.array_equal(clients[0].model.bottom.get_flat(),
                                   clients[1].model.bottom.get_flat())
 

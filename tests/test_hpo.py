@@ -23,11 +23,9 @@ from fednaslab.hpo import (
     HyperConfig,
     SearchDomain,
     Surrogate,
-    expected_improvement,
     expected_improvement_values,
     gp_fit,
     gp_posterior,
-    init_candidates,
     planned_cost,
     propose_next,
     run_bo,
@@ -127,18 +125,10 @@ class TestHyperConfigAndDomain:
     def test_eta_draws_are_log_uniform(self):
         dom = SearchDomain(BOSpec(eta_range=(1e-4, 1e-1)), dataset_size=500)
         rng = np.random.default_rng(42)
-        etas = np.array([c.eta for c in init_candidates(10_000, dom, rng)])
+        etas = np.array([dom.from_unit(rng.random(4)).eta for _ in range(10_000)])
         geo_mean = math.sqrt(1e-4 * 1e-1)
         assert abs(np.median(etas) - geo_mean) / geo_mean < 0.10
         assert etas.min() >= 1e-4 and etas.max() <= 1e-1
-
-    def test_init_candidates_reproducible(self):
-        dom = SearchDomain(BOSpec(), dataset_size=200)
-        a = init_candidates(5, dom, np.random.default_rng(9))
-        b = init_candidates(5, dom, np.random.default_rng(9))
-        assert a == b
-        with pytest.raises(ConfigError):
-            init_candidates(1, dom, np.random.default_rng(0))
 
     def test_trial_plan_steps(self):
         dom = SearchDomain(BOSpec(trial_epochs=3), dataset_size=500)
@@ -298,7 +288,8 @@ class TestExpectedImprovement:
         y = rng.random(6)
         sur = gp_fit(x, y)
         best = int(np.argmax(y))
-        ei = expected_improvement(sur, x[best], float(y[best]))
+        mean, var = sur.posterior(x[best])
+        ei = expected_improvement_values(mean, np.sqrt(var), float(y[best]))[0]
         assert 0.0 <= ei <= 1e-6
 
     def test_monotone_in_mu(self):
@@ -406,7 +397,8 @@ class TestRunBO:
 
         wins = 0
         for seed in range(20):
-            res = run_bo(bowl, dom, math.inf, rng=np.random.default_rng(seed))
+            res = run_bo(bowl, dom, math.inf, delta=1e-5,
+                         rng=np.random.default_rng(seed))
             wins += bowl(res.best) >= 0.95
         assert wins >= 18
 
@@ -417,7 +409,8 @@ class TestRunBO:
         def objective(cfg):
             return 1.0 / (1.0 + abs(math.log10(cfg.eta) + 2.5))
 
-        res = run_bo(objective, dom, math.inf, rng=np.random.default_rng(21))
+        res = run_bo(objective, dom, math.inf, delta=1e-5,
+                     rng=np.random.default_rng(21))
         accs = [r.val_acc for r in res.trace if r.val_acc is not None]
         running = np.maximum.accumulate(accs)
         assert np.array_equal(running, np.maximum.accumulate(running))
@@ -426,7 +419,7 @@ class TestRunBO:
     def test_zero_iterations_uses_init_phase_only(self):
         dom = SearchDomain(BOSpec(k_init=3, n_iter=0, trial_epochs=3),
                            dataset_size=500)
-        res = run_bo(lambda c: c.eta, dom, math.inf,
+        res = run_bo(lambda c: c.eta, dom, math.inf, delta=1e-5,
                      rng=np.random.default_rng(13))
         assert len(res.trace) == 3
         assert res.best in [r.config for r in res.trace]
@@ -443,7 +436,7 @@ class TestRunBO:
         dom = SearchDomain(BOSpec(k_init=4, n_iter=4, trial_epochs=3),
                            dataset_size=400)
         budget = 2.5
-        res = run_bo(lambda c: min(1.0, 10 * c.eta), dom, budget,
+        res = run_bo(lambda c: min(1.0, 10 * c.eta), dom, budget, delta=1e-5,
                      rng=np.random.default_rng(14))
         trained = discarded = 0
         for rec in res.trace:
@@ -464,7 +457,8 @@ class TestRunBO:
         dom = SearchDomain(BOSpec(k_init=2, n_iter=0, trial_epochs=3),
                            dataset_size=400)
         with pytest.raises(InfeasibleError, match="sigma range|budget"):
-            run_bo(lambda c: 0.5, dom, 1e-4, rng=np.random.default_rng(15))
+            run_bo(lambda c: 0.5, dom, 1e-4, delta=1e-5,
+                   rng=np.random.default_rng(15))
 
     def test_trace_csv_schema_and_reproducibility(self, tmp_path):
         dom = SearchDomain(BOSpec(k_init=3, n_iter=2, trial_epochs=3),
@@ -472,7 +466,7 @@ class TestRunBO:
         paths = []
         for run in range(2):
             path = tmp_path / f"bo_{run}.csv"
-            run_bo(lambda c: min(1.0, 5 * c.eta), dom, 3.0,
+            run_bo(lambda c: min(1.0, 5 * c.eta), dom, 3.0, delta=1e-5,
                    rng=np.random.default_rng(16), csv_path=path)
             paths.append(path)
         first, second = (p.read_bytes() for p in paths)
@@ -507,7 +501,7 @@ class TestDPTrialEvaluator:
         x_tr, y_tr, x_va, y_va = self._data()
         genome = sample_random_genome(self.SMALL, np.random.default_rng(3))
         ev = DPTrialEvaluator(genome, self.SMALL, x_tr, y_tr, x_va, y_va,
-                              self._domain(x_tr, 5), seed=1)
+                              self._domain(x_tr, 5), seed=1, delta=1e-5)
         acc = ev(HyperConfig(eta=0.1, batch_size=32, clip=10.0, sigma=0.0))
         assert acc >= 0.9
 
@@ -516,7 +510,7 @@ class TestDPTrialEvaluator:
         x_tr, y_tr, x_va, y_va = self._data(18)
         genome = sample_random_genome(self.SMALL, np.random.default_rng(3))
         ev = DPTrialEvaluator(genome, self.SMALL, x_tr, y_tr, x_va, y_va,
-                              self._domain(x_tr, 2), seed=1)
+                              self._domain(x_tr, 2), seed=1, delta=1e-5)
         acc = ev(HyperConfig(eta=1e12, batch_size=64, clip=100.0, sigma=0.0))
         assert acc == 0.0
 
@@ -530,7 +524,8 @@ class TestDPTrialEvaluator:
         runs = []
         for _ in range(2):
             ev = DPTrialEvaluator(genome, self.SMALL, x_tr, y_tr, x_va, y_va,
-                                  self._domain(x_tr, 1), seed=7)
+                                  self._domain(x_tr, 1), seed=7,
+                                  delta=1e-5)
             runs.append([ev(c) for c in cfgs])
         assert runs[0] == runs[1]
         assert ev.calls == 2
@@ -542,7 +537,8 @@ class TestDPTrialEvaluator:
         genome = sample_random_genome(self.SMALL, np.random.default_rng(4))
         with pytest.raises(ConfigError, match="240"):
             DPTrialEvaluator(genome, self.SMALL, x_tr, y_tr, x_va, y_va,
-                             SearchDomain(BOSpec(), len(x_tr) + 1))
+                             SearchDomain(BOSpec(), len(x_tr) + 1),
+                             seed=1, delta=1e-5)
 
 
 class TestTraceWriter:

@@ -32,6 +32,15 @@ from fednaslab.privacy import (
 )
 
 
+def grid_eps(dp, steps, orders=None):
+    """Epsilon minimized over a fixed order grid only (no refinement between
+    grid orders), from the per-step curve `rdp_orders` returns; without
+    `orders`, the default grid. Never below the refined privacy_cost."""
+    rdp = rdp_orders(dp, orders)
+    orders = DEFAULT_ORDERS if orders is None else np.asarray(orders, dtype=np.float64)
+    return float(np.min(steps * rdp + math.log(1.0 / dp.delta) / (orders - 1.0)))
+
+
 def oracle_rdp(q, sigma, alpha, n=600_001):
     """Quadrature oracle for the per-step Renyi divergence.
 
@@ -102,8 +111,8 @@ class TestAccountantOracle:
 
     def test_grid_only_upper_bounds_refined(self):
         dp = DPConfig(1.0, 1.3, 0.2, 1e-5)
-        coarse = privacy_cost(dp, 25, refine=False)
-        fine = privacy_cost(dp, 25, refine=True)
+        coarse = grid_eps(dp, 25)
+        fine = privacy_cost(dp, 25)
         assert fine <= coarse + 1e-12
         assert fine > 0
 
@@ -114,14 +123,14 @@ class TestAccountantOracle:
             sigma = float(rng.uniform(0.6, 5.0))
             steps = int(rng.integers(1, 400))
             dp = DPConfig(1.0, sigma, q, 1e-5)
-            base = privacy_cost(dp, steps, refine=False)
-            more_steps = privacy_cost(dp, steps + int(rng.integers(1, 100)), refine=False)
+            base = grid_eps(dp, steps)
+            more_steps = grid_eps(dp, steps + int(rng.integers(1, 100)))
             assert more_steps >= base - 1e-12
             if q < 0.9:
                 dp_hi_q = DPConfig(1.0, sigma, min(1.0, q * 1.5), 1e-5)
-                assert privacy_cost(dp_hi_q, steps, refine=False) >= base - 1e-12
+                assert grid_eps(dp_hi_q, steps) >= base - 1e-12
             dp_hi_sigma = DPConfig(1.0, sigma * 1.5, q, 1e-5)
-            assert privacy_cost(dp_hi_sigma, steps, refine=False) <= base + 1e-12
+            assert grid_eps(dp_hi_sigma, steps) <= base + 1e-12
 
     @pytest.mark.parametrize("q", [0.05, 0.2, 0.5, 0.9])
     @pytest.mark.parametrize("sigma", [0.8, 1.3, 2.5])
@@ -130,7 +139,7 @@ class TestAccountantOracle:
         # orders {2, ..., 64} is the vectorized filter's value, bit for bit
         dp = DPConfig(1.0, sigma, q, 1e-5)
         for steps in (1, 10, 300):
-            scalar = privacy_cost(dp, steps, orders=np.arange(2, 65.0), refine=False)
+            scalar = grid_eps(dp, steps, np.arange(2, 65.0))
             vector = privacy_cost_integer_orders(q, sigma, steps, 1e-5)
             assert scalar == float(vector), (steps, scalar, float(vector))
 
@@ -143,8 +152,8 @@ class TestAccountantOracle:
     def test_edge_extension_stays_sane(self):
         # tiny cost regime pushes the optimal order past the grid edge
         dp = DPConfig(1.0, 50.0, 0.01, 1e-5)
-        grid_only = privacy_cost(dp, 10, refine=False)
-        refined = privacy_cost(dp, 10, refine=True)
+        grid_only = grid_eps(dp, 10)
+        refined = privacy_cost(dp, 10)
         assert 0 < refined <= grid_only
 
 
@@ -174,17 +183,12 @@ class TestBudgets:
         with pytest.raises(InfeasibleError):
             calibrate_sigma(1.0, 10_000, 1e-4, 1e-5)
 
-    def test_ledger_json_schema(self):
-        import json
-
+    def test_ledger_derives_eps_from_steps(self):
         dp = DPConfig(0.5, 1.92, 1.0, 1e-5)
         ledger = PrivacyLedger(dp)
         ledger.increment(3)
-        blob = json.loads(ledger.to_json())
-        assert set(blob) == {"steps", "sigma", "q", "C", "delta", "eps_spent"}
-        assert blob["steps"] == 3
-        assert blob["sigma"] == 1.92
-        assert abs(blob["eps_spent"] - privacy_cost(dp, 3)) < 1e-12
+        assert ledger.steps == 3
+        assert abs(ledger.eps_spent() - privacy_cost(dp, 3)) < 1e-12
 
 
 def reference_sigma(q, steps, eps_budget, delta, lo=0.05, hi=512.0):
@@ -274,7 +278,8 @@ class TestCurveMemo:
             for steps in (1, 40, 2000):
                 cached = privacy_cost(dp, steps)
                 assert privacy_cost(dp, steps) == cached
-                assert privacy_cost(dp, steps, orders=DEFAULT_ORDERS.copy()) == cached
+                privacy._grid_curve.cache_clear()
+                assert privacy_cost(dp, steps) == cached
 
     def test_cached_curve_is_read_only(self):
         curve = rdp_orders(DPConfig(1.0, 1.1, 0.3, 1e-5))
@@ -294,8 +299,8 @@ class TestCurveMemo:
     def test_custom_orders_bypass_cache(self):
         dp = DPConfig(1.0, 1.4, 0.15, 1e-5)
         before = privacy._grid_curve.cache_info()
-        privacy_cost(dp, 25, orders=DEFAULT_ORDERS)
-        privacy_cost(dp, 25, orders=np.arange(2, 65.0), refine=False)
+        grid_eps(dp, 25, DEFAULT_ORDERS)
+        grid_eps(dp, 25, np.arange(2, 65.0))
         rdp_orders(dp, np.array([1.5, 3.0]))
         assert privacy._grid_curve.cache_info() == before
 
