@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleError, NonFiniteError
 from .nn.layers import Linear, ReLU, Reshape, Sequential, TransposeConv
-from .nn.model import Adam, Model, batch_gradient
+from .nn.model import Adam, Model, batch_gradient, shuffled_batches
 
 logger = logging.getLogger(__name__)
 
@@ -302,9 +302,6 @@ def build_decoder(d_rep: int, image_shape,
         chan = nxt
     decoder = Sequential(layers)
     decoder.init_params(rng)
-    out = decoder.out_shape((d_rep,))
-    if out != tuple(image_shape):
-        raise ConfigError(f"decoder produces {out}, wanted {tuple(image_shape)}")
     return decoder
 
 
@@ -331,17 +328,13 @@ def inversion_attack(model: Model, aux_images: np.ndarray,
     z_aux = model.forward_bottom(aux)
     decoder = build_decoder(z_aux.shape[1], aux.shape[1:], rng)
     optimizer = Adam(decoder.param_layers(), lr=spec.decoder_lr)
-    n = aux.shape[0]
-    batch = min(DECODER_BATCH, n)
     failed = False
     try:
-        for _ in range(spec.decoder_epochs):
-            order = rng.permutation(n)
-            for lo in range(0, n, batch):
-                idx = order[lo:lo + batch]
-                _, grads, _ = batch_gradient([decoder], z_aux[idx], aux[idx],
-                                             loss="mse")
-                optimizer.step(grads)
+        for idx in shuffled_batches(aux.shape[0], DECODER_BATCH,
+                                    spec.decoder_epochs, rng):
+            _, grads, _ = batch_gradient([decoder], z_aux[idx], aux[idx],
+                                         loss="mse")
+            optimizer.step(grads)
     except (NonFiniteError, FloatingPointError):
         failed = True
         logger.warning("decoder training diverged (eps label %g, seed %d)",

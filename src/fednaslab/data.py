@@ -10,7 +10,7 @@ subsets with geometrically skewed sampling.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

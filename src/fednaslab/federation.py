@@ -38,9 +38,11 @@ from .nn.layers import Sequential
 from .nn.model import (
     EVAL_BATCH,
     Model,
-    batch_gradient,
-    apply_update,
+    apply_update,  # noqa: F401  unused; perfbench/spans.py traces it here
+    batch_gradient,  # noqa: F401  unused; perfbench/spans.py traces it here
+    drawn_batches,
     evaluate_accuracy,
+    shuffled_batches,
     softmax_cross_entropy,
     train_plain_sgd,
 )
@@ -58,7 +60,6 @@ MAGIC = b"DPFN"
 WIRE_VERSION = 1
 _HEADER = struct.Struct("<4sHIIII")  # magic, version, client_id, n, d_rep, m_k
 HEADER_BYTES = _HEADER.size  # 22
-_HEAD_PREFIX = struct.Struct("<I")
 LABEL_BYTES = 2
 
 
@@ -219,22 +220,6 @@ def decode_batch(buf: bytes) -> RepresentationBatch:
     return RepresentationBatch(client_id, z.copy(), y, m_k)
 
 
-def encode_head(theta: np.ndarray) -> bytes:
-    theta = np.asarray(theta, dtype=np.float32)
-    return _HEAD_PREFIX.pack(theta.size) + theta.astype("<f4").tobytes()
-
-
-def decode_head(buf: bytes) -> np.ndarray:
-    if len(buf) < _HEAD_PREFIX.size:
-        raise ParseError(f"head message shorter than prefix: {len(buf)}")
-    (count,) = _HEAD_PREFIX.unpack_from(buf, 0)
-    expected = _HEAD_PREFIX.size + 4 * count
-    if len(buf) != expected:
-        raise ParseError(f"head length {len(buf)} != expected {expected}")
-    return np.frombuffer(buf, dtype="<f4", count=count,
-                         offset=_HEAD_PREFIX.size).copy()
-
-
 def comm_bytes(item) -> int:
     """Communication cost of one message, payload bytes only.
 
@@ -253,19 +238,6 @@ def local_steps(epochs: int, m_k: int, batch: int) -> int:
     """DP-SGD steps in one round of `epochs` local passes over a shard of
     `m_k` samples in batches of `batch`."""
     return math.ceil(epochs * m_k / batch)
-
-
-def _plain_steps(parts, x, y, *, eta, batch_size, total_steps, rng):
-    """Plain minibatch SGD with the same batch-draw sequence as the DP path,
-    so a degenerate DP run (sigma 0, huge clip) is comparable step-for-step."""
-    n = x.shape[0]
-    losses = []
-    for _ in range(total_steps):
-        idx = rng.choice(n, size=min(batch_size, n), replace=False)
-        loss_value, grads, _ = batch_gradient(parts, x[idx], y[idx])
-        apply_update(parts, grads, eta)
-        losses.append(loss_value)
-    return losses
 
 
 def local_train(client: ClientState, dataset: Dataset, epochs: int,
@@ -288,8 +260,9 @@ def local_train(client: ClientState, dataset: Dataset, epochs: int,
     batch = min(client.hyper.batch_size, client.m_k)
     steps = local_steps(epochs, client.m_k, batch)
     if math.isinf(client.eps_budget):
-        losses = _plain_steps(client.model.parts, x, y, eta=client.hyper.eta,
-                              batch_size=batch, total_steps=steps, rng=rng)
+        losses = train_plain_sgd(client.model.parts, x, y,
+                                 drawn_batches(client.m_k, batch, steps, rng),
+                                 eta=client.hyper.eta)
     else:
         losses = train_dp_sgd(client.model.parts, x, y, client.ledger.dp,
                               eta=client.hyper.eta, batch_size=batch,
@@ -357,8 +330,9 @@ def aggregate_and_update_head(head: Sequential, batches: list[RepresentationBatc
         raise ShapeMismatchError(f"representation widths differ: {d_reps}")
     z = np.vstack([b.z for b in batches])
     y = np.concatenate([b.y for b in batches])
-    train_plain_sgd([head], z, y, epochs=spec.head_epochs, eta=spec.eta_theta,
-                    batch_size=spec.head_batch, rng=rng)
+    train_plain_sgd([head], z, y,
+                    shuffled_batches(len(y), spec.head_batch, spec.head_epochs, rng),
+                    eta=spec.eta_theta)
     return head.get_flat().astype(np.float32, copy=True)
 
 
@@ -517,9 +491,11 @@ def run_rounds(spec: TrainSpec, clients: list[ClientState],
 
 
 def _reference_head(clients: list[ClientState]) -> Sequential:
-    """The server trains on the first client's head copy; broadcast then
-    synchronizes everyone, so which copy seeds the update is immaterial
-    after round one."""
+    """The head copy the server update starts from: client 0's.
+
+    local_train moves each participant's head together with its bottom, so
+    in a round client 0 took part in, the update starts from its head as
+    those local steps left it, not from the last broadcast."""
     return clients[0].model.head
 
 

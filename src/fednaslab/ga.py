@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError
-from .nn.model import evaluate_accuracy, train_plain_sgd
+from .nn.model import evaluate_accuracy, shuffled_batches, train_plain_sgd
 from .space import (
     Genome,
     SpaceConfig,
@@ -263,9 +263,10 @@ class TrainingEvaluator:
         rng = np.random.default_rng(seed)
         model = materialize(genome, self.space, rng)
         try:
-            train_plain_sgd(model.parts, self.x_train, self.y_train,
-                            epochs=self.epochs, eta=self.eta,
-                            batch_size=self.batch_size, rng=rng)
+            batches = shuffled_batches(len(self.y_train), self.batch_size,
+                                       self.epochs, rng)
+            train_plain_sgd(model.parts, self.x_train, self.y_train, batches,
+                            eta=self.eta)
             acc = evaluate_accuracy(model, self.x_val, self.y_val)
         except NonFiniteError:
             logger.warning("non-finite loss while scoring %s: fitness set to 0",

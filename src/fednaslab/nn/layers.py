@@ -24,8 +24,6 @@ from ..errors import ShapeMismatchError
 class Layer:
     """Base layer. Subclasses set self.params to a flat float vector."""
 
-    kind = "layer"
-
     def __init__(self):
         self.params = np.zeros(0, dtype=np.float32)
 
@@ -38,9 +36,6 @@ class Layer:
 
     def init_params(self, rng: np.random.Generator) -> None:
         pass
-
-    def out_shape(self, shape):
-        return shape
 
     def forward(self, x):
         raise NotImplementedError
@@ -66,8 +61,6 @@ def _uniform_init(rng, n, fan_in, dtype):
 class DepthwiseConv(Layer):
     """Per-channel k x k convolution, stride 1, zero 'same' padding, no bias."""
 
-    kind = "depthwise-conv"
-
     def __init__(self, channels: int, kernel: int):
         super().__init__()
         if kernel not in (3, 5):
@@ -83,12 +76,6 @@ class DepthwiseConv(Layer):
         self.params = _uniform_init(
             rng, self.params.size, self.kernel * self.kernel, self.params.dtype
         )
-
-    def out_shape(self, shape):
-        c, h, w = shape
-        if c != self.channels:
-            raise ShapeMismatchError(f"{self!r} expected {self.channels} channels, got {c}")
-        return (c, h, w)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.channels:
@@ -122,8 +109,6 @@ class DepthwiseConv(Layer):
 class PointwiseConv(Layer):
     """1 x 1 convolution mixing channels; bias optional (projection shortcuts skip it)."""
 
-    kind = "pointwise-conv"
-
     def __init__(self, c_in: int, c_out: int, bias: bool = True):
         super().__init__()
         self.c_in = c_in
@@ -146,12 +131,6 @@ class PointwiseConv(Layer):
         self.params = np.concatenate(
             [w, np.zeros(self.c_out, dtype=self.params.dtype)] if self.bias else [w]
         )
-
-    def out_shape(self, shape):
-        c, h, w = shape
-        if c != self.c_in:
-            raise ShapeMismatchError(f"{self!r} expected {self.c_in} channels, got {c}")
-        return (self.c_out, h, w)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.c_in:
@@ -183,7 +162,6 @@ class PerSampleNorm(Layer):
     all spatial positions, then scaled/shifted by per-channel affine params.
     """
 
-    kind = "per-sample-norm"
     EPS = 1e-5
 
     def __init__(self, channels: int):
@@ -208,12 +186,6 @@ class PerSampleNorm(Layer):
         self.params = np.concatenate(
             [np.ones(c, dtype=self.params.dtype), np.zeros(c, dtype=self.params.dtype)]
         )
-
-    def out_shape(self, shape):
-        c, h, w = shape
-        if c != self.channels:
-            raise ShapeMismatchError(f"{self!r} expected {self.channels} channels, got {c}")
-        return (c, h, w)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.channels:
@@ -254,8 +226,6 @@ class PerSampleNorm(Layer):
 
 
 class ReLU(Layer):
-    kind = "relu"
-
     def __repr__(self):
         return "ReLU()"
 
@@ -270,16 +240,8 @@ class ReLU(Layer):
 class AvgPool(Layer):
     """2 x 2 average pooling, stride 2; odd trailing rows/columns are dropped."""
 
-    kind = "avg-pool"
-
     def __repr__(self):
         return "AvgPool(2x2)"
-
-    def out_shape(self, shape):
-        c, h, w = shape
-        if h < 2 or w < 2:
-            raise ShapeMismatchError(f"{self!r} needs spatial dims >= 2, got {(h, w)}")
-        return (c, h // 2, w // 2)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2:
@@ -307,16 +269,8 @@ class AvgPool(Layer):
 class MaxPool(Layer):
     """2 x 2 max pooling, stride 2; gradient routed to the argmax of each window."""
 
-    kind = "max-pool"
-
     def __repr__(self):
         return "MaxPool(2x2)"
-
-    def out_shape(self, shape):
-        c, h, w = shape
-        if h < 2 or w < 2:
-            raise ShapeMismatchError(f"{self!r} needs spatial dims >= 2, got {(h, w)}")
-        return (c, h // 2, w // 2)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2:
@@ -350,14 +304,8 @@ class MaxPool(Layer):
 class GlobalAvgPool(Layer):
     """Collapse spatial dims to a per-channel mean: [n, c, h, w] -> [n, c]."""
 
-    kind = "global-avg-pool"
-
     def __repr__(self):
         return "GlobalAvgPool()"
-
-    def out_shape(self, shape):
-        c, h, w = shape
-        return (c,)
 
     def forward(self, x):
         if x.ndim != 4:
@@ -373,8 +321,6 @@ class GlobalAvgPool(Layer):
 
 
 class Linear(Layer):
-    kind = "linear"
-
     def __init__(self, d_in: int, d_out: int):
         super().__init__()
         self.d_in = d_in
@@ -391,11 +337,6 @@ class Linear(Layer):
     def init_params(self, rng):
         w = _uniform_init(rng, self.d_in * self.d_out, self.d_in, self.params.dtype)
         self.params = np.concatenate([w, np.zeros(self.d_out, dtype=self.params.dtype)])
-
-    def out_shape(self, shape):
-        if len(shape) != 1 or shape[0] != self.d_in:
-            raise ShapeMismatchError(f"{self!r} expected ({self.d_in},), got {shape}")
-        return (self.d_out,)
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.d_in:
@@ -415,8 +356,6 @@ class Linear(Layer):
 class TransposeConv(Layer):
     """2 x 2 transposed convolution with stride 2 (exact x2 upsampling, no overlap)."""
 
-    kind = "transpose-conv"
-
     def __init__(self, c_in: int, c_out: int):
         super().__init__()
         self.c_in = c_in
@@ -435,12 +374,6 @@ class TransposeConv(Layer):
         nw = self.c_in * self.c_out * 4
         w = _uniform_init(rng, nw, self.c_in, self.params.dtype)
         self.params = np.concatenate([w, np.zeros(self.c_out, dtype=self.params.dtype)])
-
-    def out_shape(self, shape):
-        c, h, w = shape
-        if c != self.c_in:
-            raise ShapeMismatchError(f"{self!r} expected {self.c_in} channels, got {c}")
-        return (self.c_out, h * 2, w * 2)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.c_in:
@@ -474,19 +407,12 @@ class TransposeConv(Layer):
 class Reshape(Layer):
     """Parameter-free view change of the per-sample shape (decoder stem)."""
 
-    kind = "reshape"
-
     def __init__(self, shape):
         super().__init__()
         self.shape = tuple(shape)
 
     def __repr__(self):
         return f"Reshape(shape={self.shape})"
-
-    def out_shape(self, shape):
-        if int(np.prod(shape)) != int(np.prod(self.shape)):
-            raise ShapeMismatchError(f"{self!r} cannot reshape {shape}")
-        return self.shape
 
     def forward(self, x):
         return x.reshape(x.shape[0], *self.shape), x.shape
@@ -499,11 +425,10 @@ class ConvBlock(Layer):
     """Residual unit: relu(norm(pointwise(depthwise(x))) + shortcut(x)).
 
     The shortcut is identity when channel counts match, else a bias-free
-    1 x 1 projection. Children own their parameter arrays; param_layers()
-    flattens them so optimizers only see primitive layers.
+    1 x 1 projection. Children own their parameter arrays (the block's own
+    params stay empty); param_layers() flattens them so optimizers only see
+    primitive layers.
     """
-
-    kind = "conv-block"
 
     def __init__(self, c_in: int, c_out: int, kernel: int):
         super().__init__()
@@ -534,19 +459,6 @@ class ConvBlock(Layer):
     def n_params(self):
         return sum(child.n_params for child in self._children())
 
-    @property
-    def params(self):
-        return np.concatenate([child.params for child in self._children()])
-
-    @params.setter
-    def params(self, vec):
-        if getattr(self, "dw", None) is None:
-            return  # base-class __init__ assigns before children exist
-        off = 0
-        for child in self._children():
-            child.params = np.asarray(vec[off : off + child.n_params])
-            off += child.n_params
-
     def init_params(self, rng):
         for child in self._children():
             child.init_params(rng)
@@ -555,12 +467,6 @@ class ConvBlock(Layer):
         for child in self._children():
             child.astype(dtype)
         return self
-
-    def out_shape(self, shape):
-        c, h, w = shape
-        if c != self.c_in:
-            raise ShapeMismatchError(f"{self!r} expected {self.c_in} channels, got {c}")
-        return (self.c_out, h, w)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.c_in:
@@ -609,11 +515,6 @@ class Sequential:
     @property
     def n_params(self):
         return sum(l.n_params for l in self.param_layers())
-
-    def out_shape(self, shape):
-        for layer in self.layers:
-            shape = layer.out_shape(shape)
-        return shape
 
     def init_params(self, rng):
         for layer in self.layers:

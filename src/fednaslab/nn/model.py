@@ -115,20 +115,11 @@ def loss_and_per_sample_grads(parts, x, target, loss="ce"):
     array per parameterized primitive layer across all parts, in parameter
     order. Row i of each array is the gradient of sample i's own loss.
     """
-    caches = []
-    out = x
-    for part in parts:
-        out, cache = part.forward(out)
-        caches.append(cache)
+    stack = Sequential(parts)
+    out, caches = stack.forward(x)
     loss_value, gout = _LOSSES[loss](out, target)
-    psg_rev = []
-    for part, cache in zip(reversed(parts), reversed(caches)):
-        gout, psg = part.backward(gout, cache)
-        psg_rev.append(psg)
-    flat = []
-    for psg in reversed(psg_rev):
-        flat.extend(psg)
-    return loss_value, flat, out
+    _, psg_list = stack.backward(gout, caches)
+    return loss_value, psg_list, out
 
 
 def per_sample_gradients(model: Model, x, labels):
@@ -146,9 +137,7 @@ def batch_gradient(parts, x, target, loss="ce"):
 
 def apply_update(parts, deltas, eta):
     """params <- params - eta * delta for each primitive layer, in order."""
-    layers = []
-    for part in parts:
-        layers.extend(part.param_layers())
+    layers = Sequential(parts).param_layers()
     if len(layers) != len(deltas):
         raise ShapeMismatchError(
             f"{len(deltas)} update vectors for {len(layers)} parameterized layers"
@@ -157,22 +146,33 @@ def apply_update(parts, deltas, eta):
         layer.params = layer.params - (eta * delta).astype(layer.params.dtype)
 
 
-def train_plain_sgd(parts, x, y, *, epochs, eta, batch_size, rng, loss="ce"):
-    """Minibatch SGD without any privacy machinery. Returns per-epoch mean losses."""
-    n = x.shape[0]
+def shuffled_batches(n, batch_size, epochs, rng):
+    """Index batches for `epochs` passes over n samples: each pass is one
+    fresh permutation cut into runs of `batch_size` (the last may be short).
+    Lazy, so draws made between two batches come from `rng` in step order."""
     batch_size = min(batch_size, n)
-    losses = []
     for _ in range(epochs):
         order = rng.permutation(n)
-        epoch_loss = 0.0
-        steps = 0
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            loss_value, grads, _ = batch_gradient(parts, x[idx], y[idx], loss=loss)
-            apply_update(parts, grads, eta)
-            epoch_loss += loss_value
-            steps += 1
-        losses.append(epoch_loss / max(1, steps))
+            yield order[start : start + batch_size]
+
+
+def drawn_batches(n, batch_size, steps, rng):
+    """`steps` index batches, each drawn uniformly without replacement from
+    n samples, independently of the others. Lazy, like shuffled_batches."""
+    batch_size = min(batch_size, n)
+    for _ in range(steps):
+        yield rng.choice(n, size=batch_size, replace=False)
+
+
+def train_plain_sgd(parts, x, y, batches, *, eta):
+    """Minibatch SGD without any privacy machinery, one step per index batch
+    that `batches` yields. Returns per-step losses."""
+    losses = []
+    for idx in batches:
+        loss_value, grads, _ = batch_gradient(parts, x[idx], y[idx])
+        apply_update(parts, grads, eta)
+        losses.append(loss_value)
     return losses
 
 

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, special
 
 from .errors import BudgetExhaustedError, InfeasibleError, NonFiniteError
-from .nn.model import apply_update, loss_and_per_sample_grads
+from .nn.model import apply_update, drawn_batches, loss_and_per_sample_grads
 
 DEFAULT_ORDERS = np.arange(1.25, 64.0 + 1e-9, 0.25)
 
@@ -420,13 +420,13 @@ class PrivacyLedger:
 
 
 def dp_sgd_step(parts, x, y, dp: DPConfig, eta: float, rng: np.random.Generator,
-                ledger: PrivacyLedger | None = None, loss: str = "ce") -> float:
+                ledger: PrivacyLedger | None = None) -> float:
     """One noisy step: clip each sample's gradient, sum, add N(0, (sigma C)^2),
     average over the batch, descend. Returns the pre-step mean loss.
 
     The update is computed in full and checked finite before any parameter
     moves; a non-finite update rejects the step."""
-    loss_value, psg_list, _ = loss_and_per_sample_grads(parts, x, y, loss=loss)
+    loss_value, psg_list, _ = loss_and_per_sample_grads(parts, x, y)
     sq = np.zeros(x.shape[0], dtype=np.float64)
     for psg in psg_list:
         p64 = psg.astype(np.float64)
@@ -458,16 +458,11 @@ def train_dp_sgd(parts, x, y, dp: DPConfig, *, eta: float, batch_size: int,
 
     The whole plan is pre-checked against the budget; if it does not fit,
     nothing runs (no partial spend)."""
-    n = x.shape[0]
-    batch_size = min(batch_size, n)
     if ledger is not None and eps_budget != math.inf:
         if privacy_cost(ledger.dp, ledger.steps + total_steps) > eps_budget:
             raise BudgetExhaustedError(
                 f"{total_steps} more steps would exceed eps={eps_budget} "
                 f"(already spent {ledger.steps} steps)"
             )
-    losses = []
-    for _ in range(total_steps):
-        idx = rng.choice(n, size=batch_size, replace=False)
-        losses.append(dp_sgd_step(parts, x[idx], y[idx], dp, eta, rng, ledger))
-    return losses
+    return [dp_sgd_step(parts, x[idx], y[idx], dp, eta, rng, ledger)
+            for idx in drawn_batches(x.shape[0], batch_size, total_steps, rng)]

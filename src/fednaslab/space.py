@@ -14,7 +14,7 @@ import dataclasses
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -28,7 +28,6 @@ from fednaslab.analysis import (
     write_attack_csv,
 )
 from fednaslab.errors import ConfigError, InfeasibleError
-from fednaslab.nn.model import train_plain_sgd
 from fednaslab.privacy import DPConfig, train_dp_sgd
 from fednaslab.space import SpaceConfig, materialize, sample_random_genome
 
@@ -323,7 +322,9 @@ class TestDecoderShape:
 
     def test_large_image_path(self):
         dec = build_decoder(128, (3, 32, 32), np.random.default_rng(0))
-        assert dec.out_shape((128,)) == (3, 32, 32)
+        z = np.random.default_rng(1).normal(size=(2, 128)).astype(np.float32)
+        out, _ = dec.forward(z)
+        assert out.shape == (2, 3, 32, 32)
 
     @pytest.mark.parametrize("shape", [(3, 6, 6), (3, 8, 4), (3, 2, 2)])
     def test_bad_image_shapes_rejected(self, shape):

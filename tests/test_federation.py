@@ -31,10 +31,8 @@ from fednaslab.federation import (
     broadcast,
     comm_bytes,
     decode_batch,
-    decode_head,
     emit_representations,
     encode_batch,
-    encode_head,
     head_objective_pooled,
     head_objective_weighted,
     local_train,
@@ -118,13 +116,6 @@ class TestWireCodec:
         batch = RepresentationBatch(0, z, np.array([2**16]), 1)
         with pytest.raises(ConfigError):
             encode_batch(batch)
-
-    def test_head_round_trip(self):
-        theta = np.random.default_rng(3).normal(size=130).astype(np.float32)
-        back = decode_head(encode_head(theta))
-        assert np.array_equal(back, theta)
-        with pytest.raises(ParseError):
-            decode_head(encode_head(theta)[:-2])
 
     def test_comm_bytes_formulas(self):
         rng = np.random.default_rng(4)

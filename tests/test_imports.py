@@ -1,0 +1,64 @@
+"""Every module-level import in src/fednaslab is used by its module.
+
+The one exception is a name that perfbench/spans.py traces in that module:
+the benchmark patches the name where the module looks it up, so the module
+keeps the import even after its own code stops calling it. Once the
+benchmark drops such a trace target, this test flags the leftover import.
+"""
+
+import ast
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fednaslab"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def _module_name(path):
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _traced_names():
+    """{module: names the benchmark traces there}, read from spans.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = {}
+    for module, attr, _ in spans.TRACE_TARGETS:
+        traced.setdefault(module, set()).add(attr.split(".")[0])
+    return traced
+
+
+def _imported_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+TRACED = _traced_names()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_name)
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    traced = TRACED.get(_module_name(path), set())
+    unused = _imported_names(tree) - _used_names(tree) - traced
+    assert not unused, f"{_module_name(path)} imports {sorted(unused)} unused"

@@ -22,8 +22,12 @@ from fednaslab.nn import (
     Reshape,
     Sequential,
     TransposeConv,
+    apply_update,
+    batch_gradient,
+    drawn_batches,
     loss_and_per_sample_grads,
     per_sample_gradients,
+    shuffled_batches,
     softmax_cross_entropy,
     train_plain_sgd,
 )
@@ -404,9 +408,37 @@ def test_plain_sgd_learns_separable_blobs():
     model = Model(bottom, head, (2, 6, 6), 8, 2)
     bottom.init_params(_rng(14))
     head.init_params(_rng(15))
-    train_plain_sgd(
-        model.parts, x, y, epochs=5, eta=0.1, batch_size=32, rng=_rng(16)
-    )
+    train_plain_sgd(model.parts, x, y, shuffled_batches(n, 32, 5, _rng(16)), eta=0.1)
     _, logits = model.forward(x)
     acc = (logits.argmax(axis=1) == y).mean()
     assert acc >= 0.95
+
+
+class TestBatchSamplers:
+    def test_plain_sgd_over_shuffled_batches_matches_the_epoch_loop(self):
+        rng = _rng(17)
+        x = rng.normal(size=(37, 4)).astype(np.float32)
+        y = rng.integers(0, 3, size=37)
+        parts = [_init(Sequential([Linear(4, 3)]), 18)]
+        ref = [_init(Sequential([Linear(4, 3)]), 18)]
+        losses = train_plain_sgd(parts, x, y, shuffled_batches(37, 8, 3, _rng(19)),
+                                 eta=0.1)
+        # one permutation per epoch, cut into batches of 8 (the last one short)
+        ref_rng, ref_losses = _rng(19), []
+        for _ in range(3):
+            order = ref_rng.permutation(37)
+            for start in range(0, 37, 8):
+                idx = order[start:start + 8]
+                loss, grads, _ = batch_gradient(ref, x[idx], y[idx])
+                apply_update(ref, grads, 0.1)
+                ref_losses.append(loss)
+        assert len(losses) == 3 * 5
+        assert losses == ref_losses
+        np.testing.assert_array_equal(parts[0].get_flat(), ref[0].get_flat())
+
+    @pytest.mark.parametrize("sampler", [shuffled_batches, drawn_batches])
+    def test_batch_size_is_clamped_to_n(self, sampler):
+        batches = list(sampler(5, 8, 2, _rng(20)))
+        assert len(batches) == 2
+        for idx in batches:
+            assert sorted(idx) == list(range(5))

@@ -409,3 +409,18 @@ class TestDpSgd:
             )
             outs.append(parts[0].get_flat())
         np.testing.assert_array_equal(outs[0], outs[1])
+
+    def test_batch_and_noise_draws_alternate_on_one_generator(self):
+        # each step draws its batch and then its noise from the same generator
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(10, 4)).astype(np.float32)
+        y = rng.integers(0, 3, size=10)
+        dp = DPConfig(1.0, 1.5, 0.5, 1e-5)
+        parts, ref = _tiny_parts(16), _tiny_parts(16)
+        train_dp_sgd(parts, x, y, dp, eta=0.1, batch_size=5, total_steps=6,
+                     rng=np.random.default_rng(17))
+        ref_rng = np.random.default_rng(17)
+        for _ in range(6):
+            idx = ref_rng.choice(10, size=5, replace=False)
+            dp_sgd_step(ref, x[idx], y[idx], dp, 0.1, ref_rng)
+        np.testing.assert_array_equal(parts[0].get_flat(), ref[0].get_flat())
