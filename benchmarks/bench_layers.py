@@ -1,9 +1,11 @@
-"""Kernel timings for the layers whose channel contractions run on BLAS.
+"""Kernel timings for the layers of the DP training path and the decoder.
 
-Times forward and backward of PointwiseConv, TransposeConv and AvgPool at
-desk shape (n=32, 8x8 maps) and paper shape (n=64, 32x32 maps), float32.
+Times forward and backward of DepthwiseConv (kernels 3 and 5),
+PointwiseConv, PerSampleNorm, TransposeConv, AvgPool and Linear at desk
+shape (n=32, 8x8 maps) and paper shape (n=64, 32x32 maps), float32.
 TransposeConv takes the half-side input whose output has that side, as in
-the inversion decoder. The file name does not match test_*.py, so the
+the inversion decoder; Linear is the adaptation layer after global pooling
+(desk 64 -> d_rep 16, paper 64 -> d_rep 128). The file name does not match test_*.py, so the
 tier-1 suite does not collect it. Run it on one BLAS thread, as the stage
 benchmark does:
 
@@ -16,10 +18,25 @@ Point PYTHONPATH at another checkout's src to time that version.
 import numpy as np
 import pytest
 
-from fednaslab.nn import AvgPool, PointwiseConv, TransposeConv
+from fednaslab.nn import (
+    AvgPool,
+    DepthwiseConv,
+    Linear,
+    PerSampleNorm,
+    PointwiseConv,
+    TransposeConv,
+)
 
 # name -> (layer factory, input shape)
 CASES = {
+    "depthwise3-desk": (lambda: DepthwiseConv(32, 3), (32, 32, 8, 8)),
+    "depthwise3-paper": (lambda: DepthwiseConv(64, 3), (64, 64, 32, 32)),
+    "depthwise5-desk": (lambda: DepthwiseConv(32, 5), (32, 32, 8, 8)),
+    "depthwise5-paper": (lambda: DepthwiseConv(64, 5), (64, 64, 32, 32)),
+    "norm-desk": (lambda: PerSampleNorm(32), (32, 32, 8, 8)),
+    "norm-paper": (lambda: PerSampleNorm(64), (64, 64, 32, 32)),
+    "linear-desk": (lambda: Linear(64, 16), (32, 64)),
+    "linear-paper": (lambda: Linear(64, 128), (64, 64)),
     "pointwise-desk": (lambda: PointwiseConv(32, 64), (32, 32, 8, 8)),
     "pointwise-paper": (lambda: PointwiseConv(32, 64), (64, 32, 32, 32)),
     "transpose-desk": (lambda: TransposeConv(32, 16), (32, 32, 4, 4)),

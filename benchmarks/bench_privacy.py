@@ -3,10 +3,12 @@
 Times, at the two desk-dp-train shard shapes (q = 32/333 and 32/267, 22
 steps, eps = 5, delta = 1e-5):
 
-- calibrate_sigma, starting from an empty (q, sigma) curve memo, as a fresh
-  `fednaslab train` process does;
-- privacy_cost at the calibrated sigma, cold (memo emptied before each
-  call) and warm (the curve already memoized, so only the refinement runs);
+- calibrate_sigma, starting from empty memos, as a fresh `fednaslab train`
+  process does;
+- privacy_cost at the calibrated sigma, cold (both memos emptied before
+  each call), warm (the curve memoized, the refined cost not, so only the
+  refinement runs) and memoized (the refined cost too, as a round's ledger
+  read after its plan pre-check finds it);
 - privacy_cost_integer_orders over the 257-point sigma grid that brackets
   the calibration.
 
@@ -35,13 +37,18 @@ DELTA = 1e-5
 SHARDS = {"shard333": 32 / 333, "shard267": 32 / 267}
 
 
+def _clear_memos():
+    privacy._grid_curve.cache_clear()
+    privacy._refined_cost.cache_clear()
+
+
 @pytest.mark.parametrize("shard", sorted(SHARDS))
 def test_calibrate_sigma(benchmark, shard):
     q = SHARDS[shard]
     benchmark.group = f"calibrate-{shard}"
     sigma = benchmark.pedantic(
         calibrate_sigma, args=(q, STEPS, EPS, DELTA),
-        setup=privacy._grid_curve.cache_clear, rounds=5,
+        setup=_clear_memos, rounds=5,
     )
     assert privacy_cost(DPConfig(1.0, sigma, q, DELTA), STEPS) <= EPS
 
@@ -56,14 +63,25 @@ def test_privacy_cost_cold(benchmark, shard):
     dp = _calibrated(shard)
     benchmark.group = f"privacy-cost-{shard}"
     eps = benchmark.pedantic(
-        privacy_cost, args=(dp, STEPS),
-        setup=privacy._grid_curve.cache_clear, rounds=10,
+        privacy_cost, args=(dp, STEPS), setup=_clear_memos, rounds=10,
     )
     assert eps <= EPS
 
 
 @pytest.mark.parametrize("shard", sorted(SHARDS))
 def test_privacy_cost_warm(benchmark, shard):
+    dp = _calibrated(shard)
+    privacy_cost(dp, STEPS)
+    benchmark.group = f"privacy-cost-{shard}"
+    eps = benchmark.pedantic(
+        privacy_cost, args=(dp, STEPS),
+        setup=privacy._refined_cost.cache_clear, rounds=20,
+    )
+    assert eps <= EPS
+
+
+@pytest.mark.parametrize("shard", sorted(SHARDS))
+def test_privacy_cost_memoized(benchmark, shard):
     dp = _calibrated(shard)
     privacy_cost(dp, STEPS)
     benchmark.group = f"privacy-cost-{shard}"

@@ -1,0 +1,42 @@
+"""Start-up timing: a fresh interpreter's `import fednaslab.cli`.
+
+Every `fednaslab` command is a new process, so this import is paid once
+per stage before `cli.main` runs. Each round starts one child interpreter
+that imports the package found on PYTHONPATH and reports the import's
+duration and the scipy subpackages it loaded. The file name does not
+match test_*.py, so the tier-1 suite does not collect it. Run it on one
+BLAS thread, as the stage benchmark does:
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
+        python -m pytest benchmarks/bench_startup.py --benchmark-json out.json
+
+Point PYTHONPATH at another checkout's src to time that version. For the
+per-module breakdown, run `python -X importtime -c "import fednaslab.cli"`.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+_CHILD = """
+import json, sys, time
+t = time.perf_counter()
+import fednaslab.cli
+elapsed = time.perf_counter() - t
+print(json.dumps({"import_s": elapsed, "scipy": sorted(
+    m for m in sys.modules if m.startswith("scipy.") and m.count(".") == 1)}))
+"""
+
+
+def _import_cli() -> dict:
+    out = subprocess.run([sys.executable, "-c", _CHILD], env=dict(os.environ),
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_import_cli(benchmark):
+    benchmark.group = "startup"
+    report = benchmark.pedantic(_import_cli, rounds=10, iterations=1)
+    benchmark.extra_info.update(report)
+    assert report["import_s"] > 0

@@ -56,7 +56,7 @@ from .errors import (
 from .federation import ClientState, local_steps, run_rounds
 from .ga import TrainingEvaluator, run_ga
 from .hpo import DPTrialEvaluator, HyperConfig, SearchDomain, run_bo
-from .privacy import calibrate_sigma
+from .privacy import DPConfig, calibrate_sigma, privacy_cost
 from .records import read_record, read_value
 from .space import (
     Genome,
@@ -308,17 +308,30 @@ def hpo(config_path: str, out_override: str | None) -> None:
 def _resolve_hyper(config: ExperimentConfig, out_dir: str, k: int,
                    m_k: int) -> HyperConfig:
     """Stage-two output if present, else the train-section recipe (with
-    noise calibration when sigma is "auto")."""
-    chosen = _read_hyper(out_dir, k)
-    if chosen is not None:
-        return chosen
+    noise calibration when sigma is "auto").
+
+    The search checked its chosen sigma only against one trial's steps, so
+    the whole federated plan is checked here, before round 1: a client that
+    would run dry partway through the rounds is infeasible."""
     t = config.train
-    batch = min(t.batch_size, m_k)
+    budget = config.clients.budget_for(k)
+    chosen = _read_hyper(out_dir, k)
+    batch = min(t.batch_size if chosen is None else chosen.batch_size, m_k)
+    total = t.rounds * local_steps(t.local_epochs, m_k, batch)
+    if chosen is not None:
+        if math.isfinite(budget):
+            dp = DPConfig(chosen.clip, chosen.sigma, batch / m_k,
+                          config.clients.delta)
+            planned = privacy_cost(dp, total)
+            if planned > budget:
+                raise InfeasibleError(
+                    f"client {k}: {_hyper_path(out_dir, k)} sets sigma="
+                    f"{chosen.sigma:.4g}, whose {total}-step plan costs "
+                    f"eps={planned:.4g} over the budget eps={budget}")
+        return chosen
     sigma = t.sigma
     if sigma == "auto":
-        total = t.rounds * local_steps(t.local_epochs, m_k, batch)
-        sigma = calibrate_sigma(batch / m_k, total,
-                                config.clients.budget_for(k),
+        sigma = calibrate_sigma(batch / m_k, total, budget,
                                 config.clients.delta)
         logger.info("client %d: calibrated sigma=%.4g for %d steps",
                     k, sigma, total)

@@ -7,6 +7,12 @@ privacy cost would exceed the client's budget before any training happens.
 The four dimensions are normalized to the unit cube (log scale for learning
 rate, sampling rate, and clip norm) so one set of lengthscales is meaningful
 across decades.
+
+The candidate pool is a scrambled Sobol' sequence from a local numpy copy of
+scipy.stats.qmc.Sobol(d=4, scramble=True) (Joe-Kuo direction numbers, linear
+matrix scrambling plus a digital shift, Gray-code order) that returns the
+same points bit for bit. Importing scipy.stats costs every command about
+0.5 s of start-up for this one call, so the package does not.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg, special
 from scipy.linalg import lapack
-from scipy.stats import qmc
 
 from .errors import ConfigError, InfeasibleError, NonFiniteError
 from .nn.model import evaluate_accuracy
@@ -304,6 +309,59 @@ def planned_cost(config: HyperConfig, domain: SearchDomain,
     return privacy_cost(dp, domain.trial_steps(config.batch_size))
 
 
+_SOBOL_BITS = 30
+# Joe-Kuo primitive polynomials and initial direction numbers of dimensions
+# 2-4; dimension 1 is the van der Corput sequence (every number 1)
+_SOBOL_POLYS = (3, 7, 11)
+_SOBOL_VINIT = ((1,), (1, 3), (1, 3, 1))
+
+
+def _sobol_directions() -> np.ndarray:
+    """[4, bits] direction numbers, bit `bits - 1 - j` leading in column j."""
+    rows = [[1] * _SOBOL_BITS]
+    for poly, vinit in zip(_SOBOL_POLYS, _SOBOL_VINIT):
+        deg = poly.bit_length() - 1
+        v = list(vinit)
+        for j in range(deg, _SOBOL_BITS):
+            new = v[j - deg]
+            for k in range(deg):
+                if (poly >> (deg - 1 - k)) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        rows.append(v)
+    return np.array(rows, dtype=np.int64) << np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
+_SOBOL_V = _sobol_directions()
+
+
+def sobol_points(m: int, seed: int) -> np.ndarray:
+    """The first 2**m points of the scrambled 4-d Sobol' sequence; equal to
+    scipy.stats.qmc.Sobol(d=4, scramble=True, seed=seed).random_base2(m).
+
+    The generator draws the digital shift first, then one lower-triangular
+    scrambling matrix per dimension, whose unit diagonal keeps it invertible.
+    """
+    bits = _SOBOL_BITS
+    dims = _SOBOL_V.shape[0]
+    rng = np.random.default_rng(seed)
+    shift = (rng.integers(2, size=(dims, bits), dtype=np.uint32).astype(np.int64)
+             @ (np.int64(1) << np.arange(bits)))
+    ltm = np.tril(rng.integers(2, size=(dims, bits, bits), dtype=np.uint32))
+    ltm = ltm.astype(np.int64)
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # row p of ltm maps the direction number's bits, leading bit first, to
+    # its scrambled bit p by parity
+    lead_first = np.arange(bits - 1, -1, -1)
+    v_bits = (_SOBOL_V[:, None, :] >> lead_first[None, :, None]) & 1
+    v = (((ltm @ v_bits) & 1) << lead_first[None, :, None]).sum(axis=1)
+    index = np.arange(2 ** m)
+    gray = index ^ (index >> 1)
+    uses = (gray[:, None] >> np.arange(m)) & 1
+    quasi = np.bitwise_xor.reduce(uses[:, None, :] * v[None, :, :m], axis=2)
+    return (quasi ^ shift) * 2.0 ** -bits
+
+
 def propose_next(surrogate: Surrogate, domain: SearchDomain, eps_budget: float,
                  delta: float, rng: np.random.Generator,
                  incumbent: float) -> HyperConfig:
@@ -312,8 +370,7 @@ def propose_next(surrogate: Surrogate, domain: SearchDomain, eps_budget: float,
     Feasibility uses the integer-order cost bound, which can only
     over-estimate: nothing infeasible ever gets through.
     """
-    sobol = qmc.Sobol(d=4, scramble=True, seed=int(rng.integers(2**31 - 1)))
-    unit = sobol.random_base2(m=int(math.log2(CANDIDATE_POOL)))
+    unit = sobol_points(int(math.log2(CANDIDATE_POOL)), int(rng.integers(2**31 - 1)))
     configs = [domain.from_unit(u) for u in unit]
     if math.isinf(eps_budget):
         feasible = np.ones(len(configs), dtype=bool)

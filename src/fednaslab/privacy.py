@@ -11,7 +11,16 @@ order's neighbors so the returned eps is not quantized by the grid.
 The per-step curve on that grid depends only on (q, sigma), not on the clip
 norm or delta, so it is memoized per (q, sigma) pair in a bounded LRU cache:
 calibration leaves the entry that every later budget check and ledger read
-of the same client hits, and each of those pays only for the refinement.
+of the same client hits. The refined cost is memoized in the same way per
+(q, sigma, delta, steps) point: a round's plan pre-check at steps + k and the
+ledger read after those k steps ask for the same point, and refine it once.
+
+The two scalar solvers are local copies of scipy's, ported operation for
+operation so they return the same floats: `_brentq` is Brent's root finder
+of scipy.optimize.brentq (Zeros/brentq.c) and `_minimize_bounded` is the
+bounded Brent minimizer of scipy.optimize.minimize_scalar(method="bounded")
+(_minimize_scalar_bounded). Importing scipy.optimize costs every command
+about 0.2 s of start-up for these two calls, so the package does not.
 
 Batches are drawn uniformly without replacement but accounted with the
 subsampled (Poisson-style) bound, the standard approximation in DP-SGD
@@ -30,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import BudgetExhaustedError, InfeasibleError, NonFiniteError
 from .nn.model import apply_update, drawn_batches, loss_and_per_sample_grads
@@ -230,10 +239,6 @@ def _rdp(q: float, sigma: float, orders: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def _rdp_at(dp: DPConfig, alpha: float) -> float:
-    return float(rdp_orders(dp, np.array([alpha]))[0])
-
-
 def privacy_cost_integer_orders(qs, sigmas, steps, delta: float) -> np.ndarray:
     """Vectorized epsilon over the integer-order subgrid {2, ..., 64}.
 
@@ -295,14 +300,21 @@ def privacy_cost(dp: DPConfig, steps: int) -> float:
         return 0.0
     if dp.noise_multiplier == 0:
         return math.inf
-    rdp = rdp_orders(dp)
+    return _refined_cost(float(dp.sampling_rate), float(dp.noise_multiplier),
+                         float(dp.delta), steps)
+
+
+@functools.lru_cache(maxsize=_CURVE_CACHE_SIZE)
+def _refined_cost(q: float, sigma: float, delta: float, steps: int) -> float:
+    rdp = _grid_curve(q, sigma)
     orders = DEFAULT_ORDERS
-    log_inv_delta = math.log(1.0 / dp.delta)
+    log_inv_delta = math.log(1.0 / delta)
     eps_grid = steps * rdp + log_inv_delta / (orders - 1.0)
     best = int(np.argmin(eps_grid))
 
     def objective(alpha: float) -> float:
-        return steps * _rdp_at(dp, alpha) + log_inv_delta / (alpha - 1.0)
+        return (steps * float(_rdp(q, sigma, np.array([alpha]))[0])
+                + log_inv_delta / (alpha - 1.0))
 
     lo = orders[best - 1] if best > 0 else 1.0 + 1e-6
     hi = orders[best + 1] if best < orders.size - 1 else orders[best]
@@ -320,10 +332,151 @@ def privacy_cost(dp: DPConfig, steps: int) -> float:
         else:
             hi = _MAX_ORDER
         hi = max(hi, upper)
-    res = optimize.minimize_scalar(
-        objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8}
-    )
-    return float(min(eps_grid[best], res.fun))
+    return float(min(eps_grid[best], _minimize_bounded(objective, lo, hi, xatol=1e-8)))
+
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MINIMIZE_MAXFUN = 500
+
+
+def _minimize_bounded(func, lo: float, hi: float, *, xatol: float) -> float:
+    """Least value of func on [lo, hi] found by Brent's bounded minimizer:
+    golden-section steps with parabolic interpolation, as
+    scipy.optimize.minimize_scalar(method="bounded") takes them, so the
+    result equals that call's `.fun`."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if lo > hi:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + (np.sign(rat) + (rat == 0)) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MINIMIZE_MAXFUN:
+            break
+    return fx
+
+
+_BRENTQ_MAXITER = 100
+_BRENTQ_MIN_RTOL = 4 * np.finfo(float).eps
+
+
+def _brentq(f, a: float, b: float, *, xtol: float, rtol: float) -> float:
+    """Root of f in the sign-changing bracket [a, b] by Brent's method,
+    evaluating f at the same points as scipy.optimize.brentq and raising the
+    same errors: ValueError for a bad tolerance, a NaN value or a bracket
+    whose ends share a sign, RuntimeError after 100 iterations."""
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENTQ_MIN_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_MIN_RTOL:g})")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    def negative(v: float) -> bool:
+        return math.copysign(1.0, v) < 0
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} "
+                       f"iterations, value is {xcur}.")
 
 
 def max_steps_within_budget(dp: DPConfig, eps_budget: float) -> int:
@@ -400,8 +553,8 @@ def calibrate_sigma(
     stride = 1
     while (below := max(top - stride, 0)) > 0 and excess(float(grid[below])) <= 0:
         top, stride = below, stride * 2
-    optimize.brentq(excess, float(grid[below]), float(grid[top]),
-                    xtol=_SIGMA_RTOL * lo, rtol=_SIGMA_RTOL)
+    _brentq(excess, float(grid[below]), float(grid[top]),
+            xtol=_SIGMA_RTOL * lo, rtol=_SIGMA_RTOL)
     return min(sigma for sigma, over in excess_at.items() if over <= 0)
 
 

@@ -194,6 +194,35 @@ class TestTrain:
         for spent in final:
             assert 0.99 * 5.0 <= spent <= 5.0
 
+    def _hyper_run(self, tmp_path, sigmas):
+        config = _write_config(
+            tmp_path, "chosen", clients={"count": 2, "eps_budget": 2.0},
+            train={"rounds": 4, "local_epochs": 1})
+        (tmp_path / "chosen").mkdir()
+        for k, sigma in enumerate(sigmas):
+            (tmp_path / "chosen" / f"hyper_client{k}.json").write_text(json.dumps(
+                {"eta": 0.01, "batch_size": 8, "clip": 1.0, "sigma": sigma}))
+        return _invoke(["train", "-c", config, "--no-nas"])
+
+    def test_searched_sigma_that_runs_dry_exits_3_before_round_1(self, tmp_path):
+        # client 0's sigma affords two of the four rounds: unchecked, it
+        # trained rounds 1 and 2 and was skipped from round 3 on
+        result = self._hyper_run(tmp_path, [2.0, 10.0])
+        assert result.exit_code == 3, _all_output(result)
+        text = _all_output(result)
+        assert "client 0" in text and "hyper_client0.json" in text
+        assert "eps=2.313" in text and "budget eps=2.0" in text
+        assert not (tmp_path / "chosen" / "rounds.csv").exists()
+        assert not (tmp_path / "chosen" / "model_client0.npz").exists()
+
+    def test_searched_sigma_that_lasts_trains_every_round(self, tmp_path):
+        result = self._hyper_run(tmp_path, [10.0, 10.0])
+        assert result.exit_code == 0, _all_output(result)
+        with open(tmp_path / "chosen" / "rounds.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8 and all(int(r["bytes_up"]) > 0 for r in rows)
+        assert all(float(r["eps_spent"]) <= 2.0 for r in rows)
+
     @pytest.mark.parametrize("content,needle", [
         (json.dumps({"eta": 0.01, "batch_size": 8, "clip": 1.0,
                      "predicted": 0.5, "observed": 0.5}), "sigma"),

@@ -13,6 +13,7 @@ import struct
 import numpy as np
 import pytest
 
+from fednaslab import privacy
 from fednaslab.data import synth_dataset
 from fednaslab.errors import (
     BudgetExhaustedError,
@@ -388,6 +389,41 @@ class TestRunRounds:
         # spend freezes once exhausted
         frozen = [r.rows[0].eps_spent for r in reports if r.rows[0].note]
         assert all(s == frozen[0] for s in frozen)
+
+    def test_accountant_refines_each_point_once(self, monkeypatch):
+        # a round's plan pre-check at steps + k and the ledger read after
+        # those k steps ask for the same (q, sigma, delta, steps) point
+        ds = _dataset(26)
+        clients = [_client(ds, client_id=i, seed=i, eps=50.0, sigma=s, batch=64)
+                   for i, s in ((0, 1.1), (1, 1.3))]
+        asked, refinements = [], [0]
+        real_cost, real_minimize = privacy.privacy_cost, privacy._minimize_bounded
+
+        def cost(dp, steps):
+            value = real_cost(dp, steps)
+            asked.append(((dp.sampling_rate, dp.noise_multiplier, dp.delta, steps), value))
+            return value
+
+        def minimize(*args, **kwargs):
+            refinements[0] += 1
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(privacy, "privacy_cost", cost)
+        monkeypatch.setattr(privacy, "_minimize_bounded", minimize)
+        privacy._refined_cost.cache_clear()
+        reports = run_rounds(TrainSpec(rounds=2, local_epochs=1), clients, ds,
+                             np.random.default_rng(27))
+        monkeypatch.undo()
+        points = {key for key, _ in asked}
+        assert len(asked) == 8 and len(points) == 4
+        assert refinements[0] == len(points)
+        # every value the run read equals a cold, unmemoized refinement
+        for (q, sigma, delta, steps), value in asked:
+            privacy._refined_cost.cache_clear()
+            privacy._grid_curve.cache_clear()
+            assert privacy_cost(DPConfig(1.0, sigma, q, delta), steps) == value
+        spent = {row.eps_spent for report in reports for row in report.rows}
+        assert spent == {value for _, value in asked}
 
     def test_overspent_ledger_stops_the_run(self):
         # the budget-safety check raises, so it also holds under python -O

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import norm, qmc
 
 from fednaslab.errors import ConfigError, InfeasibleError
 from fednaslab.hpo import (
@@ -29,6 +29,7 @@ from fednaslab.hpo import (
     planned_cost,
     propose_next,
     run_bo,
+    sobol_points,
     write_bo_trace,
 )
 from fednaslab.privacy import DPConfig, privacy_cost, privacy_cost_integer_orders
@@ -381,6 +382,33 @@ class TestProposeNext:
             sur, inc = self._fitted(dom, rng)
             cfg = propose_next(sur, dom, budget, 1e-5, rng, inc)
             assert planned_cost(cfg, dom, 1e-5) <= budget
+
+
+class TestSobolPoints:
+    """The local scrambled Sobol' generator against the scipy one it copies."""
+
+    def test_candidate_pool_equals_scipy_for_many_seeds(self):
+        m = int(math.log2(CANDIDATE_POOL))
+        for seed in list(range(50)) + [2**31 - 2]:
+            # the call propose_next made before the generator was local
+            ref = qmc.Sobol(d=4, scramble=True, seed=seed).random_base2(m=m)
+            got = sobol_points(m, seed)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref), seed
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 12])
+    def test_other_pool_sizes_equal_scipy(self, m):
+        ref = qmc.Sobol(d=4, scramble=True, seed=7).random_base2(m=m)
+        assert np.array_equal(sobol_points(m, 7), ref)
+
+    def test_points_are_a_balanced_unit_cube_sample(self):
+        # each dimension of 2**m points puts one point in each of the 2**m
+        # equal cells of [0, 1)
+        m = 8
+        pts = sobol_points(m, 3)
+        assert pts.shape == (2**m, 4)
+        for col in pts.T:
+            assert sorted(np.floor(col * 2**m).astype(int)) == list(range(2**m))
 
 
 class TestRunBO:

@@ -4,11 +4,17 @@ The one exception is a name that perfbench/spans.py traces in that module:
 the benchmark patches the name where the module looks it up, so the module
 keeps the import even after its own code stops calling it. Once the
 benchmark drops such a trace target, this test flags the leftover import.
+
+Importing fednaslab.cli must not load scipy.stats or
+scipy.optimize, whose import dominated every command's start-up.
 """
 
 import ast
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -62,3 +68,17 @@ def test_every_module_level_import_is_used(path):
     traced = TRACED.get(_module_name(path), set())
     unused = _imported_names(tree) - _used_names(tree) - traced
     assert not unused, f"{_module_name(path)} imports {sorted(unused)} unused"
+
+
+# scipy.stats and scipy.optimize cost every command about 0.7 s of start-up;
+# the package keeps local copies of the three routines it used from them
+SLOW_IMPORTS = ("scipy.stats", "scipy.optimize")
+
+
+def test_cli_import_leaves_out_slow_scipy_subpackages():
+    code = ("import sys, fednaslab.cli; "
+            f"print(' '.join(m for m in {SLOW_IMPORTS!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import logsumexp
 
 from fednaslab import privacy
@@ -279,6 +279,7 @@ class TestCurveMemo:
                 cached = privacy_cost(dp, steps)
                 assert privacy_cost(dp, steps) == cached
                 privacy._grid_curve.cache_clear()
+                privacy._refined_cost.cache_clear()
                 assert privacy_cost(dp, steps) == cached
 
     def test_cached_curve_is_read_only(self):
@@ -289,6 +290,7 @@ class TestCurveMemo:
 
     def test_clip_and_delta_share_one_entry(self):
         privacy._grid_curve.cache_clear()
+        privacy._refined_cost.cache_clear()
         a = rdp_orders(DPConfig(0.5, 1.7, 0.25, 1e-5))
         b = rdp_orders(DPConfig(4.0, 1.7, 0.25, 1e-3))
         assert a is b
@@ -304,6 +306,27 @@ class TestCurveMemo:
         rdp_orders(dp, np.array([1.5, 3.0]))
         assert privacy._grid_curve.cache_info() == before
 
+    def test_refined_cost_keyed_without_clip(self):
+        privacy._refined_cost.cache_clear()
+        a = privacy_cost(DPConfig(0.5, 1.3, 0.2, 1e-5), 17)
+        b = privacy_cost(DPConfig(4.0, 1.3, 0.2, 1e-5), 17)
+        assert a == b
+        info = privacy._refined_cost.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        privacy_cost(DPConfig(4.0, 1.3, 0.2, 1e-6), 17)
+        privacy_cost(DPConfig(4.0, 1.3, 0.2, 1e-5), 18)
+        assert privacy._refined_cost.cache_info().misses == 3
+
+    def test_refined_cost_memo_is_bounded(self):
+        maxsize = privacy._refined_cost.cache_info().maxsize
+        assert maxsize == privacy._grid_curve.cache_info().maxsize
+        privacy._refined_cost.cache_clear()
+        dp = DPConfig(1.0, 1.0, 1.0, 1e-5)
+        for steps in range(1, maxsize + 6):
+            privacy_cost(dp, steps)
+        assert privacy._refined_cost.cache_info().currsize == maxsize
+        privacy._refined_cost.cache_clear()
+
     def test_cache_is_bounded(self):
         maxsize = privacy._grid_curve.cache_info().maxsize
         assert maxsize is not None
@@ -312,6 +335,139 @@ class TestCurveMemo:
             rdp_orders(DPConfig(1.0, 1.0 + k / 64.0, 1.0, 1e-5))
         assert privacy._grid_curve.cache_info().currsize == maxsize
         privacy._grid_curve.cache_clear()
+
+
+class TestBrentq:
+    """privacy._brentq against scipy.optimize.brentq, which it copies."""
+
+    @staticmethod
+    def _both(f, a, b, xtol=2e-12, rtol=1e-12):
+        """(outcome, evaluation points) of each solver: the root, or the
+        exception type it raised."""
+        runs = []
+        for solve in (optimize.brentq, privacy._brentq):
+            seen = []
+
+            def recorded(x):
+                seen.append(x)
+                return f(x)
+
+            try:
+                outcome = solve(recorded, a, b, xtol=xtol, rtol=rtol)
+            except (ValueError, RuntimeError) as exc:
+                outcome = type(exc)
+            runs.append((outcome, seen))
+        return runs
+
+    def test_same_evaluations_and_root(self):
+        rng = np.random.default_rng(5)
+        shapes = [
+            lambda x, r, c: math.tanh(c * (x - r)),
+            lambda x, r, c: (x - r) ** 3 + c * (x - r),
+            lambda x, r, c: math.expm1(x - r) + 1e-3 * c * (x - r),
+            lambda x, r, c: (x - r) * abs(x - r) + c * 1e-6,
+        ]
+        for trial in range(120):
+            r, c = rng.uniform(-2.0, 2.0), abs(rng.normal()) + 0.01
+            a, b = r - rng.uniform(0.1, 5.0), r + rng.uniform(0.1, 5.0)
+            if trial % 2:
+                a, b = b, a
+            shape = shapes[trial % len(shapes)]
+            tol = [(2e-12, 1e-12), (1e-6, 1e-9), (1e-300, 4 * np.finfo(float).eps)][trial % 3]
+            (ref, ref_seen), (got, seen) = self._both(
+                lambda x: shape(x, r, c), a, b, *tol)
+            assert got == ref and seen == ref_seen, trial
+
+    def test_same_evaluations_on_calibration_excess(self):
+        # the function calibrate_sigma hands the root-finder
+        for q, steps, eps in [(0.1, 22, 5.0), (0.01, 500, 1.0), (1.0, 10, 3.0)]:
+            def excess(sigma):
+                return privacy_cost(DPConfig(1.0, sigma, q, 1e-5), steps) - eps
+            (ref, ref_seen), (got, seen) = self._both(excess, 0.3, 40.0)
+            assert got == ref and seen == ref_seen
+
+    @pytest.mark.parametrize("f,a,b,kwargs,error", [
+        (lambda x: x * x + 1.0, -1.0, 2.0, {}, ValueError),
+        (lambda x: x - 1.0 if x < 1.5 else math.nan, 0.0, 2.0, {}, ValueError),
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, {}, ValueError),
+        (lambda x: 1.0 if x > 0 else -1.0, -1e300, 1e300,
+         {"xtol": 1e-300, "rtol": 4 * np.finfo(float).eps}, RuntimeError),
+        (lambda x: x, -1.0, 2.0, {"xtol": 0.0}, ValueError),
+        (lambda x: x, -1.0, 2.0, {"rtol": 1e-17}, ValueError),
+    ], ids=["same-sign", "nan-at-end", "nan-inside", "no-convergence",
+            "xtol", "rtol"])
+    def test_same_errors(self, f, a, b, kwargs, error):
+        (ref, ref_seen), (got, seen) = self._both(f, a, b, **kwargs)
+        assert ref is error and got is error
+        assert seen == ref_seen
+
+    def test_root_at_bracket_end(self):
+        (ref, _), (got, _) = self._both(lambda x: x - 1.0, 1.0, 3.0)
+        assert got == ref == 1.0
+
+
+def _scipy_bounded(func, lo, hi, *, xatol):
+    return optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                                    options={"xatol": xatol}).fun
+
+
+class TestMinimizeBounded:
+    """privacy._minimize_bounded against minimize_scalar(method="bounded")."""
+
+    def test_same_fun_on_accountant_objectives(self):
+        rng = np.random.default_rng(6)
+        log_inv_delta = math.log(1e5)
+        for _ in range(60):
+            q = float(np.exp(rng.uniform(math.log(0.005), 0.0)))
+            sigma = float(np.exp(rng.uniform(math.log(0.4), math.log(20.0))))
+            steps = int(rng.integers(1, 5000))
+            rdp = rdp_orders(DPConfig(1.0, sigma, q, 1e-5))
+            best = int(np.argmin(steps * rdp + log_inv_delta / (DEFAULT_ORDERS - 1.0)))
+            lo = DEFAULT_ORDERS[max(best - 1, 0)]
+            hi = DEFAULT_ORDERS[min(best + 1, DEFAULT_ORDERS.size - 1)]
+
+            def objective(alpha):
+                return (steps * float(privacy._rdp(q, sigma, np.array([alpha]))[0])
+                        + log_inv_delta / (alpha - 1.0))
+
+            ref = _scipy_bounded(objective, lo, hi, xatol=1e-8)
+            assert privacy._minimize_bounded(objective, lo, hi, xatol=1e-8) == ref
+
+    def test_privacy_cost_unchanged_with_scipy_minimizer(self, monkeypatch):
+        # the whole refinement, edge extension included, against the scipy
+        # minimizer in the same place
+        rng = np.random.default_rng(8)
+        cells = [(0.01, 50.0, 10), (0.3, 1.1, 40), (1.0, 2.0, 7)]
+        cells += [(float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.5, 10.0)),
+                   int(rng.integers(1, 3000))) for _ in range(12)]
+        for q, sigma, steps in cells:
+            dp = DPConfig(1.0, sigma, q, 1e-5)
+            privacy._refined_cost.cache_clear()
+            local = privacy_cost(dp, steps)
+            with monkeypatch.context() as patch:
+                patch.setattr(privacy, "_minimize_bounded", _scipy_bounded)
+                privacy._refined_cost.cache_clear()
+                assert privacy_cost(dp, steps) == local, (q, sigma, steps)
+        privacy._refined_cost.cache_clear()
+
+    @pytest.mark.parametrize("lo,hi", [(2.0, 1.0), (1.0, math.inf), (math.nan, 2.0)])
+    def test_bad_bounds_raise_like_scipy(self, lo, hi):
+        with pytest.raises(ValueError):
+            _scipy_bounded(lambda x: x * x, lo, hi, xatol=1e-8)
+        with pytest.raises(ValueError):
+            privacy._minimize_bounded(lambda x: x * x, lo, hi, xatol=1e-8)
+
+    def test_evaluation_cap_stops_the_search(self, monkeypatch):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return (x - 0.3) ** 2
+
+        monkeypatch.setattr(privacy, "_MINIMIZE_MAXFUN", 5)
+        fun = privacy._minimize_bounded(f, 0.0, 1.0, xatol=1e-12)
+        values = [(x - 0.3) ** 2 for x in seen]
+        assert len(seen) == 5 and fun == min(values)
 
 
 def _tiny_parts(seed=0):
