@@ -332,8 +332,7 @@ def inversion_attack(model: Model, aux_images: np.ndarray,
     try:
         for idx in shuffled_batches(aux.shape[0], DECODER_BATCH,
                                     spec.decoder_epochs, rng):
-            _, grads, _ = batch_gradient([decoder], z_aux[idx], aux[idx],
-                                         loss="mse")
+            _, grads, _ = batch_gradient(decoder, z_aux[idx], aux[idx], loss="mse")
             optimizer.step(grads)
     except (NonFiniteError, FloatingPointError):
         failed = True

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -84,21 +85,26 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _guarded(body) -> None:
+def _guarded(command):
     """Map exception families onto the exit-code contract."""
-    try:
-        body()
-    except (ConfigError, ParseError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except (InfeasibleError, BudgetExhaustedError) as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
-    except FedNasError as exc:
-        _fail(EXIT_RUNTIME, str(exc))
-    except OSError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except Exception as exc:  # noqa: BLE001 - contract: nonzero, surfaced
-        traceback.print_exc()
-        _fail(EXIT_RUNTIME, f"unexpected failure: {exc!r}")
+
+    @functools.wraps(command)
+    def guarded(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except (ConfigError, ParseError) as exc:
+            _fail(EXIT_CONFIG, str(exc))
+        except (InfeasibleError, BudgetExhaustedError) as exc:
+            _fail(EXIT_INFEASIBLE, str(exc))
+        except FedNasError as exc:
+            _fail(EXIT_RUNTIME, str(exc))
+        except OSError as exc:
+            _fail(EXIT_CONFIG, str(exc))
+        except Exception as exc:  # noqa: BLE001 - contract: nonzero, surfaced
+            traceback.print_exc()
+            _fail(EXIT_RUNTIME, f"unexpected failure: {exc!r}")
+
+    return guarded
 
 
 def _prepare(config: ExperimentConfig):
@@ -205,104 +211,97 @@ def main(verbose: bool) -> None:
     )
 
 
-def _common_options(fn):
-    fn = click.option("--config", "-c", "config_path", required=True,
-                      type=click.Path(), help="experiment document")(fn)
-    fn = click.option("--out", "out_override", default=None,
-                      type=click.Path(), help="output directory override")(fn)
-    return fn
+def _stage(fn):
+    """Register `fn(config, out_dir, **options)` as a pipeline stage command.
+
+    The command loads the config, creates the output directory, writes the
+    start manifest, runs the stage and finalizes the manifest with the
+    artifacts the stage returns."""
+
+    @click.option("--config", "-c", "config_path", required=True,
+                  type=click.Path(), help="experiment document")
+    @click.option("--out", "out_override", default=None,
+                  type=click.Path(), help="output directory override")
+    @_guarded
+    @functools.wraps(fn)
+    def command(config_path: str, out_override: str | None, **options) -> None:
+        config = load_config(config_path)
+        out_dir = config.resolve_output_dir(out_override)
+        os.makedirs(out_dir, exist_ok=True)
+        manifest = RunManifest.start(fn.__name__, config)
+        manifest_path = os.path.join(out_dir, f"manifest_{fn.__name__}.json")
+        manifest.write(manifest_path)
+        manifest.finalize(fn(config, out_dir, **options))
+        manifest.write(manifest_path)
+
+    return main.command()(command)
 
 
-@main.command()
-@_common_options
-def nas(config_path: str, out_override: str | None) -> None:
+@_stage
+def nas(config: ExperimentConfig, out_dir: str) -> dict:
     """Per-client architecture search; writes genome files and trace CSVs."""
-
-    def body() -> None:
-        config = load_config(config_path)
-        out_dir = config.resolve_output_dir(out_override)
-        os.makedirs(out_dir, exist_ok=True)
-        manifest = RunManifest.start("nas", config)
-        manifest_path = os.path.join(out_dir, "manifest_nas.json")
-        manifest.write(manifest_path)
-        dataset, _, splits = _prepare(config)
-        artifacts = {}
-        for k in range(config.clients.count):
-            split = splits[k]
-            evaluator = TrainingEvaluator(
-                config.space,
-                dataset.images[split.nas_train], dataset.labels[split.nas_train],
-                dataset.images[split.nas_val], dataset.labels[split.nas_val],
-                epochs=config.ga.eval_epochs, eta=config.train.eta,
-                batch_size=config.train.batch_size)
-            trace_path = os.path.join(out_dir, f"ga_client{k}.csv")
-            result = run_ga(config.ga, config.space, evaluator,
-                            np.random.default_rng((config.seed, _TAG_NAS, k)),
-                            csv_path=trace_path)
-            path = _genome_path(out_dir, k)
-            with open(path, "w") as fh:
-                fh.write(str(result.best_genome) + "\n")
-            click.echo(f"client {k}: {result.best_genome} "
-                       f"(fitness {result.best_fitness:.4f})")
-            artifacts[f"genome_client{k}"] = path
-            artifacts[f"ga_trace_client{k}"] = trace_path
-        manifest.finalize(artifacts)
-        manifest.write(manifest_path)
-
-    _guarded(body)
+    dataset, _, splits = _prepare(config)
+    artifacts = {}
+    for k in range(config.clients.count):
+        split = splits[k]
+        evaluator = TrainingEvaluator(
+            config.space,
+            dataset.images[split.nas_train], dataset.labels[split.nas_train],
+            dataset.images[split.nas_val], dataset.labels[split.nas_val],
+            epochs=config.ga.eval_epochs, eta=config.train.eta,
+            batch_size=config.train.batch_size)
+        trace_path = os.path.join(out_dir, f"ga_client{k}.csv")
+        result = run_ga(config.ga, config.space, evaluator,
+                        np.random.default_rng((config.seed, _TAG_NAS, k)),
+                        csv_path=trace_path)
+        path = _genome_path(out_dir, k)
+        with open(path, "w") as fh:
+            fh.write(str(result.best_genome) + "\n")
+        click.echo(f"client {k}: {result.best_genome} "
+                   f"(fitness {result.best_fitness:.4f})")
+        artifacts[f"genome_client{k}"] = path
+        artifacts[f"ga_trace_client{k}"] = trace_path
+    return artifacts
 
 
-@main.command()
-@_common_options
-def hpo(config_path: str, out_override: str | None) -> None:
+@_stage
+def hpo(config: ExperimentConfig, out_dir: str) -> dict:
     """Per-client constrained hyperparameter search under the privacy budget."""
-
-    def body() -> None:
-        config = load_config(config_path)
-        out_dir = config.resolve_output_dir(out_override)
-        os.makedirs(out_dir, exist_ok=True)
-        manifest = RunManifest.start("hpo", config)
-        manifest_path = os.path.join(out_dir, "manifest_hpo.json")
-        manifest.write(manifest_path)
-        dataset, _, splits = _prepare(config)
-        genomes = _read_genomes(out_dir, config.clients.count)
-        artifacts = {}
-        for k in range(config.clients.count):
-            split = splits[k]
-            domain = SearchDomain(config.bo, len(split.nas_train))
-            evaluator = DPTrialEvaluator(
-                genomes[k], config.space,
-                dataset.images[split.nas_train], dataset.labels[split.nas_train],
-                dataset.images[split.nas_val], dataset.labels[split.nas_val],
-                domain, seed=(config.seed * 1000 + k) & 0x7FFFFFFF,
-                delta=config.clients.delta)
-            trace_path = os.path.join(out_dir, f"bo_client{k}.csv")
-            eps_budget = config.clients.budget_for(k)
-            try:
-                result = run_bo(
-                    evaluator, domain, eps_budget, delta=config.clients.delta,
-                    rng=np.random.default_rng((config.seed, _TAG_HPO, k)),
-                    csv_path=trace_path)
-            except InfeasibleError as exc:
-                raise InfeasibleError(f"client {k}: {exc}") from exc
-            best = result.best
-            path = _hyper_path(out_dir, k)
-            with open(path, "w") as fh:
-                json.dump({"eta": best.eta, "batch_size": best.batch_size,
-                           "clip": best.clip, "sigma": best.sigma,
-                           "predicted": result.best_predicted,
-                           "observed": result.best_observed},
-                          fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            click.echo(f"client {k}: eta={best.eta:.4g} B={best.batch_size} "
-                       f"C={best.clip:.3g} sigma={best.sigma:.3g} "
-                       f"(observed {result.best_observed:.4f})")
-            artifacts[f"hyper_client{k}"] = path
-            artifacts[f"bo_trace_client{k}"] = trace_path
-        manifest.finalize(artifacts)
-        manifest.write(manifest_path)
-
-    _guarded(body)
+    dataset, _, splits = _prepare(config)
+    genomes = _read_genomes(out_dir, config.clients.count)
+    artifacts = {}
+    for k in range(config.clients.count):
+        split = splits[k]
+        domain = SearchDomain(config.bo, len(split.nas_train))
+        evaluator = DPTrialEvaluator(
+            genomes[k], config.space,
+            dataset.images[split.nas_train], dataset.labels[split.nas_train],
+            dataset.images[split.nas_val], dataset.labels[split.nas_val],
+            domain, seed=(config.seed * 1000 + k) & 0x7FFFFFFF,
+            delta=config.clients.delta)
+        trace_path = os.path.join(out_dir, f"bo_client{k}.csv")
+        eps_budget = config.clients.budget_for(k)
+        try:
+            result = run_bo(
+                evaluator, domain, eps_budget, delta=config.clients.delta,
+                rng=np.random.default_rng((config.seed, _TAG_HPO, k)),
+                csv_path=trace_path)
+        except InfeasibleError as exc:
+            raise InfeasibleError(f"client {k}: {exc}") from exc
+        best = result.best
+        path = _hyper_path(out_dir, k)
+        with open(path, "w") as fh:
+            json.dump({**dataclasses.asdict(best),
+                       "predicted": result.best_predicted,
+                       "observed": result.best_observed},
+                      fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        click.echo(f"client {k}: eta={best.eta:.4g} B={best.batch_size} "
+                   f"C={best.clip:.3g} sigma={best.sigma:.3g} "
+                   f"(observed {result.best_observed:.4f})")
+        artifacts[f"hyper_client{k}"] = path
+        artifacts[f"bo_trace_client{k}"] = trace_path
+    return artifacts
 
 
 def _resolve_hyper(config: ExperimentConfig, out_dir: str, k: int,
@@ -310,85 +309,76 @@ def _resolve_hyper(config: ExperimentConfig, out_dir: str, k: int,
     """Stage-two output if present, else the train-section recipe (with
     noise calibration when sigma is "auto").
 
-    The search checked its chosen sigma only against one trial's steps, so
-    the whole federated plan is checked here, before round 1: a client that
-    would run dry partway through the rounds is infeasible."""
+    Whatever set sigma, the whole federated plan is checked here, before
+    round 1: a client that would run dry partway through the rounds is
+    infeasible, and the error names where its sigma came from."""
     t = config.train
     budget = config.clients.budget_for(k)
-    chosen = _read_hyper(out_dir, k)
-    batch = min(t.batch_size if chosen is None else chosen.batch_size, m_k)
+    hyper = _read_hyper(out_dir, k)
+    source = _hyper_path(out_dir, k)
+    batch = min(t.batch_size if hyper is None else hyper.batch_size, m_k)
     total = t.rounds * local_steps(t.local_epochs, m_k, batch)
-    if chosen is not None:
-        if math.isfinite(budget):
-            dp = DPConfig(chosen.clip, chosen.sigma, batch / m_k,
-                          config.clients.delta)
-            planned = privacy_cost(dp, total)
-            if planned > budget:
-                raise InfeasibleError(
-                    f"client {k}: {_hyper_path(out_dir, k)} sets sigma="
-                    f"{chosen.sigma:.4g}, whose {total}-step plan costs "
-                    f"eps={planned:.4g} over the budget eps={budget}")
-        return chosen
-    sigma = t.sigma
-    if sigma == "auto":
-        sigma = calibrate_sigma(batch / m_k, total, budget,
-                                config.clients.delta)
-        logger.info("client %d: calibrated sigma=%.4g for %d steps",
-                    k, sigma, total)
-    return HyperConfig(t.eta, batch, t.clip, float(sigma))
+    if hyper is None:
+        source, sigma = "train.sigma", t.sigma
+        if sigma == "auto":
+            sigma = calibrate_sigma(batch / m_k, total, budget,
+                                    config.clients.delta)
+            logger.info("client %d: calibrated sigma=%.4g for %d steps",
+                        k, sigma, total)
+        hyper = HyperConfig(t.eta, batch, t.clip, float(sigma))
+    if math.isfinite(budget):
+        # q and steps as the client's ledger and round 1's pre-check see
+        # them, so this reads the accountant point calibration or round 1
+        # refines anyway
+        dp = DPConfig(hyper.clip, hyper.sigma, batch / m_k, config.clients.delta)
+        planned = privacy_cost(dp, total)
+        if planned > budget:
+            raise InfeasibleError(
+                f"client {k}: {source} sets sigma={hyper.sigma:.4g}, whose "
+                f"{total}-step plan costs eps={planned:.4g} over the budget "
+                f"eps={budget}")
+    return hyper
 
 
-@main.command()
-@_common_options
+@_stage
 @click.option("--no-nas", is_flag=True,
               help=f"skip genome files and use the fixed {DEFAULT_GENOME}")
 @click.option("--local-only", is_flag=True,
               help="disable aggregation/broadcast (isolated local training)")
-def train(config_path: str, out_override: str | None, no_nas: bool,
-          local_only: bool) -> None:
+def train(config: ExperimentConfig, out_dir: str, no_nas: bool,
+          local_only: bool) -> dict:
     """Federated training; writes the round log, summary, and model files."""
-
-    def body() -> None:
-        config = load_config(config_path)
-        out_dir = config.resolve_output_dir(out_override)
-        os.makedirs(out_dir, exist_ok=True)
-        manifest = RunManifest.start("train", config)
-        manifest_path = os.path.join(out_dir, "manifest_train.json")
-        manifest.write(manifest_path)
-        dataset, _, splits = _prepare(config)
-        if no_nas:
-            genomes = [genome_from_string(DEFAULT_GENOME)
-                       for _ in range(config.clients.count)]
-        else:
-            genomes = _read_genomes(out_dir, config.clients.count)
-        clients = []
-        for k in range(config.clients.count):
-            shard = _train_indices(splits[k])
-            hyper = _resolve_hyper(config, out_dir, k, len(shard))
-            clients.append(ClientState.create(
-                k, genomes[k], config.space, hyper, shard,
-                splits[k].nas_test, config.clients.budget_for(k),
-                np.random.default_rng((config.seed, _TAG_TRAIN, k)),
-                delta=config.clients.delta))
-        rounds_path = os.path.join(out_dir, "rounds.csv")
-        summary_path = os.path.join(out_dir, "summary.json")
-        reports = run_rounds(config.train, clients, dataset,
-                             np.random.default_rng((config.seed, _TAG_TRAIN)),
-                             participation=config.clients.participation,
-                             aggregate=not local_only,
-                             csv_path=rounds_path, summary_path=summary_path)
-        artifacts = {"rounds": rounds_path, "summary": summary_path}
-        for client in clients:
-            path = _model_path(out_dir, client.client_id)
-            save_model_npz(path, client.model, client.genome, config.space)
-            artifacts[f"model_client{client.client_id}"] = path
-        manifest.finalize(artifacts)
-        manifest.write(manifest_path)
-        last = reports[-1]
-        click.echo(f"round {last.round_index}: mean acc {last.mean_acc:.4f} "
-                   f"(std {last.std_acc:.4f})")
-
-    _guarded(body)
+    dataset, _, splits = _prepare(config)
+    if no_nas:
+        genomes = [genome_from_string(DEFAULT_GENOME)
+                   for _ in range(config.clients.count)]
+    else:
+        genomes = _read_genomes(out_dir, config.clients.count)
+    clients = []
+    for k in range(config.clients.count):
+        shard = _train_indices(splits[k])
+        hyper = _resolve_hyper(config, out_dir, k, len(shard))
+        clients.append(ClientState.create(
+            k, genomes[k], config.space, hyper, shard,
+            splits[k].nas_test, config.clients.budget_for(k),
+            np.random.default_rng((config.seed, _TAG_TRAIN, k)),
+            delta=config.clients.delta))
+    rounds_path = os.path.join(out_dir, "rounds.csv")
+    summary_path = os.path.join(out_dir, "summary.json")
+    reports = run_rounds(config.train, clients, dataset,
+                         np.random.default_rng((config.seed, _TAG_TRAIN)),
+                         participation=config.clients.participation,
+                         aggregate=not local_only,
+                         csv_path=rounds_path, summary_path=summary_path)
+    artifacts = {"rounds": rounds_path, "summary": summary_path}
+    for client in clients:
+        path = _model_path(out_dir, client.client_id)
+        save_model_npz(path, client.model, client.genome, config.space)
+        artifacts[f"model_client{client.client_id}"] = path
+    last = reports[-1]
+    click.echo(f"round {last.round_index}: mean acc {last.mean_acc:.4f} "
+               f"(std {last.std_acc:.4f})")
+    return artifacts
 
 
 def _parse_model_pair(pair: str) -> tuple[float, str]:
@@ -406,86 +396,73 @@ def _parse_model_pair(pair: str) -> tuple[float, str]:
     return eps, path
 
 
-@main.command()
-@_common_options
+@_stage
 @click.option("--model", "model_pairs", multiple=True, required=True,
               help="<eps>=<model npz> pair; repeat once per privacy setting")
-def attack(config_path: str, out_override: str | None,
-           model_pairs: tuple[str, ...]) -> None:
+def attack(config: ExperimentConfig, out_dir: str,
+           model_pairs: tuple[str, ...]) -> dict:
     """Inversion probe against trained encoders; one CSV row per (eps, seed)."""
-
-    def body() -> None:
-        config = load_config(config_path)
-        out_dir = config.resolve_output_dir(out_override)
-        os.makedirs(out_dir, exist_ok=True)
-        manifest = RunManifest.start("attack", config)
-        manifest_path = os.path.join(out_dir, "manifest_attack.json")
-        manifest.write(manifest_path)
-        pairs = sorted((_parse_model_pair(p) for p in model_pairs),
-                       key=lambda item: -item[0])
-        dataset, _, _ = _prepare(config)
-        spec = config.attack
-        n = len(dataset.images)
-        arng = np.random.default_rng((config.seed, _TAG_ATTACK))
-        order = arng.permutation(n)
-        n_aux = int(spec.aux_fraction * n)
-        victim_count = min(spec.victim_count, n - n_aux)
-        if n_aux < 1 or victim_count < 1:
+    pairs = sorted((_parse_model_pair(p) for p in model_pairs),
+                   key=lambda item: -item[0])
+    dataset, _, _ = _prepare(config)
+    spec = config.attack
+    n = len(dataset.images)
+    arng = np.random.default_rng((config.seed, _TAG_ATTACK))
+    order = arng.permutation(n)
+    n_aux = int(spec.aux_fraction * n)
+    victim_count = min(spec.victim_count, n - n_aux)
+    if n_aux < 1 or victim_count < 1:
+        raise ConfigError(
+            f"dataset of {n} samples cannot supply aux fraction "
+            f"{spec.aux_fraction} plus {spec.victim_count} victims")
+    aux = dataset.images[order[:n_aux]]
+    victims = dataset.images[order[n_aux:n_aux + victim_count]]
+    models = []
+    for eps, path in pairs:
+        model, _, mspace = load_model_npz(path)
+        if mspace.input_shape != config.space.input_shape:
             raise ConfigError(
-                f"dataset of {n} samples cannot supply aux fraction "
-                f"{spec.aux_fraction} plus {spec.victim_count} victims")
-        aux = dataset.images[order[:n_aux]]
-        victims = dataset.images[order[n_aux:n_aux + victim_count]]
-        models = []
-        for eps, path in pairs:
-            model, _, mspace = load_model_npz(path)
-            if mspace.input_shape != config.space.input_shape:
-                raise ConfigError(
-                    f"{path}: encoder expects {mspace.input_shape}, config "
-                    f"data is {config.space.input_shape}")
-            models.append((eps, model))
-        reports: list[AttackReport] = []
-        per_seed_ordered = []
-        for s in range(spec.seeds):
-            seed_reports = []
-            for j, (eps, model) in enumerate(models):
-                report = inversion_attack(
-                    model, aux, victims, spec,
-                    np.random.default_rng((config.seed, _TAG_ATTACK, s, j)),
-                    eps_label=eps, seed=s)
-                seed_reports.append(report)
-            reports.extend(seed_reports)
-            mses = [r.mse for r in seed_reports]
-            per_seed_ordered.append(
-                all(b >= a - 1e-12 for a, b in zip(mses, mses[1:])))
-        csv_path = os.path.join(out_dir, "attack.csv")
-        write_attack_csv(csv_path, reports)
-        summary_path = os.path.join(out_dir, "attack_summary.json")
-        if len(models) > 1:
-            fraction = sum(per_seed_ordered) / len(per_seed_ordered)
-            summary = {
-                "eps_order": [f"{eps:g}" for eps, _ in models],
-                "seeds": spec.seeds,
-                "ordered_seed_fraction": round(fraction, 6),
-                "ordering_holds": fraction > 0.5,
-            }
-            click.echo(
-                f"mse ordering (less private -> more reconstructable) holds "
-                f"in {sum(per_seed_ordered)}/{spec.seeds} seeds")
-        else:
-            summary = {"eps_order": [f"{eps:g}" for eps, _ in models],
-                       "seeds": spec.seeds, "ordered_seed_fraction": None,
-                       "ordering_holds": None,
-                       "note": "single privacy setting; ordering check skipped"}
-            click.echo("single privacy setting; ordering check skipped")
-        with open(summary_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        manifest.finalize({"attack_csv": csv_path,
-                           "attack_summary": summary_path})
-        manifest.write(manifest_path)
-
-    _guarded(body)
+                f"{path}: encoder expects {mspace.input_shape}, config "
+                f"data is {config.space.input_shape}")
+        models.append((eps, model))
+    reports: list[AttackReport] = []
+    per_seed_ordered = []
+    for s in range(spec.seeds):
+        seed_reports = []
+        for j, (eps, model) in enumerate(models):
+            report = inversion_attack(
+                model, aux, victims, spec,
+                np.random.default_rng((config.seed, _TAG_ATTACK, s, j)),
+                eps_label=eps, seed=s)
+            seed_reports.append(report)
+        reports.extend(seed_reports)
+        mses = [r.mse for r in seed_reports]
+        per_seed_ordered.append(
+            all(b >= a - 1e-12 for a, b in zip(mses, mses[1:])))
+    csv_path = os.path.join(out_dir, "attack.csv")
+    write_attack_csv(csv_path, reports)
+    summary_path = os.path.join(out_dir, "attack_summary.json")
+    if len(models) > 1:
+        fraction = sum(per_seed_ordered) / len(per_seed_ordered)
+        summary = {
+            "eps_order": [f"{eps:g}" for eps, _ in models],
+            "seeds": spec.seeds,
+            "ordered_seed_fraction": round(fraction, 6),
+            "ordering_holds": fraction > 0.5,
+        }
+        click.echo(
+            f"mse ordering (less private -> more reconstructable) holds "
+            f"in {sum(per_seed_ordered)}/{spec.seeds} seeds")
+    else:
+        summary = {"eps_order": [f"{eps:g}" for eps, _ in models],
+                   "seeds": spec.seeds, "ordered_seed_fraction": None,
+                   "ordering_holds": None,
+                   "note": "single privacy setting; ordering check skipped"}
+        click.echo("single privacy setting; ordering check skipped")
+    with open(summary_path, "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return {"attack_csv": csv_path, "attack_summary": summary_path}
 
 
 @main.command()
@@ -495,115 +472,109 @@ def attack(config_path: str, out_override: str | None,
 @click.option("--t-sweep", "t_sweep", default=None,
               help="comma-separated T values; writes a bound-vs-T CSV "
                    "next to the report")
+@_guarded
 def bounds(constants_path: str, out_path: str | None,
            t_sweep: str | None) -> None:
     """Evaluate every convergence-bound calculator for one constants file."""
-
-    def body() -> None:
-        doc = read_yaml(constants_path, "constants")
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{constants_path}: expected a mapping")
-        try:
-            # the two single-round inputs, optional, beside the constants
-            loss0 = read_value(float, doc.pop("loss0", 1.0), "loss0")
-            gsum = read_value(float, doc.pop("grad_norm_sq_sum", 1.0),
-                              "grad_norm_sq_sum")
-            constants = read_record(ConvergenceConstants, doc)
-        except ConfigError as exc:
-            raise ConfigError(f"{constants_path}: {exc}") from None
-        report = {
-            "inputs": {"loss0": loss0, "grad_norm_sq_sum": gsum},
-            "theorem1": theorem1_rhs(constants, loss0, gsum),
-            "corollary1": corollary1_rhs(constants, loss0, gsum),
+    doc = read_yaml(constants_path, "constants")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{constants_path}: expected a mapping")
+    try:
+        # the two single-round inputs, optional, beside the constants
+        loss0 = read_value(float, doc.pop("loss0", 1.0), "loss0")
+        gsum = read_value(float, doc.pop("grad_norm_sq_sum", 1.0),
+                          "grad_norm_sq_sum")
+        constants = read_record(ConvergenceConstants, doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{constants_path}: {exc}") from None
+    report = {
+        "inputs": {"loss0": loss0, "grad_norm_sq_sum": gsum},
+        "theorem1": theorem1_rhs(constants, loss0, gsum),
+        "corollary1": corollary1_rhs(constants, loss0, gsum),
+    }
+    try:
+        report["corollary2"] = {
+            "infeasible": False,
+            "value": corollary2_avg_grad_bound(constants),
         }
-        try:
-            report["corollary2"] = {
-                "infeasible": False,
-                "value": corollary2_avg_grad_bound(constants),
-            }
-        except InfeasibleError as exc:
-            report["corollary2"] = {"infeasible": True, "reason": str(exc)}
-        head_bound = max_eta_theta(constants)
-        report["max_eta_theta"] = {"value": head_bound.value,
-                                   "feasible": head_bound.feasible}
-        report["eta_w_check"] = check_eta_w(constants)
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text)
+    except InfeasibleError as exc:
+        report["corollary2"] = {"infeasible": True, "reason": str(exc)}
+    head_bound = max_eta_theta(constants)
+    report["max_eta_theta"] = {"value": head_bound.value,
+                               "feasible": head_bound.feasible}
+    report["eta_w_check"] = check_eta_w(constants)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
+    if t_sweep is not None:
+        if report["corollary2"]["infeasible"]:
+            click.echo("T sweep skipped: descent coefficient infeasible",
+                       err=True)
         else:
-            click.echo(text, nl=False)
-        if t_sweep is not None:
-            if report["corollary2"]["infeasible"]:
-                click.echo("T sweep skipped: descent coefficient infeasible",
-                           err=True)
-            else:
-                try:
-                    ts = [int(v) for v in t_sweep.split(",") if v.strip()]
-                except ValueError:
-                    raise ConfigError(
-                        f"--t-sweep must be comma-separated integers, got "
-                        f"{t_sweep!r}") from None
-                if not ts or min(ts) < 1:
-                    raise ConfigError("--t-sweep values must be >= 1")
-                sweep_path = (os.path.splitext(out_path)[0] + "_tsweep.csv"
-                              if out_path else "bounds_tsweep.csv")
-                with open(sweep_path, "w", newline="") as fh:
-                    writer = csv.writer(fh, lineterminator="\n")
-                    writer.writerow(["T", "bound"])
-                    for t_val in ts:
-                        value = corollary2_avg_grad_bound(
-                            dataclasses.replace(constants, T=t_val))
-                        writer.writerow([t_val, f"{value:.10g}"])
-                click.echo(f"T sweep written to {sweep_path}", err=True)
-
-    _guarded(body)
+            try:
+                ts = [int(v) for v in t_sweep.split(",") if v.strip()]
+            except ValueError:
+                raise ConfigError(
+                    f"--t-sweep must be comma-separated integers, got "
+                    f"{t_sweep!r}") from None
+            if not ts or min(ts) < 1:
+                raise ConfigError("--t-sweep values must be >= 1")
+            sweep_path = (os.path.splitext(out_path)[0] + "_tsweep.csv"
+                          if out_path else "bounds_tsweep.csv")
+            with open(sweep_path, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["T", "bound"])
+                for t_val in ts:
+                    value = corollary2_avg_grad_bound(
+                        dataclasses.replace(constants, T=t_val))
+                    writer.writerow([t_val, f"{value:.10g}"])
+            click.echo(f"T sweep written to {sweep_path}", err=True)
 
 
 @main.command()
 @click.argument("run_dir", type=click.Path())
+@_guarded
 def report(run_dir: str) -> None:
     """Digest of a finished run directory."""
-
-    def body() -> None:
-        if not os.path.isdir(run_dir):
-            raise ConfigError(f"not a directory: {run_dir}")
-        found = False
-        for name in sorted(os.listdir(run_dir)):
-            if name.startswith("manifest_") and name.endswith(".json"):
-                with open(os.path.join(run_dir, name)) as fh:
-                    doc = json.load(fh)
-                found = True
-                state = "finished" if doc.get("finished") else "IN PROGRESS"
-                click.echo(f"{doc['command']}: {state} "
-                           f"(config {doc['config_hash']}, seed {doc['seed']})")
-        summary_path = os.path.join(run_dir, "summary.json")
-        if os.path.exists(summary_path):
-            with open(summary_path) as fh:
-                summary = json.load(fh)
-            found = True
-            target = summary.get("rounds_to_target")
-            click.echo(f"final mean acc {summary['mean_acc']:.4f} "
-                       f"(std {summary['std_acc']:.4f}); "
-                       + (f"target reached in round {target}"
-                          if target is not None else "target not reached"))
-        attack_path = os.path.join(run_dir, "attack_summary.json")
-        if os.path.exists(attack_path):
-            with open(attack_path) as fh:
-                asum = json.load(fh)
-            found = True
-            click.echo(f"attack ordering holds: {asum['ordering_holds']} "
-                       f"over {asum['seeds']} seeds")
-        genomes = sorted(name for name in os.listdir(run_dir)
-                         if name.startswith("genome_client"))
-        for name in genomes:
+    if not os.path.isdir(run_dir):
+        raise ConfigError(f"not a directory: {run_dir}")
+    found = False
+    for name in sorted(os.listdir(run_dir)):
+        if name.startswith("manifest_") and name.endswith(".json"):
             with open(os.path.join(run_dir, name)) as fh:
-                click.echo(f"{name}: {fh.read().strip()}")
+                doc = json.load(fh)
             found = True
-        if not found:
-            raise ConfigError(f"no run artifacts in {run_dir}")
-
-    _guarded(body)
+            state = "finished" if doc.get("finished") else "IN PROGRESS"
+            click.echo(f"{doc['command']}: {state} "
+                       f"(config {doc['config_hash']}, seed {doc['seed']})")
+    summary_path = os.path.join(run_dir, "summary.json")
+    if os.path.exists(summary_path):
+        with open(summary_path) as fh:
+            summary = json.load(fh)
+        found = True
+        target = summary.get("rounds_to_target")
+        click.echo(f"final mean acc {summary['mean_acc']:.4f} "
+                   f"(std {summary['std_acc']:.4f}); "
+                   + (f"target reached in round {target}"
+                      if target is not None else "target not reached"))
+    attack_path = os.path.join(run_dir, "attack_summary.json")
+    if os.path.exists(attack_path):
+        with open(attack_path) as fh:
+            asum = json.load(fh)
+        found = True
+        click.echo(f"attack ordering holds: {asum['ordering_holds']} "
+                   f"over {asum['seeds']} seeds")
+    genomes = sorted(name for name in os.listdir(run_dir)
+                     if name.startswith("genome_client"))
+    for name in genomes:
+        with open(os.path.join(run_dir, name)) as fh:
+            click.echo(f"{name}: {fh.read().strip()}")
+        found = True
+    if not found:
+        raise ConfigError(f"no run artifacts in {run_dir}")
 
 
 if __name__ == "__main__":

@@ -260,11 +260,11 @@ def local_train(client: ClientState, dataset: Dataset, epochs: int,
     batch = min(client.hyper.batch_size, client.m_k)
     steps = local_steps(epochs, client.m_k, batch)
     if math.isinf(client.eps_budget):
-        losses = train_plain_sgd(client.model.parts, x, y,
+        losses = train_plain_sgd(client.model, x, y,
                                  drawn_batches(client.m_k, batch, steps, rng),
                                  eta=client.hyper.eta)
     else:
-        losses = train_dp_sgd(client.model.parts, x, y, client.ledger.dp,
+        losses = train_dp_sgd(client.model, x, y, client.ledger.dp,
                               eta=client.hyper.eta, batch_size=batch,
                               total_steps=steps, rng=rng,
                               ledger=client.ledger,
@@ -330,7 +330,7 @@ def aggregate_and_update_head(head: Sequential, batches: list[RepresentationBatc
         raise ShapeMismatchError(f"representation widths differ: {d_reps}")
     z = np.vstack([b.z for b in batches])
     y = np.concatenate([b.y for b in batches])
-    train_plain_sgd([head], z, y,
+    train_plain_sgd(head, z, y,
                     shuffled_batches(len(y), spec.head_batch, spec.head_epochs, rng),
                     eta=spec.eta_theta)
     return head.get_flat().astype(np.float32, copy=True)
@@ -381,7 +381,7 @@ def _eval_loss(model: Model, x, y) -> float:
     total = 0.0
     for start in range(0, n, EVAL_BATCH):
         xb, yb = x[start:start + EVAL_BATCH], y[start:start + EVAL_BATCH]
-        _, logits = model.forward(xb)
+        logits = model.logits(xb)
         loss, _ = softmax_cross_entropy(logits, yb)
         total += loss * len(xb)
     return total / n

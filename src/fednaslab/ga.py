@@ -265,7 +265,7 @@ class TrainingEvaluator:
         try:
             batches = shuffled_batches(len(self.y_train), self.batch_size,
                                        self.epochs, rng)
-            train_plain_sgd(model.parts, self.x_train, self.y_train, batches,
+            train_plain_sgd(model, self.x_train, self.y_train, batches,
                             eta=self.eta)
             acc = evaluate_accuracy(model, self.x_val, self.y_val)
         except NonFiniteError:

@@ -456,7 +456,7 @@ class DPTrialEvaluator:
         dp = DPConfig(config.clip, config.sigma,
                       self.domain.sampling_rate(config), self.delta)
         try:
-            train_dp_sgd(model.parts, self.x_train, self.y_train, dp,
+            train_dp_sgd(model, self.x_train, self.y_train, dp,
                          eta=config.eta, batch_size=config.batch_size,
                          total_steps=self.domain.trial_steps(config.batch_size),
                          rng=rng)

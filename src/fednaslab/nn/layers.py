@@ -5,10 +5,15 @@ per-sample gradients come out exact and vectorized. Channel contractions
 run on BLAS: the batch axis is kept through batched matmul over
 (n, channels, positions) views, and a contraction that sums over the batch
 anyway, such as TransposeConv's input gradient, is one GEMM over all
-n * positions rows. A layer's backward returns (grad_wrt_input,
-[per_sample_grads ...]) where the list holds one [n, p_i] array per
-parameterized primitive inside the layer, in the same order as
-param_layers(). Parameter-free layers return an empty list.
+n * positions rows.
+
+Layers form one tree. A primitive owns a flat parameter vector; a container
+(ConvBlock, Sequential, and the Model built on Sequential) owns none and
+lists its sublayers in children(). Parameter access walks that tree once,
+in Layer. A layer's backward returns (grad_wrt_input, [per_sample_grads
+...]) where the list holds one [n, p_i] array per parameterized primitive
+in the layer's tree, in the same order as param_layers(). Parameter-free
+layers return an empty list.
 
 Layer code is dtype-generic: arrays keep whatever float dtype the params
 and inputs carry (float32 by default, float64 in gradient checks).
@@ -22,20 +27,29 @@ from ..errors import ShapeMismatchError
 
 
 class Layer:
-    """Base layer. Subclasses set self.params to a flat float vector."""
+    """Base layer. Primitives set self.params to a flat float vector;
+    containers leave it empty and return their sublayers from children()."""
 
     def __init__(self):
         self.params = np.zeros(0, dtype=np.float32)
 
-    @property
-    def n_params(self) -> int:
-        return self.params.size
+    def children(self):
+        return []
 
     def param_layers(self):
-        return [self] if self.n_params else []
+        """The parameterized primitives of this tree, in parameter order."""
+        found = [self] if self.params.size else []
+        for child in self.children():
+            found.extend(child.param_layers())
+        return found
+
+    @property
+    def n_params(self) -> int:
+        return self.params.size + sum(child.n_params for child in self.children())
 
     def init_params(self, rng: np.random.Generator) -> None:
-        pass
+        for child in self.children():
+            child.init_params(rng)
 
     def forward(self, x):
         raise NotImplementedError
@@ -45,6 +59,8 @@ class Layer:
 
     def astype(self, dtype):
         self.params = self.params.astype(dtype)
+        for child in self.children():
+            child.astype(dtype)
         return self
 
     def _bad_input(self, x, expected: str):
@@ -425,9 +441,8 @@ class ConvBlock(Layer):
     """Residual unit: relu(norm(pointwise(depthwise(x))) + shortcut(x)).
 
     The shortcut is identity when channel counts match, else a bias-free
-    1 x 1 projection. Children own their parameter arrays (the block's own
-    params stay empty); param_layers() flattens them so optimizers only see
-    primitive layers.
+    1 x 1 projection. Children own their parameter arrays; the block's own
+    params stay empty.
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int):
@@ -443,30 +458,9 @@ class ConvBlock(Layer):
     def __repr__(self):
         return f"ConvBlock(c_in={self.c_in}, c_out={self.c_out}, kernel={self.kernel})"
 
-    def _children(self):
+    def children(self):
         kids = [self.dw, self.pw, self.norm]
-        if self.proj is not None:
-            kids.append(self.proj)
-        return kids
-
-    def param_layers(self):
-        out = []
-        for child in self._children():
-            out.extend(child.param_layers())
-        return out
-
-    @property
-    def n_params(self):
-        return sum(child.n_params for child in self._children())
-
-    def init_params(self, rng):
-        for child in self._children():
-            child.init_params(rng)
-
-    def astype(self, dtype):
-        for child in self._children():
-            child.astype(dtype)
-        return self
+        return kids if self.proj is None else kids + [self.proj]
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.c_in:
@@ -497,28 +491,18 @@ class ConvBlock(Layer):
         return gin, psg_dw + psg_pw + psg_norm + psg_proj
 
 
-class Sequential:
-    """Ordered layer stack with flattened parameter access."""
+class Sequential(Layer):
+    """Ordered layer stack: each layer's output feeds the next."""
 
     def __init__(self, layers):
+        super().__init__()
         self.layers = list(layers)
 
     def __repr__(self):
-        return f"Sequential({self.layers!r})"
+        return f"{type(self).__name__}({self.layers!r})"
 
-    def param_layers(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.param_layers())
-        return out
-
-    @property
-    def n_params(self):
-        return sum(l.n_params for l in self.param_layers())
-
-    def init_params(self, rng):
-        for layer in self.layers:
-            layer.init_params(rng)
+    def children(self):
+        return self.layers
 
     def forward(self, x):
         caches = []
@@ -555,8 +539,3 @@ class Sequential:
                 layer.params.dtype, copy=True
             )
             off += layer.n_params
-
-    def astype(self, dtype):
-        for layer in self.layers:
-            layer.astype(dtype)
-        return self

@@ -1,11 +1,12 @@
-"""Split model (client bottom + shared-width head), losses, and training helpers."""
+"""Split model (client bottom + shared-width head), losses, and training
+helpers; every trainer takes one layer stack."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import NonFiniteError, ShapeMismatchError
-from .layers import Sequential
+from .layers import Layer, Sequential
 
 # inference minibatch for evaluation passes (accuracy and held-out loss)
 EVAL_BATCH = 512
@@ -49,37 +50,20 @@ def mse(pred, target):
 _LOSSES = {"ce": softmax_cross_entropy, "mse": mse}
 
 
-class Model:
-    """Client model: a representation bottom and a classification head.
+class Model(Sequential):
+    """Client model: the two-layer stack of a representation bottom and a
+    classification head.
 
     bottom maps images [n, c, h, w] to representations [n, d_rep]; head maps
     representations to class logits. The head's parameter vector is what the
-    server retrains and broadcasts.
+    server retrains and broadcasts; the flat vector is the bottom's followed
+    by the head's.
     """
 
-    def __init__(self, bottom: Sequential, head: Sequential, in_shape, d_rep, num_classes):
+    def __init__(self, bottom: Sequential, head: Sequential):
+        super().__init__([bottom, head])
         self.bottom = bottom
         self.head = head
-        self.in_shape = tuple(in_shape)
-        self.d_rep = int(d_rep)
-        self.num_classes = int(num_classes)
-
-    def __repr__(self):
-        return (
-            f"Model(in_shape={self.in_shape}, d_rep={self.d_rep}, "
-            f"num_classes={self.num_classes}, params={self.n_params})"
-        )
-
-    @property
-    def parts(self):
-        return [self.bottom, self.head]
-
-    @property
-    def n_params(self):
-        return self.bottom.n_params + self.head.n_params
-
-    def param_layers(self):
-        return self.bottom.param_layers() + self.head.param_layers()
 
     def forward_bottom(self, x):
         z, _ = self.bottom.forward(x)
@@ -87,57 +71,43 @@ class Model:
             raise NonFiniteError("bottom produced non-finite representations")
         return z
 
-    def forward(self, x):
-        z = self.forward_bottom(x)
-        logits, _ = self.head.forward(z)
-        if not np.isfinite(logits).all():
+    def logits(self, x):
+        """Evaluation forward pass: class logits, checked finite."""
+        out, _ = self.head.forward(self.forward_bottom(x))
+        if not np.isfinite(out).all():
             raise NonFiniteError("head produced non-finite logits")
-        return z, logits
-
-    def get_flat(self):
-        return np.concatenate([self.bottom.get_flat(), self.head.get_flat()])
-
-    def set_flat(self, vec):
-        nb = self.bottom.n_params
-        self.bottom.set_flat(vec[:nb])
-        self.head.set_flat(vec[nb:])
-
-    def astype(self, dtype):
-        self.bottom.astype(dtype)
-        self.head.astype(dtype)
-        return self
+        return out
 
 
-def loss_and_per_sample_grads(parts, x, target, loss="ce"):
-    """Forward through a list of Sequentials, then backprop one loss per sample.
+def loss_and_per_sample_grads(model: Layer, x, target, loss="ce"):
+    """Forward through one layer stack, then backprop one loss per sample.
 
     Returns (mean_loss, psg_list, output) where psg_list holds one [n, p_i]
-    array per parameterized primitive layer across all parts, in parameter
+    array per parameterized primitive layer of the stack, in parameter
     order. Row i of each array is the gradient of sample i's own loss.
     """
-    stack = Sequential(parts)
-    out, caches = stack.forward(x)
+    out, cache = model.forward(x)
     loss_value, gout = _LOSSES[loss](out, target)
-    _, psg_list = stack.backward(gout, caches)
+    _, psg_list = model.backward(gout, cache)
     return loss_value, psg_list, out
 
 
 def per_sample_gradients(model: Model, x, labels):
     """Per-sample gradients of the CE loss wrt every model parameter: [n, P]."""
-    _, psg_list, _ = loss_and_per_sample_grads(model.parts, x, labels)
+    _, psg_list, _ = loss_and_per_sample_grads(model, x, labels)
     return np.concatenate(psg_list, axis=1)
 
 
-def batch_gradient(parts, x, target, loss="ce"):
+def batch_gradient(model: Layer, x, target, loss="ce"):
     """Mean loss and the batch-mean gradient per primitive layer."""
-    loss_value, psg_list, out = loss_and_per_sample_grads(parts, x, target, loss=loss)
+    loss_value, psg_list, out = loss_and_per_sample_grads(model, x, target, loss=loss)
     grads = [psg.mean(axis=0) for psg in psg_list]
     return loss_value, grads, out
 
 
-def apply_update(parts, deltas, eta):
+def apply_update(model: Layer, deltas, eta):
     """params <- params - eta * delta for each primitive layer, in order."""
-    layers = Sequential(parts).param_layers()
+    layers = model.param_layers()
     if len(layers) != len(deltas):
         raise ShapeMismatchError(
             f"{len(deltas)} update vectors for {len(layers)} parameterized layers"
@@ -165,13 +135,13 @@ def drawn_batches(n, batch_size, steps, rng):
         yield rng.choice(n, size=batch_size, replace=False)
 
 
-def train_plain_sgd(parts, x, y, batches, *, eta):
+def train_plain_sgd(model: Layer, x, y, batches, *, eta):
     """Minibatch SGD without any privacy machinery, one step per index batch
     that `batches` yields. Returns per-step losses."""
     losses = []
     for idx in batches:
-        loss_value, grads, _ = batch_gradient(parts, x[idx], y[idx])
-        apply_update(parts, grads, eta)
+        loss_value, grads, _ = batch_gradient(model, x[idx], y[idx])
+        apply_update(model, grads, eta)
         losses.append(loss_value)
     return losses
 
@@ -183,7 +153,7 @@ def evaluate_accuracy(model: Model, x, y):
         return 0.0
     hits = 0
     for start in range(0, n, EVAL_BATCH):
-        _, logits = model.forward(x[start : start + EVAL_BATCH])
+        logits = model.logits(x[start : start + EVAL_BATCH])
         hits += int((logits.argmax(axis=1) == y[start : start + EVAL_BATCH]).sum())
     return hits / n
 

@@ -572,14 +572,14 @@ class PrivacyLedger:
         return privacy_cost(self.dp, self.steps)
 
 
-def dp_sgd_step(parts, x, y, dp: DPConfig, eta: float, rng: np.random.Generator,
+def dp_sgd_step(model, x, y, dp: DPConfig, eta: float, rng: np.random.Generator,
                 ledger: PrivacyLedger | None = None) -> float:
     """One noisy step: clip each sample's gradient, sum, add N(0, (sigma C)^2),
     average over the batch, descend. Returns the pre-step mean loss.
 
     The update is computed in full and checked finite before any parameter
     moves; a non-finite update rejects the step."""
-    loss_value, psg_list, _ = loss_and_per_sample_grads(parts, x, y)
+    loss_value, psg_list, _ = loss_and_per_sample_grads(model, x, y)
     sq = np.zeros(x.shape[0], dtype=np.float64)
     for psg in psg_list:
         p64 = psg.astype(np.float64)
@@ -597,13 +597,13 @@ def dp_sgd_step(parts, x, y, dp: DPConfig, eta: float, rng: np.random.Generator,
     for delta in deltas:
         if not np.isfinite(delta).all():
             raise NonFiniteError("dp-sgd update is not finite; step rejected")
-    apply_update(parts, deltas, eta)
+    apply_update(model, deltas, eta)
     if ledger is not None:
         ledger.increment()
     return loss_value
 
 
-def train_dp_sgd(parts, x, y, dp: DPConfig, *, eta: float, batch_size: int,
+def train_dp_sgd(model, x, y, dp: DPConfig, *, eta: float, batch_size: int,
                  total_steps: int, rng: np.random.Generator,
                  ledger: PrivacyLedger | None = None,
                  eps_budget: float = math.inf) -> list[float]:
@@ -617,5 +617,5 @@ def train_dp_sgd(parts, x, y, dp: DPConfig, *, eta: float, batch_size: int,
                 f"{total_steps} more steps would exceed eps={eps_budget} "
                 f"(already spent {ledger.steps} steps)"
             )
-    return [dp_sgd_step(parts, x[idx], y[idx], dp, eta, rng, ledger)
+    return [dp_sgd_step(model, x[idx], y[idx], dp, eta, rng, ledger)
             for idx in drawn_batches(x.shape[0], batch_size, total_steps, rng)]

@@ -234,11 +234,10 @@ def materialize(genome: Genome, space: SpaceConfig, rng: np.random.Generator) ->
             h, w = h // 2, w // 2
     layers.append(GlobalAvgPool())
     layers.append(Linear(c, space.d_rep))
-    bottom = Sequential(layers)
-    head = Sequential([Linear(space.d_rep, space.num_classes)])
-    bottom.init_params(rng)
-    head.init_params(rng)
-    return Model(bottom, head, space.input_shape, space.d_rep, space.num_classes)
+    model = Model(Sequential(layers),
+                  Sequential([Linear(space.d_rep, space.num_classes)]))
+    model.init_params(rng)
+    return model
 
 
 def param_count(genome: Genome, space: SpaceConfig) -> int:

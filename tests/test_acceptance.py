@@ -81,9 +81,7 @@ from fednaslab.space import (
 
 def _per_sample_ce(model, x, y):
     """Per-sample cross-entropy computed from scratch (forward only)."""
-    out = x
-    for part in model.parts:
-        out, _ = part.forward(out)
+    out, _ = model.forward(x)
     shifted = out - out.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return -logp[np.arange(out.shape[0]), y]
@@ -130,7 +128,7 @@ def test_criterion_01_per_sample_gradients_match_finite_differences():
         tol = 1e-6 + 1e-3 * np.abs(fd)
         assert (err <= tol).all(), f"{text}: worst FD mismatch {err.max():.3e}"
         # the batch gradient must be the row mean of the per-sample matrix
-        _, grads, _ = batch_gradient(model.parts, x, y)
+        _, grads, _ = batch_gradient(model, x, y)
         flat_batch = np.concatenate(grads)
         assert np.abs(psg.mean(axis=0) - flat_batch).max() <= 1e-5
     elapsed = time.monotonic() - start
@@ -157,10 +155,10 @@ def test_criterion_02_dp_step_with_zero_noise_matches_plain_sgd():
     for step in range(50):
         idx = batch_rng.choice(n, size=16, replace=False)
         xb, yb = ds.images[idx], ds.labels[idx]
-        dp_sgd_step(model_a.parts, xb, yb, dp, eta=0.05,
+        dp_sgd_step(model_a, xb, yb, dp, eta=0.05,
                     rng=np.random.default_rng(0))
-        _, grads, _ = batch_gradient(model_b.parts, xb, yb)
-        apply_update(model_b.parts, grads, 0.05)
+        _, grads, _ = batch_gradient(model_b, xb, yb)
+        apply_update(model_b, grads, 0.05)
         gap = np.abs(model_a.get_flat() - model_b.get_flat()).max()
         assert gap <= 1e-5, f"trajectories diverged at step {step}: {gap:.3e}"
     print("[criterion 02] PASS 50-step trajectories identical within 1e-5")
@@ -629,7 +627,7 @@ def test_criterion_12_inversion_error_orders_with_privacy():
         mses = []
         for j, eps in enumerate(levels):
             model = materialize(genome, space, np.random.default_rng((9, 2)))
-            train_dp_sgd(model.parts, ds.images, ds.labels,
+            train_dp_sgd(model, ds.images, ds.labels,
                          DPConfig(clip, sigmas[eps], ref_q, 1e-5),
                          eta=0.5, batch_size=50, total_steps=ref_steps,
                          rng=np.random.default_rng((seed, 7, j)))

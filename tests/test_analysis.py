@@ -394,7 +394,7 @@ class TestInversionAttack:
             noisy = _encoder(seed)
             dp = DPConfig(clip_norm=1.0, noise_multiplier=6.0,
                           sampling_rate=0.25, delta=1e-5)
-            train_dp_sgd(noisy.parts, x, y, dp, eta=2.0, batch_size=50,
+            train_dp_sgd(noisy, x, y, dp, eta=2.0, batch_size=50,
                          total_steps=100, rng=np.random.default_rng(seed))
             cfg = AttackSpec(decoder_epochs=12)
             mse_clean = inversion_attack(

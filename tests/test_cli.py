@@ -223,6 +223,34 @@ class TestTrain:
         assert len(rows) == 8 and all(int(r["bytes_up"]) > 0 for r in rows)
         assert all(float(r["eps_spent"]) <= 2.0 for r in rows)
 
+    def _fixed_sigma_run(self, tmp_path, sigma):
+        config = _write_config(
+            tmp_path, "fixed", clients={"count": 2, "eps_budget": 2.0},
+            train={"rounds": 4, "local_epochs": 1, "batch_size": 8,
+                   "sigma": sigma})
+        return _invoke(["train", "-c", config, "--no-nas"])
+
+    @pytest.mark.parametrize("sigma", [2.0, 0.0])
+    def test_fixed_sigma_that_runs_dry_exits_3_before_round_1(self, tmp_path,
+                                                              sigma):
+        # sigma=2 affords client 0 two of the four rounds: unchecked, it
+        # trained rounds 1 and 2 and client 1 never trained; sigma=0 under a
+        # finite budget was skipped in every round
+        result = self._fixed_sigma_run(tmp_path, sigma)
+        assert result.exit_code == 3, _all_output(result)
+        text = _all_output(result)
+        assert f"client 0: train.sigma sets sigma={sigma:.4g}" in text
+        assert "budget eps=2.0" in text
+        assert not (tmp_path / "fixed" / "rounds.csv").exists()
+
+    def test_fixed_sigma_that_lasts_trains_every_round(self, tmp_path):
+        result = self._fixed_sigma_run(tmp_path, 10.0)
+        assert result.exit_code == 0, _all_output(result)
+        with open(tmp_path / "fixed" / "rounds.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8 and all(int(r["bytes_up"]) > 0 for r in rows)
+        assert all(float(r["eps_spent"]) <= 2.0 for r in rows)
+
     @pytest.mark.parametrize("content,needle", [
         (json.dumps({"eta": 0.01, "batch_size": 8, "clip": 1.0,
                      "predicted": 0.5, "observed": 0.5}), "sigma"),

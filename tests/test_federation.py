@@ -194,7 +194,7 @@ class TestLocalTrain:
         y = ds.labels[noiseless.shard]
         dp = DPConfig(1e9, 0.0, 32 / noiseless.m_k, 1e-5)
         losses_dp = train_dp_sgd(
-            noiseless.model.parts, x, y, dp, eta=0.05, batch_size=32,
+            noiseless.model, x, y, dp, eta=0.05, batch_size=32,
             total_steps=len(losses_plain), rng=np.random.default_rng(7),
         )
         assert np.allclose(losses_plain, losses_dp, atol=1e-5)

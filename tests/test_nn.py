@@ -60,7 +60,7 @@ def _fd_check(parts, x, target, loss="ce", h=1e-5):
         layer.params = prng.normal(scale=0.4, size=layer.n_params)
     if loss == "mse":
         target = target.astype(np.float64)
-    _, psg_list, _ = loss_and_per_sample_grads([seq], x, target, loss=loss)
+    _, psg_list, _ = loss_and_per_sample_grads(seq, x, target, loss=loss)
     layers = seq.param_layers()
     assert len(psg_list) == len(layers)
     n = x.shape[0]
@@ -229,9 +229,7 @@ class TestGradientStructure:
             ),
             7,
         )
-        model = Model(
-            Sequential(seq.layers[:-1]), Sequential(seq.layers[-1:]), (3, 8, 8), 8, 5
-        )
+        model = Model(Sequential(seq.layers[:-1]), Sequential(seq.layers[-1:]))
         x = rng.normal(size=(6, 3, 8, 8)).astype(np.float32)
         y = rng.integers(0, 5, size=6)
         psg = per_sample_gradients(model, x, y)
@@ -286,6 +284,30 @@ def _close(new, ref, rtol):
     # contraction cancels to near zero is judged against its neighbours
     assert new.dtype == ref.dtype
     np.testing.assert_allclose(new, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+
+class TestLayerTree:
+    @pytest.mark.parametrize("cls", [ConvBlock, Sequential, Model])
+    def test_containers_inherit_the_tree_walk(self, cls):
+        for name in ("param_layers", "n_params", "init_params", "astype"):
+            assert name not in vars(cls), f"{cls.__name__} defines {name}"
+
+    def test_walk_order_is_the_backward_order(self):
+        model = Model(Sequential([ConvBlock(3, 8, 3), GlobalAvgPool(), Linear(8, 4)]),
+                      Sequential([Linear(4, 2)]))
+        model.init_params(_rng(20))
+        layers = model.param_layers()
+        assert [type(l).__name__ for l in layers] == [
+            "DepthwiseConv", "PointwiseConv", "PerSampleNorm", "PointwiseConv",
+            "Linear", "Linear"]
+        assert model.n_params == sum(l.params.size for l in layers)
+        model.astype(np.float64)
+        assert all(l.params.dtype == np.float64 for l in layers)
+        rng = _rng(21)
+        x = rng.normal(size=(3, 3, 6, 6))
+        _, psg_list, _ = loss_and_per_sample_grads(model, x, np.array([0, 1, 1]))
+        assert [psg.shape for psg in psg_list] == [(3, l.n_params) for l in layers]
+        assert all(psg.dtype == np.float64 for psg in psg_list)
 
 
 class TestKernelParity:
@@ -405,11 +427,11 @@ def test_plain_sgd_learns_separable_blobs():
     x[y == 0, 1] += 0.8
     bottom = Sequential([ConvBlock(2, 8, 3), GlobalAvgPool(), Linear(8, 8)])
     head = Sequential([Linear(8, 2)])
-    model = Model(bottom, head, (2, 6, 6), 8, 2)
+    model = Model(bottom, head)
     bottom.init_params(_rng(14))
     head.init_params(_rng(15))
-    train_plain_sgd(model.parts, x, y, shuffled_batches(n, 32, 5, _rng(16)), eta=0.1)
-    _, logits = model.forward(x)
+    train_plain_sgd(model, x, y, shuffled_batches(n, 32, 5, _rng(16)), eta=0.1)
+    logits = model.logits(x)
     acc = (logits.argmax(axis=1) == y).mean()
     assert acc >= 0.95
 
@@ -419,8 +441,8 @@ class TestBatchSamplers:
         rng = _rng(17)
         x = rng.normal(size=(37, 4)).astype(np.float32)
         y = rng.integers(0, 3, size=37)
-        parts = [_init(Sequential([Linear(4, 3)]), 18)]
-        ref = [_init(Sequential([Linear(4, 3)]), 18)]
+        parts = _init(Sequential([Linear(4, 3)]), 18)
+        ref = _init(Sequential([Linear(4, 3)]), 18)
         losses = train_plain_sgd(parts, x, y, shuffled_batches(37, 8, 3, _rng(19)),
                                  eta=0.1)
         # one permutation per epoch, cut into batches of 8 (the last one short)
@@ -434,7 +456,7 @@ class TestBatchSamplers:
                 ref_losses.append(loss)
         assert len(losses) == 3 * 5
         assert losses == ref_losses
-        np.testing.assert_array_equal(parts[0].get_flat(), ref[0].get_flat())
+        np.testing.assert_array_equal(parts.get_flat(), ref.get_flat())
 
     @pytest.mark.parametrize("sampler", [shuffled_batches, drawn_batches])
     def test_batch_size_is_clamped_to_n(self, sampler):

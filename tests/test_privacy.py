@@ -470,10 +470,10 @@ class TestMinimizeBounded:
         assert len(seen) == 5 and fun == min(values)
 
 
-def _tiny_parts(seed=0):
+def _tiny_stack(seed=0):
     lin = Linear(4, 3)
     lin.init_params(np.random.default_rng(seed))
-    return [Sequential([lin])]
+    return Sequential([lin])
 
 
 class TestDpSgd:
@@ -481,8 +481,8 @@ class TestDpSgd:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(16, 4)).astype(np.float32)
         y = rng.integers(0, 3, size=16)
-        parts_dp = _tiny_parts(3)
-        parts_plain = _tiny_parts(3)
+        parts_dp = _tiny_stack(3)
+        parts_plain = _tiny_stack(3)
         dp = DPConfig(1e9, 0.0, 1.0, 1e-5)
         from fednaslab.nn.model import apply_update, batch_gradient
 
@@ -491,7 +491,7 @@ class TestDpSgd:
             _, grads, _ = batch_gradient(parts_plain, x, y)
             apply_update(parts_plain, grads, 0.1)
         np.testing.assert_allclose(
-            parts_dp[0].get_flat(), parts_plain[0].get_flat(), atol=1e-5
+            parts_dp.get_flat(), parts_plain.get_flat(), atol=1e-5
         )
 
     def test_noise_std_scaling(self):
@@ -499,20 +499,20 @@ class TestDpSgd:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 4)).astype(np.float32)
         y = rng.integers(0, 3, size=8)
-        parts = _tiny_parts(5)
-        base = parts[0].get_flat()
+        parts = _tiny_stack(5)
+        base = parts.get_flat()
         dp = DPConfig(0.7, 2.0, 1.0, 1e-5)
         eta, B = 1.0, 8
         noise_rng = np.random.default_rng(6)
         # expected update without noise, from the same clipped sum
-        quiet = _tiny_parts(5)
+        quiet = _tiny_stack(5)
         dp_sgd_step(quiet, x, y, DPConfig(0.7, 0.0, 1.0, 1e-5), eta, noise_rng)
-        mean_update = base - quiet[0].get_flat()
+        mean_update = base - quiet.get_flat()
         samples = []
         for _ in range(4000):
-            parts[0].set_flat(base)
+            parts.set_flat(base)
             dp_sgd_step(parts, x, y, dp, eta, noise_rng)
-            samples.append(base - parts[0].get_flat() - mean_update)
+            samples.append(base - parts.get_flat() - mean_update)
         flat = np.concatenate(samples)
         want = dp.noise_multiplier * dp.clip_norm / B
         got = flat.std()
@@ -523,7 +523,7 @@ class TestDpSgd:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(12, 4)).astype(np.float32)
         y = rng.integers(0, 3, size=12)
-        parts = _tiny_parts(8)
+        parts = _tiny_stack(8)
         dp = DPConfig(1.0, 1.0, 0.5, 1e-5)
         ledger = PrivacyLedger(dp)
         train_dp_sgd(
@@ -532,7 +532,7 @@ class TestDpSgd:
         )
         assert ledger.steps == 4
         tight = privacy_cost(dp, 5)  # budget that admits 5 steps total
-        before = parts[0].get_flat().copy()
+        before = parts.get_flat().copy()
         with pytest.raises(BudgetExhaustedError):
             train_dp_sgd(
                 parts, x, y, dp, eta=0.05, batch_size=6, total_steps=2,
@@ -540,17 +540,17 @@ class TestDpSgd:
             )
         # nothing ran: no partial spend, no parameter movement
         assert ledger.steps == 4
-        np.testing.assert_array_equal(parts[0].get_flat(), before)
+        np.testing.assert_array_equal(parts.get_flat(), before)
 
     def test_non_finite_step_rejected(self):
-        parts = _tiny_parts(11)
+        parts = _tiny_stack(11)
         x = np.full((4, 4), np.nan, dtype=np.float32)
         y = np.zeros(4, dtype=int)
-        before = parts[0].get_flat().copy()
+        before = parts.get_flat().copy()
         dp = DPConfig(1.0, 1.0, 1.0, 1e-5)
         with pytest.raises(NonFiniteError):
             dp_sgd_step(parts, x, y, dp, 0.1, np.random.default_rng(0))
-        np.testing.assert_array_equal(parts[0].get_flat(), before)
+        np.testing.assert_array_equal(parts.get_flat(), before)
 
     def test_determinism(self):
         rng = np.random.default_rng(12)
@@ -558,12 +558,12 @@ class TestDpSgd:
         y = rng.integers(0, 3, size=10)
         outs = []
         for _ in range(2):
-            parts = _tiny_parts(13)
+            parts = _tiny_stack(13)
             train_dp_sgd(
                 parts, x, y, DPConfig(1.0, 1.5, 0.5, 1e-5), eta=0.1,
                 batch_size=5, total_steps=6, rng=np.random.default_rng(14),
             )
-            outs.append(parts[0].get_flat())
+            outs.append(parts.get_flat())
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_batch_and_noise_draws_alternate_on_one_generator(self):
@@ -572,11 +572,11 @@ class TestDpSgd:
         x = rng.normal(size=(10, 4)).astype(np.float32)
         y = rng.integers(0, 3, size=10)
         dp = DPConfig(1.0, 1.5, 0.5, 1e-5)
-        parts, ref = _tiny_parts(16), _tiny_parts(16)
+        parts, ref = _tiny_stack(16), _tiny_stack(16)
         train_dp_sgd(parts, x, y, dp, eta=0.1, batch_size=5, total_steps=6,
                      rng=np.random.default_rng(17))
         ref_rng = np.random.default_rng(17)
         for _ in range(6):
             idx = ref_rng.choice(10, size=5, replace=False)
             dp_sgd_step(ref, x[idx], y[idx], dp, 0.1, ref_rng)
-        np.testing.assert_array_equal(parts[0].get_flat(), ref[0].get_flat())
+        np.testing.assert_array_equal(parts.get_flat(), ref.get_flat())

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from fednaslab.errors import InfeasibleError, ParseError
+from fednaslab.nn import AvgPool, ConvBlock, GlobalAvgPool, Linear, Sequential
 from fednaslab.space import (
     Genome,
     SpaceConfig,
@@ -117,7 +118,7 @@ def test_materialize_deterministic_and_forward_shapes():
     np.testing.assert_array_equal(m1.get_flat(), m2.get_flat())
 
     x = np.random.default_rng(8).normal(size=(4, 3, 16, 16)).astype(np.float32)
-    z, logits = m1.forward(x)
+    z, logits = m1.forward_bottom(x), m1.logits(x)
     assert z.shape == (4, 32)
     assert logits.shape == (4, 4)
 
@@ -143,6 +144,39 @@ def test_model_npz_round_trip(tmp_path):
     assert space == DESK_SPACE
     assert str(genome) == "C3x16-Pavg-C5x32"
     assert np.array_equal(loaded.get_flat(), model.get_flat())
+
+
+def test_flat_vector_is_the_bottom_then_the_head(tmp_path):
+    # the layout every saved model file holds; files written in it must
+    # keep loading as the same model
+    genome = genome_from_string("C3x16-Pavg-C5x32")
+    model = materialize(genome, DESK_SPACE, np.random.default_rng(2))
+    np.testing.assert_array_equal(
+        model.get_flat(),
+        np.concatenate([model.bottom.get_flat(), model.head.get_flat()]))
+    nb = model.bottom.n_params
+    vec = np.arange(model.n_params, dtype=np.float32) / model.n_params
+    model.set_flat(vec)
+    np.testing.assert_array_equal(model.bottom.get_flat(), vec[:nb])
+    np.testing.assert_array_equal(model.head.get_flat(), vec[nb:])
+    path = tmp_path / "layout.npz"
+    np.savez(path, genome=str(genome), space=DESK_SPACE.to_json(), params=vec)
+    loaded, _, _ = load_model_npz(path)
+    np.testing.assert_array_equal(loaded.bottom.get_flat(), vec[:nb])
+    np.testing.assert_array_equal(loaded.head.get_flat(), vec[nb:])
+
+
+def test_materialize_draws_the_bottom_before_the_head():
+    model = materialize(genome_from_string("C3x16-Pavg-C5x32"), DESK_SPACE,
+                        np.random.default_rng(2))
+    bottom = Sequential([ConvBlock(3, 16, 3), AvgPool(), ConvBlock(16, 32, 5),
+                         GlobalAvgPool(), Linear(32, DESK_SPACE.d_rep)])
+    head = Sequential([Linear(DESK_SPACE.d_rep, DESK_SPACE.num_classes)])
+    rng = np.random.default_rng(2)
+    bottom.init_params(rng)
+    head.init_params(rng)
+    np.testing.assert_array_equal(
+        model.get_flat(), np.concatenate([bottom.get_flat(), head.get_flat()]))
 
 
 @pytest.mark.parametrize("key", ["max_len", "d_rep", "pool_types"])
