@@ -1,0 +1,75 @@
+"""Kernel timings and memory peaks for the evaluation forward.
+
+Times Model.forward_bottom for the default genome C3x32-C3x64-Pavg at desk
+shape (3x8x8 images, d_rep 16) and paper shape (3x32x32 images, d_rep 128)
+with n = 512 and 1024 samples, and evaluate_accuracy at desk shape. This is
+the forward that representation emission, accuracy, the round's loss and
+the inversion probe's auxiliary set all run. Each case also stores the
+tracemalloc peak of one untimed call, in MiB, under
+`extra_info["tracemalloc_peak_mib"]`. The paper-shape cases at n = 1024
+need about 1.1 GiB while they run.
+
+The file name does not match test_*.py, so the tier-1 suite does not
+collect it. Run it on one BLAS thread, as the stage benchmark does:
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
+        python -m pytest benchmarks/bench_eval.py --benchmark-json out.json
+
+Point PYTHONPATH at another checkout's src to time that version.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fednaslab.nn import evaluate_accuracy
+from fednaslab.space import SpaceConfig, genome_from_string, materialize
+
+GENOME = "C3x32-C3x64-Pavg"
+SPACES = {
+    "desk": SpaceConfig(input_shape=(3, 8, 8), d_rep=16),
+    "paper": SpaceConfig(input_shape=(3, 32, 32), d_rep=128),
+}
+
+
+def _setup(shape, n):
+    space = SPACES[shape]
+    rng = np.random.default_rng(0)
+    model = materialize(genome_from_string(GENOME), space, rng)
+    x = rng.normal(size=(n, *space.input_shape)).astype(np.float32)
+    y = rng.integers(0, space.num_classes, size=n)
+    return model, x, y
+
+
+def _peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("shape", ["desk", "paper"])
+def test_forward_bottom(benchmark, shape, n):
+    model, x, _ = _setup(shape, n)
+    benchmark.group = f"forward_bottom-{shape}"
+    benchmark.extra_info["tracemalloc_peak_mib"] = _peak_mib(model.forward_bottom, x)
+    z = benchmark.pedantic(model.forward_bottom, (x,), rounds=5, iterations=1,
+                           warmup_rounds=1)
+    assert z.shape == (n, SPACES[shape].d_rep)
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_evaluate_accuracy(benchmark, n):
+    model, x, y = _setup("desk", n)
+    benchmark.group = "evaluate_accuracy-desk"
+    benchmark.extra_info["tracemalloc_peak_mib"] = _peak_mib(
+        evaluate_accuracy, model, x, y)
+    # a float at checkouts before it also returned the loss
+    scores = benchmark.pedantic(evaluate_accuracy, (model, x, y), rounds=5,
+                                iterations=1, warmup_rounds=1)
+    assert np.isfinite(scores).all()

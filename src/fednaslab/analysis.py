@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleError, NonFiniteError
 from .nn.layers import Linear, ReLU, Reshape, Sequential, TransposeConv
-from .nn.model import Adam, Model, batch_gradient, shuffled_batches
+from .nn.model import Adam, Model, batch_gradient, mse, shuffled_batches
 
 logger = logging.getLogger(__name__)
 
@@ -332,7 +332,7 @@ def inversion_attack(model: Model, aux_images: np.ndarray,
     try:
         for idx in shuffled_batches(aux.shape[0], DECODER_BATCH,
                                     spec.decoder_epochs, rng):
-            _, grads, _ = batch_gradient(decoder, z_aux[idx], aux[idx], loss="mse")
+            _, grads, _ = batch_gradient(decoder, z_aux[idx], aux[idx], loss=mse)
             optimizer.step(grads)
     except (NonFiniteError, FloatingPointError):
         failed = True

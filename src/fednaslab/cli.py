@@ -391,6 +391,8 @@ def _parse_model_pair(pair: str) -> tuple[float, str]:
         eps = math.inf if label in ("inf", "infinity") else float(label)
     except ValueError:
         raise ConfigError(f"--model: {label!r} is not a number") from None
+    if not (eps > 0):
+        raise ConfigError(f"--model: eps label must be > 0 or inf, got {label!r}")
     if not os.path.exists(path):
         raise ConfigError(f"--model: missing artifact {path}")
     return eps, path

@@ -36,7 +36,6 @@ from .data import Dataset
 from .hpo import HyperConfig
 from .nn.layers import Sequential
 from .nn.model import (
-    EVAL_BATCH,
     Model,
     apply_update,  # noqa: F401  unused; perfbench/spans.py traces it here
     batch_gradient,  # noqa: F401  unused; perfbench/spans.py traces it here
@@ -376,17 +375,6 @@ class RoundReport:
         return float(np.std([r.val_acc for r in self.rows]))
 
 
-def _eval_loss(model: Model, x, y) -> float:
-    n = x.shape[0]
-    total = 0.0
-    for start in range(0, n, EVAL_BATCH):
-        xb, yb = x[start:start + EVAL_BATCH], y[start:start + EVAL_BATCH]
-        logits = model.logits(xb)
-        loss, _ = softmax_cross_entropy(logits, yb)
-        total += loss * len(xb)
-    return total / n
-
-
 def write_round_csv(path, reports: list[RoundReport]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -465,8 +453,7 @@ def run_rounds(spec: TrainSpec, clients: list[ClientState],
             x_te = dataset.images[client.test_idx]
             y_te = dataset.labels[client.test_idx]
             try:
-                acc = evaluate_accuracy(client.model, x_te, y_te)
-                loss = _eval_loss(client.model, x_te, y_te)
+                acc, loss = evaluate_accuracy(client.model, x_te, y_te)
             except NonFiniteError:
                 acc, loss = 0.0, math.inf
                 logger.warning("round %d: client %d evaluation diverged",

@@ -267,7 +267,7 @@ class TrainingEvaluator:
                                        self.epochs, rng)
             train_plain_sgd(model, self.x_train, self.y_train, batches,
                             eta=self.eta)
-            acc = evaluate_accuracy(model, self.x_val, self.y_val)
+            acc, _ = evaluate_accuracy(model, self.x_val, self.y_val)
         except NonFiniteError:
             logger.warning("non-finite loss while scoring %s: fitness set to 0",
                            genome.key)

@@ -460,7 +460,8 @@ class DPTrialEvaluator:
                          eta=config.eta, batch_size=config.batch_size,
                          total_steps=self.domain.trial_steps(config.batch_size),
                          rng=rng)
-            return float(evaluate_accuracy(model, self.x_val, self.y_val))
+            acc, _ = evaluate_accuracy(model, self.x_val, self.y_val)
+            return acc
         except NonFiniteError:
             logger.warning("trial diverged (eta=%.3g): scored 0", config.eta)
             return 0.0

@@ -21,6 +21,8 @@ and inputs carry (float32 by default, float64 in gradient checks).
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from ..errors import ShapeMismatchError
@@ -32,6 +34,13 @@ class Layer:
 
     def __init__(self):
         self.params = np.zeros(0, dtype=np.float32)
+
+    def __repr__(self):
+        """The class and its constructor's arguments, each read back from
+        the attribute of the same name."""
+        names = list(inspect.signature(type(self).__init__).parameters)[1:]
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__name__}({args})"
 
     def children(self):
         return []
@@ -85,9 +94,6 @@ class DepthwiseConv(Layer):
         self.kernel = kernel
         self.params = np.zeros(channels * kernel * kernel, dtype=np.float32)
 
-    def __repr__(self):
-        return f"DepthwiseConv(channels={self.channels}, kernel={self.kernel})"
-
     def init_params(self, rng):
         self.params = _uniform_init(
             rng, self.params.size, self.kernel * self.kernel, self.params.dtype
@@ -131,9 +137,6 @@ class PointwiseConv(Layer):
         self.c_out = c_out
         self.bias = bias
         self.params = np.zeros(c_in * c_out + (c_out if bias else 0), dtype=np.float32)
-
-    def __repr__(self):
-        return f"PointwiseConv(c_in={self.c_in}, c_out={self.c_out}, bias={self.bias})"
 
     def _views(self):
         nw = self.c_in * self.c_out
@@ -194,9 +197,6 @@ class PerSampleNorm(Layer):
             [np.ones(channels, dtype=np.float32), np.zeros(channels, dtype=np.float32)]
         )
 
-    def __repr__(self):
-        return f"PerSampleNorm(channels={self.channels}, group_size={self.group_size})"
-
     def init_params(self, rng):
         c = self.channels
         self.params = np.concatenate(
@@ -242,9 +242,6 @@ class PerSampleNorm(Layer):
 
 
 class ReLU(Layer):
-    def __repr__(self):
-        return "ReLU()"
-
     def forward(self, x):
         mask = x > 0
         return x * mask, mask
@@ -255,9 +252,6 @@ class ReLU(Layer):
 
 class AvgPool(Layer):
     """2 x 2 average pooling, stride 2; odd trailing rows/columns are dropped."""
-
-    def __repr__(self):
-        return "AvgPool(2x2)"
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2:
@@ -284,9 +278,6 @@ class AvgPool(Layer):
 
 class MaxPool(Layer):
     """2 x 2 max pooling, stride 2; gradient routed to the argmax of each window."""
-
-    def __repr__(self):
-        return "MaxPool(2x2)"
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2:
@@ -320,9 +311,6 @@ class MaxPool(Layer):
 class GlobalAvgPool(Layer):
     """Collapse spatial dims to a per-channel mean: [n, c, h, w] -> [n, c]."""
 
-    def __repr__(self):
-        return "GlobalAvgPool()"
-
     def forward(self, x):
         if x.ndim != 4:
             self._bad_input(x, "[n, c, h, w]")
@@ -342,9 +330,6 @@ class Linear(Layer):
         self.d_in = d_in
         self.d_out = d_out
         self.params = np.zeros(d_in * d_out + d_out, dtype=np.float32)
-
-    def __repr__(self):
-        return f"Linear(d_in={self.d_in}, d_out={self.d_out})"
 
     def _views(self):
         nw = self.d_in * self.d_out
@@ -377,9 +362,6 @@ class TransposeConv(Layer):
         self.c_in = c_in
         self.c_out = c_out
         self.params = np.zeros(c_in * c_out * 4 + c_out, dtype=np.float32)
-
-    def __repr__(self):
-        return f"TransposeConv(c_in={self.c_in}, c_out={self.c_out})"
 
     def _views(self):
         nw = self.c_in * self.c_out * 4
@@ -427,9 +409,6 @@ class Reshape(Layer):
         super().__init__()
         self.shape = tuple(shape)
 
-    def __repr__(self):
-        return f"Reshape(shape={self.shape})"
-
     def forward(self, x):
         return x.reshape(x.shape[0], *self.shape), x.shape
 
@@ -454,9 +433,6 @@ class ConvBlock(Layer):
         self.pw = PointwiseConv(c_in, c_out, bias=True)
         self.norm = PerSampleNorm(c_out)
         self.proj = PointwiseConv(c_in, c_out, bias=False) if c_in != c_out else None
-
-    def __repr__(self):
-        return f"ConvBlock(c_in={self.c_in}, c_out={self.c_out}, kernel={self.kernel})"
 
     def children(self):
         kids = [self.dw, self.pw, self.norm]
@@ -497,9 +473,6 @@ class Sequential(Layer):
     def __init__(self, layers):
         super().__init__()
         self.layers = list(layers)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.layers!r})"
 
     def children(self):
         return self.layers

@@ -8,7 +8,7 @@ import numpy as np
 from ..errors import NonFiniteError, ShapeMismatchError
 from .layers import Layer, Sequential
 
-# inference minibatch for evaluation passes (accuracy and held-out loss)
+# most rows one evaluation forward through the bottom takes at once
 EVAL_BATCH = 512
 
 
@@ -47,9 +47,6 @@ def mse(pred, target):
     return loss, (2.0 / per_elem) * diff
 
 
-_LOSSES = {"ce": softmax_cross_entropy, "mse": mse}
-
-
 class Model(Sequential):
     """Client model: the two-layer stack of a representation bottom and a
     classification head.
@@ -66,28 +63,35 @@ class Model(Sequential):
         self.head = head
 
     def forward_bottom(self, x):
-        z, _ = self.bottom.forward(x)
+        """Evaluation forward through the bottom, in cuts of at most
+        EVAL_BATCH rows (an empty input is one empty cut): representations
+        [n, d_rep], checked finite."""
+        z = np.concatenate([self.bottom.forward(x[start:start + EVAL_BATCH])[0]
+                            for start in range(0, max(len(x), 1), EVAL_BATCH)])
         if not np.isfinite(z).all():
             raise NonFiniteError("bottom produced non-finite representations")
         return z
 
     def logits(self, x):
-        """Evaluation forward pass: class logits, checked finite."""
+        """Evaluation forward pass: class logits, checked finite. The bottom
+        runs in EVAL_BATCH cuts (forward_bottom), the head in one batch."""
         out, _ = self.head.forward(self.forward_bottom(x))
         if not np.isfinite(out).all():
             raise NonFiniteError("head produced non-finite logits")
         return out
 
 
-def loss_and_per_sample_grads(model: Layer, x, target, loss="ce"):
+def loss_and_per_sample_grads(model: Layer, x, target, loss=softmax_cross_entropy):
     """Forward through one layer stack, then backprop one loss per sample.
 
-    Returns (mean_loss, psg_list, output) where psg_list holds one [n, p_i]
-    array per parameterized primitive layer of the stack, in parameter
-    order. Row i of each array is the gradient of sample i's own loss.
+    `loss(output, target)` returns the mean loss and the per-sample
+    gradient wrt the output. Returns (mean_loss, psg_list, output) where
+    psg_list holds one [n, p_i] array per parameterized primitive layer of
+    the stack, in parameter order. Row i of each array is the gradient of
+    sample i's own loss.
     """
     out, cache = model.forward(x)
-    loss_value, gout = _LOSSES[loss](out, target)
+    loss_value, gout = loss(out, target)
     _, psg_list = model.backward(gout, cache)
     return loss_value, psg_list, out
 
@@ -98,7 +102,7 @@ def per_sample_gradients(model: Model, x, labels):
     return np.concatenate(psg_list, axis=1)
 
 
-def batch_gradient(model: Layer, x, target, loss="ce"):
+def batch_gradient(model: Layer, x, target, loss=softmax_cross_entropy):
     """Mean loss and the batch-mean gradient per primitive layer."""
     loss_value, psg_list, out = loss_and_per_sample_grads(model, x, target, loss=loss)
     grads = [psg.mean(axis=0) for psg in psg_list]
@@ -147,38 +151,39 @@ def train_plain_sgd(model: Layer, x, y, batches, *, eta):
 
 
 def evaluate_accuracy(model: Model, x, y):
-    """Top-1 accuracy, computed in EVAL_BATCH-sized batches."""
-    n = x.shape[0]
+    """(top-1 accuracy, mean cross-entropy) of one evaluation pass over
+    (x, y). An empty set scores accuracy 0.0 and a NaN loss."""
+    n = len(y)
     if n == 0:
-        return 0.0
-    hits = 0
-    for start in range(0, n, EVAL_BATCH):
-        logits = model.logits(x[start : start + EVAL_BATCH])
-        hits += int((logits.argmax(axis=1) == y[start : start + EVAL_BATCH]).sum())
-    return hits / n
+        return 0.0, np.nan
+    logits = model.logits(x)
+    loss, _ = softmax_cross_entropy(logits, y)
+    return int((logits.argmax(axis=1) == y).sum()) / n, loss
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
     """Minimal Adam over a list of primitive layers (decoder training only)."""
 
-    def __init__(self, layers, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, layers, lr):
         self.layers = list(layers)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros(l.n_params, dtype=np.float64) for l in self.layers]
         self.v = [np.zeros(l.n_params, dtype=np.float64) for l in self.layers]
 
     def step(self, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, (layer, g) in enumerate(zip(self.layers, grads)):
             g = g.astype(np.float64)
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             mhat = self.m[i] / (1 - b1**self.t)
             vhat = self.v[i] / (1 - b2**self.t)
-            delta = self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            delta = self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             layer.params = layer.params - delta.astype(layer.params.dtype)

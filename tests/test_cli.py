@@ -326,9 +326,14 @@ class TestAttack:
         assert summary["ordering_holds"] is None
         assert "skipped" in summary["note"]
 
-    @pytest.mark.parametrize("pair", ["justapath", "abc=somewhere.npz"])
+    @pytest.mark.parametrize("pair", [
+        "justapath", "abc=somewhere.npz",
+        # eps labels outside (0, inf] with a model file that exists
+        "nan={model}", "0={model}", "-1={model}", "-inf={model}",
+    ])
     def test_malformed_model_pair_exits_2(self, pipeline_dir, tmp_path, pair):
-        _, config = pipeline_dir
+        out, config = pipeline_dir
+        pair = pair.format(model=out / "model_client0.npz")
         result = _invoke(["attack", "-c", config, "--out", tmp_path / "bad",
                           "--model", pair])
         assert result.exit_code == 2

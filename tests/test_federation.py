@@ -42,7 +42,7 @@ from fednaslab.federation import (
     write_round_csv,
 )
 from fednaslab.hpo import HyperConfig
-from fednaslab.nn.model import softmax_cross_entropy
+from fednaslab.nn.model import Model, softmax_cross_entropy
 from fednaslab.privacy import DPConfig, privacy_cost, train_dp_sgd
 from fednaslab.space import SpaceConfig, materialize, sample_random_genome
 
@@ -349,6 +349,21 @@ class TestRunRounds:
         for report in reports:
             assert all(r.participated for r in report.rows)
             assert all(r.bytes_up > 0 for r in report.rows)
+
+    def test_round_scores_each_client_with_one_evaluation_pass(self, monkeypatch):
+        ds = _dataset(22)
+        clients = [_client(ds, client_id=i, seed=i) for i in range(3)]
+        calls, logits = [], Model.logits
+
+        def counting(model, x):
+            calls.append(model)
+            return logits(model, x)
+
+        monkeypatch.setattr(Model, "logits", counting)
+        reports = run_rounds(TrainSpec(rounds=1, local_epochs=1), clients, ds,
+                             np.random.default_rng(23))
+        assert calls == [c.model for c in clients]
+        assert all(math.isfinite(r.loss) for r in reports[0].rows)
 
     def test_partial_participation_counts(self):
         ds = _dataset(24)

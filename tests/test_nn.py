@@ -4,9 +4,12 @@ Central finite differences on float64 copies are the independent oracle for
 every analytic backward pass, per-sample and batch-mean alike.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+import fednaslab.nn.model as nn_model
 from fednaslab.errors import NonFiniteError, ShapeMismatchError
 from fednaslab.nn import (
     AvgPool,
@@ -25,7 +28,9 @@ from fednaslab.nn import (
     apply_update,
     batch_gradient,
     drawn_batches,
+    evaluate_accuracy,
     loss_and_per_sample_grads,
+    mse,
     per_sample_gradients,
     shuffled_batches,
     softmax_cross_entropy,
@@ -40,7 +45,7 @@ def _per_sample_losses(parts, x, target, loss):
     out = x
     for part in parts:
         out, _ = part.forward(out)
-    if loss == "ce":
+    if loss is softmax_cross_entropy:
         shifted = out - out.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         return -logp[np.arange(out.shape[0]), target]
@@ -48,7 +53,7 @@ def _per_sample_losses(parts, x, target, loss):
     return (diff**2).mean(axis=1)
 
 
-def _fd_check(parts, x, target, loss="ce", h=1e-5):
+def _fd_check(parts, x, target, loss=softmax_cross_entropy, h=1e-5):
     """Compare analytic per-sample grads against central differences."""
     seq = Sequential([l for p in parts for l in p.layers])
     seq.astype(np.float64)
@@ -58,7 +63,7 @@ def _fd_check(parts, x, target, loss="ce", h=1e-5):
     prng = np.random.default_rng(99)
     for layer in seq.param_layers():
         layer.params = prng.normal(scale=0.4, size=layer.n_params)
-    if loss == "mse":
+    if loss is mse:
         target = target.astype(np.float64)
     _, psg_list, _ = loss_and_per_sample_grads(seq, x, target, loss=loss)
     layers = seq.param_layers()
@@ -182,7 +187,7 @@ class TestFiniteDifferences:
         )
         x = rng.normal(size=(3, 5)).astype(np.float32)
         t = rng.normal(size=(3, 2, 2 * h, 2 * w)).astype(np.float32)
-        _fd_check([seq], x, t, loss="mse")
+        _fd_check([seq], x, t, loss=mse)
 
     def test_avgpool_odd_map(self):
         rng = _rng(17)
@@ -434,6 +439,48 @@ def test_plain_sgd_learns_separable_blobs():
     logits = model.logits(x)
     acc = (logits.argmax(axis=1) == y).mean()
     assert acc >= 0.95
+
+
+def _small_model():
+    bottom = _init(Sequential([ConvBlock(2, 8, 3), GlobalAvgPool(), Linear(8, 4)]), 21)
+    return Model(bottom, _init(Sequential([Linear(4, 3)]), 22))
+
+
+class TestEvaluationPass:
+    def test_bottom_runs_in_eval_batch_cuts(self, monkeypatch):
+        model = _small_model()
+        x = _rng(23).normal(size=(8, 2, 5, 5)).astype(np.float32)
+        uncut, _ = model.bottom.forward(x)
+        rows, forward = [], model.bottom.forward
+
+        def recording(xb):
+            rows.append(len(xb))
+            return forward(xb)
+
+        monkeypatch.setattr(nn_model, "EVAL_BATCH", 3)
+        monkeypatch.setattr(model.bottom, "forward", recording)
+        z = model.forward_bottom(x)
+        assert rows == [3, 3, 2]
+        np.testing.assert_allclose(z, uncut, rtol=1e-5, atol=1e-6)
+
+    def test_accuracy_and_loss_match_the_uncut_logits(self, monkeypatch):
+        model = _small_model()
+        x = _rng(24).normal(size=(8, 2, 5, 5)).astype(np.float32)
+        y = _rng(25).integers(0, 3, size=8)
+        logits, _ = model.forward(x)
+        ref_loss, _ = softmax_cross_entropy(logits, y)
+        ref_acc = (logits.argmax(axis=1) == y).mean()
+        monkeypatch.setattr(nn_model, "EVAL_BATCH", 3)
+        acc, loss = evaluate_accuracy(model, x, y)
+        assert acc == ref_acc
+        assert loss == pytest.approx(ref_loss, rel=1e-5)
+
+    def test_empty_set_scores_zero_accuracy_and_nan_loss(self):
+        model = _small_model()
+        acc, loss = evaluate_accuracy(model, np.zeros((0, 2, 5, 5), np.float32),
+                                      np.zeros(0, dtype=np.int64))
+        assert acc == 0.0
+        assert math.isnan(loss)
 
 
 class TestBatchSamplers:
