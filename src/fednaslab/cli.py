@@ -108,8 +108,8 @@ def _guarded(command):
 
 
 def _prepare(config: ExperimentConfig):
-    """Dataset, partition plan, and per-client NAS splits — identical in
-    every subcommand for a given document."""
+    """Dataset and per-client NAS splits — identical in every subcommand
+    for a given document."""
     ds_spec = config.dataset
     if ds_spec.kind == "synth":
         dataset = synth_dataset(ds_spec.num_classes, ds_spec.per_class,
@@ -148,7 +148,7 @@ def _prepare(config: ExperimentConfig):
                           np.random.default_rng((config.seed, _TAG_SPLIT, k)))
         for k in range(config.clients.count)
     ]
-    return dataset, plan, splits
+    return dataset, splits
 
 
 def _train_indices(split) -> np.ndarray:
@@ -182,20 +182,35 @@ def _read_genomes(out_dir: str, count: int) -> list[Genome]:
     return genomes
 
 
+def _read_json(path: str, fields: dict | None = None) -> dict:
+    """The JSON mapping in `path`. With `fields`, only those keys, each
+    required and read as its type (`read_value`). Bad JSON, a non-mapping,
+    a missing key or a wrong type is a ConfigError naming the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {doc!r}")
+    if fields is None:
+        return doc
+    missing = [key for key in fields if key not in doc]
+    if missing:
+        raise ConfigError(f"{path}: missing key(s) {missing}")
+    return {key: read_value(tp, doc[key], f"{path}: {key}")
+            for key, tp in fields.items()}
+
+
 def _read_hyper(out_dir: str, k: int) -> HyperConfig | None:
     path = _hyper_path(out_dir, k)
     if not os.path.exists(path):
         return None
+    # the search's own scores ride along; they configure nothing
+    doc = {key: value for key, value in _read_json(path).items()
+           if key not in ("predicted", "observed")}
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict):
-            # the search's own scores ride along; they configure nothing
-            doc = {key: value for key, value in doc.items()
-                   if key not in ("predicted", "observed")}
         return read_record(HyperConfig, doc)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -240,7 +255,7 @@ def _stage(fn):
 @_stage
 def nas(config: ExperimentConfig, out_dir: str) -> dict:
     """Per-client architecture search; writes genome files and trace CSVs."""
-    dataset, _, splits = _prepare(config)
+    dataset, splits = _prepare(config)
     artifacts = {}
     for k in range(config.clients.count):
         split = splits[k]
@@ -267,7 +282,7 @@ def nas(config: ExperimentConfig, out_dir: str) -> dict:
 @_stage
 def hpo(config: ExperimentConfig, out_dir: str) -> dict:
     """Per-client constrained hyperparameter search under the privacy budget."""
-    dataset, _, splits = _prepare(config)
+    dataset, splits = _prepare(config)
     genomes = _read_genomes(out_dir, config.clients.count)
     artifacts = {}
     for k in range(config.clients.count):
@@ -348,7 +363,7 @@ def _resolve_hyper(config: ExperimentConfig, out_dir: str, k: int,
 def train(config: ExperimentConfig, out_dir: str, no_nas: bool,
           local_only: bool) -> dict:
     """Federated training; writes the round log, summary, and model files."""
-    dataset, _, splits = _prepare(config)
+    dataset, splits = _prepare(config)
     if no_nas:
         genomes = [genome_from_string(DEFAULT_GENOME)
                    for _ in range(config.clients.count)]
@@ -406,7 +421,7 @@ def attack(config: ExperimentConfig, out_dir: str,
     """Inversion probe against trained encoders; one CSV row per (eps, seed)."""
     pairs = sorted((_parse_model_pair(p) for p in model_pairs),
                    key=lambda item: -item[0])
-    dataset, _, _ = _prepare(config)
+    dataset, _ = _prepare(config)
     spec = config.attack
     n = len(dataset.images)
     arng = np.random.default_rng((config.seed, _TAG_ATTACK))
@@ -546,26 +561,25 @@ def report(run_dir: str) -> None:
     found = False
     for name in sorted(os.listdir(run_dir)):
         if name.startswith("manifest_") and name.endswith(".json"):
-            with open(os.path.join(run_dir, name)) as fh:
-                doc = json.load(fh)
+            path = os.path.join(run_dir, name)
+            run = read_record(RunManifest, _read_json(path), path, complete=True)
             found = True
-            state = "finished" if doc.get("finished") else "IN PROGRESS"
-            click.echo(f"{doc['command']}: {state} "
-                       f"(config {doc['config_hash']}, seed {doc['seed']})")
+            state = "finished" if run.finished else "IN PROGRESS"
+            click.echo(f"{run.command}: {state} "
+                       f"(config {run.config_hash}, seed {run.seed})")
     summary_path = os.path.join(run_dir, "summary.json")
     if os.path.exists(summary_path):
-        with open(summary_path) as fh:
-            summary = json.load(fh)
+        summary = _read_json(summary_path, {"mean_acc": float, "std_acc": float,
+                                            "rounds_to_target": int | None})
         found = True
-        target = summary.get("rounds_to_target")
+        target = summary["rounds_to_target"]
         click.echo(f"final mean acc {summary['mean_acc']:.4f} "
                    f"(std {summary['std_acc']:.4f}); "
                    + (f"target reached in round {target}"
                       if target is not None else "target not reached"))
     attack_path = os.path.join(run_dir, "attack_summary.json")
     if os.path.exists(attack_path):
-        with open(attack_path) as fh:
-            asum = json.load(fh)
+        asum = _read_json(attack_path, {"ordering_holds": bool | None, "seeds": int})
         found = True
         click.echo(f"attack ordering holds: {asum['ordering_holds']} "
                    f"over {asum['seeds']} seeds")

@@ -15,6 +15,7 @@ ledger's guarantee, and no server work touches a ledger.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import logging
@@ -404,6 +405,11 @@ def run_rounds(spec: TrainSpec, clients: list[ClientState],
     failures are isolated to the failing client's round. The returned
     reports carry one row per client per round (participants and spectators
     alike); the broadcast overwrites, and is charged to, every client.
+
+    The server keeps its own head, the last broadcast, and starts every
+    update from it. Each client materializes its own initial head, so the
+    first update starts from client 0's (θ₀); it is copied, not sent, and no
+    broadcast is charged for it.
     """
     if not clients:
         raise ConfigError("need at least one client")
@@ -411,6 +417,7 @@ def run_rounds(spec: TrainSpec, clients: list[ClientState],
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate client ids: {sorted(ids)}")
     run_seed = int(rng.integers(2**63 - 1))
+    head = copy.deepcopy(clients[0].model.head)
     reports: list[RoundReport] = []
     for t in range(1, spec.rounds + 1):
         k_part = max(1, round(participation * len(clients)))
@@ -432,8 +439,7 @@ def run_rounds(spec: TrainSpec, clients: list[ClientState],
                                t, client.client_id, err)
         if uploads:
             srng = np.random.default_rng((run_seed, t, 2**32))
-            theta = aggregate_and_update_head(_reference_head(clients),
-                                              uploads, spec, rng=srng)
+            theta = aggregate_and_update_head(head, uploads, spec, rng=srng)
             broadcast(theta, clients)
             down = comm_bytes(theta)
             for entry in stats.values():
@@ -475,15 +481,6 @@ def run_rounds(spec: TrainSpec, clients: list[ClientState],
                       sort_keys=True)
             fh.write("\n")
     return reports
-
-
-def _reference_head(clients: list[ClientState]) -> Sequential:
-    """The head copy the server update starts from: client 0's.
-
-    local_train moves each participant's head together with its bottom, so
-    in a round client 0 took part in, the update starts from its head as
-    those local steps left it, not from the last broadcast."""
-    return clients[0].model.head
 
 
 def summarize(reports: list[RoundReport], target_acc: float | None) -> dict:

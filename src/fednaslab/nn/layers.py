@@ -15,6 +15,11 @@ in Layer. A layer's backward returns (grad_wrt_input, [per_sample_grads
 in the layer's tree, in the same order as param_layers(). Parameter-free
 layers return an empty list.
 
+A primitive's constructor states its parameter layout once (Layer._layout):
+the weight shape, the bias count and the fan-in. The flat vector is the
+weight block, then the biases; Layer allocates, slices (_views) and
+initializes it: weights uniform in +-1/sqrt(fan_in), biases zero.
+
 Layer code is dtype-generic: arrays keep whatever float dtype the params
 and inputs carry (float32 by default, float64 in gradient checks).
 """
@@ -22,6 +27,7 @@ and inputs carry (float32 by default, float64 in gradient checks).
 from __future__ import annotations
 
 import inspect
+import math
 
 import numpy as np
 
@@ -29,11 +35,21 @@ from ..errors import ShapeMismatchError
 
 
 class Layer:
-    """Base layer. Primitives set self.params to a flat float vector;
+    """Base layer. Primitives allocate a flat self.params through _layout;
     containers leave it empty and return their sublayers from children()."""
 
     def __init__(self):
         self.params = np.zeros(0, dtype=np.float32)
+
+    def _layout(self, weight_shape, n_bias, fan_in):
+        """Allocate a primitive's zeroed flat vector: weights, then biases."""
+        self.weight_shape, self.n_bias, self.fan_in = weight_shape, n_bias, fan_in
+        self.params = np.zeros(math.prod(weight_shape) + n_bias, dtype=np.float32)
+
+    def _views(self):
+        """Views into params: the shaped weights and the (maybe empty) biases."""
+        n_weights = self.params.size - self.n_bias
+        return self.params[:n_weights].reshape(self.weight_shape), self.params[n_weights:]
 
     def __repr__(self):
         """The class and its constructor's arguments, each read back from
@@ -57,6 +73,12 @@ class Layer:
         return self.params.size + sum(child.n_params for child in self.children())
 
     def init_params(self, rng: np.random.Generator) -> None:
+        """Draw this layer's weights and zero its biases, then each child's."""
+        if self.params.size:
+            bound = 1.0 / np.sqrt(self.fan_in)
+            weights = rng.uniform(-bound, bound, size=self.params.size - self.n_bias)
+            self.params = np.concatenate(
+                [weights, np.zeros(self.n_bias)]).astype(self.params.dtype)
         for child in self.children():
             child.init_params(rng)
 
@@ -78,11 +100,6 @@ class Layer:
         )
 
 
-def _uniform_init(rng, n, fan_in, dtype):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=n).astype(dtype)
-
-
 class DepthwiseConv(Layer):
     """Per-channel k x k convolution, stride 1, zero 'same' padding, no bias."""
 
@@ -92,18 +109,13 @@ class DepthwiseConv(Layer):
             raise ValueError(f"depthwise kernel must be 3 or 5, got {kernel}")
         self.channels = channels
         self.kernel = kernel
-        self.params = np.zeros(channels * kernel * kernel, dtype=np.float32)
-
-    def init_params(self, rng):
-        self.params = _uniform_init(
-            rng, self.params.size, self.kernel * self.kernel, self.params.dtype
-        )
+        self._layout((channels, kernel, kernel), 0, kernel * kernel)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.channels:
             self._bad_input(x, f"[n, {self.channels}, h, w]")
         k, p = self.kernel, self.kernel // 2
-        w = self.params.reshape(self.channels, k, k)
+        w, _ = self._views()
         n, c, H, W = x.shape
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         y = np.zeros_like(x)
@@ -116,7 +128,7 @@ class DepthwiseConv(Layer):
         xp, xshape = cache
         n, c, H, W = xshape
         k, p = self.kernel, self.kernel // 2
-        w = self.params.reshape(self.channels, k, k)
+        w, _ = self._views()
         gxp = np.zeros_like(xp)
         gw = np.empty((n, c, k, k), dtype=gout.dtype)
         for a in range(k):
@@ -136,20 +148,7 @@ class PointwiseConv(Layer):
         self.c_in = c_in
         self.c_out = c_out
         self.bias = bias
-        self.params = np.zeros(c_in * c_out + (c_out if bias else 0), dtype=np.float32)
-
-    def _views(self):
-        nw = self.c_in * self.c_out
-        w = self.params[:nw].reshape(self.c_in, self.c_out)
-        b = self.params[nw:] if self.bias else None
-        return w, b
-
-    def init_params(self, rng):
-        nw = self.c_in * self.c_out
-        w = _uniform_init(rng, nw, self.c_in, self.params.dtype)
-        self.params = np.concatenate(
-            [w, np.zeros(self.c_out, dtype=self.params.dtype)] if self.bias else [w]
-        )
+        self._layout((c_in, c_out), c_out if bias else 0, c_in)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.c_in:
@@ -157,7 +156,7 @@ class PointwiseConv(Layer):
         w, b = self._views()
         n, c, H, W = x.shape
         y = np.matmul(w.T, x.reshape(n, c, H * W)).reshape(n, self.c_out, H, W)
-        if b is not None:
+        if self.bias:
             y += b[None, :, None, None]
         return y, x
 
@@ -193,22 +192,18 @@ class PerSampleNorm(Layer):
         for part in np.array_split(np.arange(channels), n_groups):
             self.group_slices.append(slice(start, start + part.size))
             start += part.size
-        self.params = np.concatenate(
-            [np.ones(channels, dtype=np.float32), np.zeros(channels, dtype=np.float32)]
-        )
+        self._layout((channels,), channels, None)
+        self.init_params(None)
 
     def init_params(self, rng):
+        """gamma ones, beta zeros; draws nothing from `rng`."""
         c = self.channels
-        self.params = np.concatenate(
-            [np.ones(c, dtype=self.params.dtype), np.zeros(c, dtype=self.params.dtype)]
-        )
+        self.params = np.concatenate([np.ones(c), np.zeros(c)]).astype(self.params.dtype)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.channels:
             self._bad_input(x, f"[n, {self.channels}, h, w]")
-        c = self.channels
-        gamma = self.params[:c]
-        beta = self.params[c:]
+        gamma, beta = self._views()
         y = np.empty_like(x)
         xhat_full = np.empty_like(x)
         istds = []
@@ -225,9 +220,7 @@ class PerSampleNorm(Layer):
 
     def backward(self, gout, cache):
         xhat_full, istds = cache
-        c = self.channels
-        gamma = self.params[:c]
-        n = gout.shape[0]
+        gamma, _ = self._views()
         gin = np.empty_like(gout)
         for sl, istd in zip(self.group_slices, istds):
             g = gout[:, sl]
@@ -329,15 +322,7 @@ class Linear(Layer):
         super().__init__()
         self.d_in = d_in
         self.d_out = d_out
-        self.params = np.zeros(d_in * d_out + d_out, dtype=np.float32)
-
-    def _views(self):
-        nw = self.d_in * self.d_out
-        return self.params[:nw].reshape(self.d_in, self.d_out), self.params[nw:]
-
-    def init_params(self, rng):
-        w = _uniform_init(rng, self.d_in * self.d_out, self.d_in, self.params.dtype)
-        self.params = np.concatenate([w, np.zeros(self.d_out, dtype=self.params.dtype)])
+        self._layout((d_in, d_out), d_out, d_in)
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.d_in:
@@ -361,17 +346,7 @@ class TransposeConv(Layer):
         super().__init__()
         self.c_in = c_in
         self.c_out = c_out
-        self.params = np.zeros(c_in * c_out * 4 + c_out, dtype=np.float32)
-
-    def _views(self):
-        nw = self.c_in * self.c_out * 4
-        w = self.params[:nw].reshape(self.c_in, self.c_out, 2, 2)
-        return w, self.params[nw:]
-
-    def init_params(self, rng):
-        nw = self.c_in * self.c_out * 4
-        w = _uniform_init(rng, nw, self.c_in, self.params.dtype)
-        self.params = np.concatenate([w, np.zeros(self.c_out, dtype=self.params.dtype)])
+        self._layout((c_in, c_out, 2, 2), c_out, c_in)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.c_in:

@@ -96,12 +96,6 @@ def loss_and_per_sample_grads(model: Layer, x, target, loss=softmax_cross_entrop
     return loss_value, psg_list, out
 
 
-def per_sample_gradients(model: Model, x, labels):
-    """Per-sample gradients of the CE loss wrt every model parameter: [n, P]."""
-    _, psg_list, _ = loss_and_per_sample_grads(model, x, labels)
-    return np.concatenate(psg_list, axis=1)
-
-
 def batch_gradient(model: Layer, x, target, loss=softmax_cross_entropy):
     """Mean loss and the batch-mean gradient per primitive layer."""
     loss_value, psg_list, out = loss_and_per_sample_grads(model, x, target, loss=loss)

@@ -58,7 +58,7 @@ from fednaslab.nn import (
     Sequential,
     apply_update,
     batch_gradient,
-    per_sample_gradients,
+    loss_and_per_sample_grads,
 )
 from fednaslab.privacy import (
     DPConfig,
@@ -122,7 +122,7 @@ def test_criterion_01_per_sample_gradients_match_finite_differences():
         prng = np.random.default_rng(99)
         for layer in model.param_layers():
             layer.params = prng.normal(scale=0.4, size=layer.n_params)
-        psg = per_sample_gradients(model, x, y)
+        psg = np.concatenate(loss_and_per_sample_grads(model, x, y)[1], axis=1)
         fd = _central_fd(model, x, y)
         err = np.abs(psg - fd)
         tol = 1e-6 + 1e-3 * np.abs(fd)

@@ -459,6 +459,30 @@ class TestReport:
         result = _invoke(["report", tmp_path / "void"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("name,content,needle", [
+        ("manifest_train.json", '{"command": "train"', "JSON"),
+        ("manifest_train.json", json.dumps({
+            "config_hash": "0", "seed": 0, "package_version": "0",
+            "started": "0", "finished": None, "artifacts": {}}), "command"),
+        ("manifest_nas.json", '["nas"]', "mapping"),
+        ("summary.json", json.dumps({"mean_acc": 0.5}), "std_acc"),
+        ("summary.json", "0.5", "mapping"),
+        ("summary.json", json.dumps({"mean_acc": "high", "std_acc": 0.0,
+                                     "rounds_to_target": None}), "mean_acc"),
+        ("attack_summary.json", "{", "JSON"),
+        ("attack_summary.json", json.dumps({"seeds": 2}), "ordering_holds"),
+    ], ids=["manifest-cut-short", "manifest-without-command",
+            "manifest-not-a-mapping", "summary-without-key",
+            "summary-not-a-mapping", "summary-wrong-type", "attack-cut-short", "attack-without-key"])
+    def test_damaged_file_exits_2_naming_it(self, tmp_path, name, content,
+                                            needle):
+        (tmp_path / name).write_text(content)
+        result = _invoke(["report", tmp_path])
+        text = _all_output(result)
+        assert result.exit_code == 2, text
+        assert name in text and needle in text
+        assert "Traceback" not in text
+
 
 class TestTopLevel:
     def test_unknown_config_key_exits_2(self, tmp_path):

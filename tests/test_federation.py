@@ -13,7 +13,7 @@ import struct
 import numpy as np
 import pytest
 
-from fednaslab import privacy
+from fednaslab import federation, privacy
 from fednaslab.data import synth_dataset
 from fednaslab.errors import (
     BudgetExhaustedError,
@@ -449,6 +449,29 @@ class TestRunRounds:
         with pytest.raises(FedNasError, match="budget safety violated"):
             run_rounds(TrainSpec(rounds=1, local_epochs=1), [client], ds,
                        np.random.default_rng(27))
+
+    def test_update_starts_from_the_last_broadcast(self, monkeypatch):
+        # client 0 takes part every round, so local training moves its head;
+        # the server's update must still start from the previous broadcast,
+        # and in round 1 from client 0's initial head
+        ds = _dataset(30)
+        clients = [_client(ds, client_id=i, seed=i) for i in range(2)]
+        broadcasts = [clients[0].model.head.get_flat().copy()]
+        starts, update = [], federation.aggregate_and_update_head
+
+        def recording(head, batches, spec, *, rng):
+            starts.append(head.get_flat().copy())
+            theta = update(head, batches, spec, rng=rng)
+            broadcasts.append(theta.copy())
+            return theta
+
+        monkeypatch.setattr(federation, "aggregate_and_update_head", recording)
+        reports = run_rounds(TrainSpec(rounds=3, local_epochs=1), clients, ds,
+                             np.random.default_rng(31))
+        assert all(row.participated for r in reports for row in r.rows)
+        assert len(starts) == 3
+        for start, previous in zip(starts, broadcasts):
+            np.testing.assert_array_equal(start, previous)
 
     def test_heads_synchronized_bottoms_diverge(self):
         ds = _dataset(28)

@@ -31,7 +31,6 @@ from fednaslab.nn import (
     evaluate_accuracy,
     loss_and_per_sample_grads,
     mse,
-    per_sample_gradients,
     shuffled_batches,
     softmax_cross_entropy,
     train_plain_sgd,
@@ -237,11 +236,11 @@ class TestGradientStructure:
         model = Model(Sequential(seq.layers[:-1]), Sequential(seq.layers[-1:]))
         x = rng.normal(size=(6, 3, 8, 8)).astype(np.float32)
         y = rng.integers(0, 5, size=6)
-        psg = per_sample_gradients(model, x, y)
+        psg = np.concatenate(loss_and_per_sample_grads(model, x, y)[1], axis=1)
         assert psg.shape == (6, model.n_params)
 
-        half_a = per_sample_gradients(model, x[:3], y[:3])
-        half_b = per_sample_gradients(model, x[3:], y[3:])
+        half_a = np.concatenate(loss_and_per_sample_grads(model, x[:3], y[:3])[1], axis=1)
+        half_b = np.concatenate(loss_and_per_sample_grads(model, x[3:], y[3:])[1], axis=1)
         stacked = np.concatenate([half_a, half_b], axis=0)
         # per-sample rows do not depend on who else is in the batch
         np.testing.assert_allclose(psg, stacked, rtol=1e-5, atol=1e-7)
@@ -291,11 +290,76 @@ def _close(new, ref, rtol):
     np.testing.assert_allclose(new, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
 
 
+PRIMITIVES = [DepthwiseConv, PointwiseConv, PerSampleNorm, ReLU, AvgPool, MaxPool,
+              GlobalAvgPool, Linear, TransposeConv, Reshape]
+
+
 class TestLayerTree:
     @pytest.mark.parametrize("cls", [ConvBlock, Sequential, Model])
     def test_containers_inherit_the_tree_walk(self, cls):
         for name in ("param_layers", "n_params", "init_params", "astype"):
             assert name not in vars(cls), f"{cls.__name__} defines {name}"
+
+    def test_primitives_inherit_the_parameter_layout(self):
+        assert [cls for cls in PRIMITIVES if "init_params" in vars(cls)] == [PerSampleNorm]
+        assert [cls for cls in PRIMITIVES if "_views" in vars(cls)] == []
+
+    # each primitive's weight count, fan-in and bias count, written out here
+    # independently of the layout its constructor states
+    @pytest.mark.parametrize("make,n_weights,fan_in,n_bias", [
+        (lambda: DepthwiseConv(4, 3), 4 * 3 * 3, 3 * 3, 0),
+        (lambda: DepthwiseConv(2, 5), 2 * 5 * 5, 5 * 5, 0),
+        (lambda: PointwiseConv(4, 6), 4 * 6, 4, 6),
+        (lambda: PointwiseConv(4, 6, bias=False), 4 * 6, 4, 0),
+        (lambda: Linear(5, 3), 5 * 3, 5, 3),
+        (lambda: TransposeConv(4, 2), 4 * 2 * 4, 4, 2),
+    ], ids=["dw3", "dw5", "pw", "pw-nobias", "linear", "transpose"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_draws_the_uniform_formula(self, make, n_weights, fan_in, n_bias,
+                                            dtype):
+        layer = make().astype(dtype)
+        layer.init_params(_rng(30))
+        bound = 1.0 / np.sqrt(fan_in)
+        weights = _rng(30).uniform(-bound, bound, size=n_weights).astype(dtype)
+        assert layer.params.dtype == dtype
+        np.testing.assert_array_equal(
+            layer.params, np.concatenate([weights, np.zeros(n_bias, dtype=dtype)]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_norm_init_is_ones_then_zeros_and_draws_nothing(self, dtype):
+        norm = PerSampleNorm(6)
+        np.testing.assert_array_equal(norm.params, [1.0] * 6 + [0.0] * 6)
+        norm.astype(dtype).params[:] = 7.0
+        rng = _rng(31)
+        norm.init_params(rng)
+        assert norm.params.dtype == dtype
+        np.testing.assert_array_equal(norm.params, [1.0] * 6 + [0.0] * 6)
+        assert rng.uniform() == _rng(31).uniform()
+
+    def test_reprs(self):
+        head = Sequential([Linear(3, 2)])
+        assert [repr(layer) for layer in (
+            DepthwiseConv(4, 5), PointwiseConv(4, 6), PointwiseConv(4, 6, bias=False),
+            PerSampleNorm(6), ReLU(), AvgPool(), MaxPool(), GlobalAvgPool(),
+            Linear(5, 3), TransposeConv(4, 2), Reshape([2, 3]), ConvBlock(3, 8, 5),
+            head, Model(Sequential([ReLU()]), head),
+        )] == [
+            "DepthwiseConv(channels=4, kernel=5)",
+            "PointwiseConv(c_in=4, c_out=6, bias=True)",
+            "PointwiseConv(c_in=4, c_out=6, bias=False)",
+            "PerSampleNorm(channels=6)",
+            "ReLU()",
+            "AvgPool()",
+            "MaxPool()",
+            "GlobalAvgPool()",
+            "Linear(d_in=5, d_out=3)",
+            "TransposeConv(c_in=4, c_out=2)",
+            "Reshape(shape=(2, 3))",
+            "ConvBlock(c_in=3, c_out=8, kernel=5)",
+            "Sequential(layers=[Linear(d_in=3, d_out=2)])",
+            "Model(bottom=Sequential(layers=[ReLU()]), "
+            "head=Sequential(layers=[Linear(d_in=3, d_out=2)]))",
+        ]
 
     def test_walk_order_is_the_backward_order(self):
         model = Model(Sequential([ConvBlock(3, 8, 3), GlobalAvgPool(), Linear(8, 4)]),
@@ -331,11 +395,11 @@ class TestKernelParity:
         w, b = layer._views()
         n = x.shape[0]
         y = np.einsum("nchw,cd->ndhw", x, w)
-        if b is not None:
+        if layer.bias:
             y += b[None, :, None, None]
         gin = np.einsum("ndhw,cd->nchw", gout, w)
         gw = np.einsum("nchw,ndhw->ncd", x, gout).reshape(n, -1)
-        if b is not None:
+        if layer.bias:
             gw = np.concatenate([gw, gout.sum(axis=(2, 3))], axis=1)
         return y, gin, [gw]
 
