@@ -1,8 +1,12 @@
 """Kernel timings for the layers of the DP training path and the decoder.
 
 Times forward and backward of DepthwiseConv (kernels 3 and 5),
-PointwiseConv, PerSampleNorm, TransposeConv, AvgPool and Linear at desk
-shape (n=32, 8x8 maps) and paper shape (n=64, 32x32 maps), float32.
+PointwiseConv, PerSampleNorm, TransposeConv, AvgPool, Linear and ConvBlock
+at desk shape (n=32, 8x8 maps) and paper shape (n=64, 32x32 maps), float32.
+The "stem" cases and ConvBlock(32, 64, 3) are the shapes the default genome
+C3x32-C3x64-Pavg runs at paper shape: the first block's depthwise conv on
+the 3 image channels and its norm over 32 channels, and the second block
+whole, so its in-place residual add and ReLU show in a kernel time.
 TransposeConv takes the half-side input whose output has that side, as in
 the inversion decoder; Linear is the adaptation layer after global pooling
 (desk 64 -> d_rep 16, paper 64 -> d_rep 128). The file name does not match test_*.py, so the
@@ -20,6 +24,7 @@ import pytest
 
 from fednaslab.nn import (
     AvgPool,
+    ConvBlock,
     DepthwiseConv,
     Linear,
     PerSampleNorm,
@@ -33,8 +38,12 @@ CASES = {
     "depthwise3-paper": (lambda: DepthwiseConv(64, 3), (64, 64, 32, 32)),
     "depthwise5-desk": (lambda: DepthwiseConv(32, 5), (32, 32, 8, 8)),
     "depthwise5-paper": (lambda: DepthwiseConv(64, 5), (64, 64, 32, 32)),
+    "depthwise3-stem-paper": (lambda: DepthwiseConv(3, 3), (64, 3, 32, 32)),
     "norm-desk": (lambda: PerSampleNorm(32), (32, 32, 8, 8)),
     "norm-paper": (lambda: PerSampleNorm(64), (64, 64, 32, 32)),
+    "norm-stem-paper": (lambda: PerSampleNorm(32), (64, 32, 32, 32)),
+    "convblock-desk": (lambda: ConvBlock(32, 64, 3), (32, 32, 8, 8)),
+    "convblock-paper": (lambda: ConvBlock(32, 64, 3), (64, 32, 32, 32)),
     "linear-desk": (lambda: Linear(64, 16), (32, 64)),
     "linear-paper": (lambda: Linear(64, 128), (64, 64)),
     "pointwise-desk": (lambda: PointwiseConv(32, 64), (32, 32, 8, 8)),

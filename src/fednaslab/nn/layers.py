@@ -5,7 +5,9 @@ per-sample gradients come out exact and vectorized. Channel contractions
 run on BLAS: the batch axis is kept through batched matmul over
 (n, channels, positions) views, and a contraction that sums over the batch
 anyway, such as TransposeConv's input gradient, is one GEMM over all
-n * positions rows.
+n * positions rows. The depthwise conv runs on BLAS too: each of its k row
+offsets is one batched GEMM of every sample's rows against per-channel
+banded (W, W) matrices (row-wise lowering, as in MEC, Cho & Brand 2017).
 
 Layers form one tree. A primitive owns a flat parameter vector; a container
 (ConvBlock, Sequential, and the Model built on Sequential) owns none and
@@ -100,8 +102,50 @@ class Layer:
         )
 
 
+def _row_stack(x, p):
+    """[n, c, H, W] -> channels-first rows [c, 2p + n(H + p), W]: p zero rows,
+    then each sample's H rows followed by p zero rows, then p more. One gap of
+    p zero rows pads both neighbours, so the rows a .. a + n(H + p) of the
+    stack are, per sample, its H rows shifted by a - p, then p spare rows."""
+    n, c, H, W = x.shape
+    rows = np.zeros((c, 2 * p + n * (H + p), W), dtype=x.dtype)
+    _sample_rows(rows, n, H, p, p)[:] = x.transpose(1, 0, 2, 3)
+    return rows
+
+
+def _sample_rows(rows, n, H, p, offset):
+    """View [c, n, H, W] of a row stack's sample rows, shifted by offset - p."""
+    c, _, W = rows.shape
+    return rows[:, offset:offset + n * (H + p)].reshape(c, n, H + p, W)[:, :, :H]
+
+
+def _banded_conv(rows, w, n, H):
+    """'Same' depthwise conv of a row stack with w [c, k, k] -> [n, c, H, W].
+
+    Row offset a is one batched GEMM: the stack's rows a .. a + n(H + p)
+    times, per channel, the banded (W, W) matrix that holds w[c, a, b] on
+    the diagonal j_in - j_out = b - p. The band's edges are the zero padding
+    along W, so only H needs padded rows.
+    """
+    c, k, _ = w.shape
+    p, W = k // 2, rows.shape[2]
+    span = H + p
+    shift = np.arange(W)[:, None] - np.arange(W)[None, :] + p
+    inside = (shift >= 0) & (shift < k)
+    bands = np.where(inside, w[:, :, np.clip(shift, 0, k - 1)], 0)
+    out = np.matmul(rows[:, :n * span], bands[:, 0])
+    for a in range(1, k):
+        out += np.matmul(rows[:, a:a + n * span], bands[:, a])
+    return np.ascontiguousarray(out.reshape(c, n, span, W)[:, :, :H].transpose(1, 0, 2, 3))
+
+
 class DepthwiseConv(Layer):
-    """Per-channel k x k convolution, stride 1, zero 'same' padding, no bias."""
+    """Per-channel k x k convolution, stride 1, zero 'same' padding, no bias.
+
+    Forward and input gradient run as k banded GEMMs over a row stack
+    (_banded_conv): the input gradient is the same conv of the output
+    gradient with the kernel flipped in both axes.
+    """
 
     def __init__(self, channels: int, kernel: int):
         super().__init__()
@@ -114,29 +158,26 @@ class DepthwiseConv(Layer):
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.channels:
             self._bad_input(x, f"[n, {self.channels}, h, w]")
-        k, p = self.kernel, self.kernel // 2
         w, _ = self._views()
-        n, c, H, W = x.shape
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        y = np.zeros_like(x)
-        for a in range(k):
-            for b in range(k):
-                y += w[:, a, b][None, :, None, None] * xp[:, :, a:a + H, b:b + W]
-        return y, (xp, x.shape)
+        n, _, H, _ = x.shape
+        rows = _row_stack(x, self.kernel // 2)
+        return _banded_conv(rows, w, n, H), (rows, x.shape)
 
     def backward(self, gout, cache):
-        xp, xshape = cache
-        n, c, H, W = xshape
+        rows, (n, c, H, W) = cache
         k, p = self.kernel, self.kernel // 2
         w, _ = self._views()
-        gxp = np.zeros_like(xp)
+        g_rows = _row_stack(gout, p)
+        gin = _banded_conv(g_rows, w[:, ::-1, ::-1], n, H)
+        # gw[n, c, a, b] = sum_ij x[n, c, i + a - p, j + b - p] * gout[n, c, i, j]
+        g = _sample_rows(g_rows, n, H, p, p)
         gw = np.empty((n, c, k, k), dtype=gout.dtype)
         for a in range(k):
+            window = _sample_rows(rows, n, H, p, a)
             for b in range(k):
-                window = xp[:, :, a:a + H, b:b + W]
-                gxp[:, :, a:a + H, b:b + W] += w[:, a, b][None, :, None, None] * gout
-                gw[:, :, a, b] = np.einsum("nchw,nchw->nc", window, gout)
-        gin = gxp[:, :, p:p + H, p:p + W]
+                lo, hi = max(0, p - b), min(W, W + p - b)
+                gw[:, :, a, b] = np.einsum(
+                    "cnhw,cnhw->nc", window[..., lo + b - p:hi + b - p], g[..., lo:hi])
         return gin, [gw.reshape(n, -1)]
 
 
@@ -176,8 +217,12 @@ class PointwiseConv(Layer):
 class PerSampleNorm(Layer):
     """Normalization over channel groups within each sample (no cross-sample statistics).
 
-    Group size is min(8, C); each group is normalized over its channels and
-    all spatial positions, then scaled/shifted by per-channel affine params.
+    The C channels split into ceil(C / 8) contiguous groups of near-equal
+    size, as np.array_split cuts them (C = 20 gives 7, 7, 6). Each group is
+    normalized over its channels and all spatial positions, then
+    scaled/shifted by per-channel affine params. Statistics are per-channel
+    reductions folded into groups with np.add.reduceat, one path for every
+    group layout.
     """
 
     EPS = 1e-5
@@ -185,13 +230,9 @@ class PerSampleNorm(Layer):
     def __init__(self, channels: int):
         super().__init__()
         self.channels = channels
-        self.group_size = min(8, channels)
-        n_groups = -(-channels // self.group_size)
-        self.group_slices = []
-        start = 0
-        for part in np.array_split(np.arange(channels), n_groups):
-            self.group_slices.append(slice(start, start + part.size))
-            start += part.size
+        self.group_sizes = np.array(
+            [part.size for part in np.array_split(np.arange(channels), -(-channels // 8))])
+        self.group_starts = np.cumsum(self.group_sizes) - self.group_sizes
         self._layout((channels,), channels, None)
         self.init_params(None)
 
@@ -200,37 +241,37 @@ class PerSampleNorm(Layer):
         c = self.channels
         self.params = np.concatenate([np.ones(c), np.zeros(c)]).astype(self.params.dtype)
 
+    def _group_mean(self, per_channel, hw):
+        """[n, C] per-channel sums -> each channel's group mean, [n, C]."""
+        count = (self.group_sizes * hw).astype(per_channel.dtype)
+        sums = np.add.reduceat(per_channel, self.group_starts, axis=1)
+        return np.repeat(sums / count, self.group_sizes, axis=1)
+
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.channels:
             self._bad_input(x, f"[n, {self.channels}, h, w]")
         gamma, beta = self._views()
-        y = np.empty_like(x)
-        xhat_full = np.empty_like(x)
-        istds = []
-        for sl in self.group_slices:
-            xs = x[:, sl]
-            mu = xs.mean(axis=(1, 2, 3), keepdims=True)
-            var = xs.var(axis=(1, 2, 3), keepdims=True)
-            istd = 1.0 / np.sqrt(var + self.EPS)
-            xhat = (xs - mu) * istd
-            xhat_full[:, sl] = xhat
-            y[:, sl] = gamma[sl][None, :, None, None] * xhat + beta[sl][None, :, None, None]
-            istds.append(istd)
-        return y, (xhat_full, istds)
+        hw = x.shape[2] * x.shape[3]
+        xc = x - self._group_mean(x.sum(axis=(2, 3)), hw)[:, :, None, None]
+        var = self._group_mean(np.einsum("nchw,nchw->nc", xc, xc), hw)
+        istd = 1.0 / np.sqrt(var + self.EPS)
+        y = xc * (gamma * istd)[:, :, None, None]
+        y += beta[None, :, None, None]
+        return y, (xc, istd)
 
     def backward(self, gout, cache):
-        xhat_full, istds = cache
+        xc, istd = cache
         gamma, _ = self._views()
-        gin = np.empty_like(gout)
-        for sl, istd in zip(self.group_slices, istds):
-            g = gout[:, sl]
-            xhat = xhat_full[:, sl]
-            dxhat = g * gamma[sl][None, :, None, None]
-            m1 = dxhat.mean(axis=(1, 2, 3), keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=(1, 2, 3), keepdims=True)
-            gin[:, sl] = istd * (dxhat - m1 - xhat * m2)
-        dgamma = np.einsum("nchw,nchw->nc", gout, xhat_full)
+        hw = gout.shape[2] * gout.shape[3]
+        dgamma = np.einsum("nchw,nchw->nc", gout, xc) * istd
         dbeta = gout.sum(axis=(2, 3))
+        # with dxhat = gout * gamma, the group means of dxhat and of
+        # dxhat * xhat are those of dbeta * gamma and dgamma * gamma
+        m1 = self._group_mean(dbeta * gamma, hw)
+        m2 = self._group_mean(dgamma * gamma, hw)
+        gin = gout * (gamma * istd)[:, :, None, None]
+        gin -= xc * (m2 * istd * istd)[:, :, None, None]
+        gin -= (m1 * istd)[:, :, None, None]
         return gin, [np.concatenate([dgamma, dbeta], axis=1)]
 
 
@@ -423,9 +464,11 @@ class ConvBlock(Layer):
             s, c_proj = self.proj.forward(x)
         else:
             s, c_proj = x, None
-        pre = h3 + s
-        mask = pre > 0
-        return pre * mask, (c_dw, c_pw, c_norm, c_proj, mask)
+        # h3 is the norm's fresh output, so the residual and ReLU run in place
+        h3 += s
+        mask = h3 > 0
+        h3 *= mask
+        return h3, (c_dw, c_pw, c_norm, c_proj, mask)
 
     def backward(self, gout, cache):
         c_dw, c_pw, c_norm, c_proj, mask = cache

@@ -389,6 +389,8 @@ class TestKernelParity:
         "non-square": (3, 3, 5),
         "odd": (4, 7, 9),
     }
+    # norm groups: one of 3; two of 6; 7, 7 and 6; eight of 8
+    CHANNELS = [3, 12, 20, 64]
 
     @staticmethod
     def _ref_pointwise(layer, x, gout):
@@ -425,6 +427,64 @@ class TestKernelParity:
             gout[:, :, :, None, :, None] / 4.0, (n, c, H2, 2, W2, 2)
         ).reshape(n, c, H2 * 2, W2 * 2)
         return y, gin, []
+
+    @staticmethod
+    def _ref_depthwise(layer, x, gout):
+        # the k^2 shifted-slice loop that the banded GEMMs replaced
+        k, p = layer.kernel, layer.kernel // 2
+        w, _ = layer._views()
+        n, c, H, W = x.shape
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        y = np.zeros_like(x)
+        for a in range(k):
+            for b in range(k):
+                y += w[:, a, b][None, :, None, None] * xp[:, :, a:a + H, b:b + W]
+        gxp = np.zeros_like(xp)
+        gw = np.empty((n, c, k, k), dtype=gout.dtype)
+        for a in range(k):
+            for b in range(k):
+                window = xp[:, :, a:a + H, b:b + W]
+                gxp[:, :, a:a + H, b:b + W] += w[:, a, b][None, :, None, None] * gout
+                gw[:, :, a, b] = np.einsum("nchw,nchw->nc", window, gout)
+        gin = gxp[:, :, p:p + H, p:p + W]
+        return y, gin, [gw.reshape(n, -1)]
+
+    @staticmethod
+    def _ref_norm(layer, x, gout):
+        # the per-group mean/var loop that the reduceat statistics replaced
+        eps = layer.EPS
+        gamma, beta = layer._views()
+        channels = layer.channels
+        group_size = min(8, channels)
+        n_groups = -(-channels // group_size)
+        group_slices = []
+        start = 0
+        for part in np.array_split(np.arange(channels), n_groups):
+            group_slices.append(slice(start, start + part.size))
+            start += part.size
+        y = np.empty_like(x)
+        xhat_full = np.empty_like(x)
+        istds = []
+        for sl in group_slices:
+            xs = x[:, sl]
+            mu = xs.mean(axis=(1, 2, 3), keepdims=True)
+            var = xs.var(axis=(1, 2, 3), keepdims=True)
+            istd = 1.0 / np.sqrt(var + eps)
+            xhat = (xs - mu) * istd
+            xhat_full[:, sl] = xhat
+            y[:, sl] = gamma[sl][None, :, None, None] * xhat + beta[sl][None, :, None, None]
+            istds.append(istd)
+        gin = np.empty_like(gout)
+        for sl, istd in zip(group_slices, istds):
+            g = gout[:, sl]
+            xhat = xhat_full[:, sl]
+            dxhat = g * gamma[sl][None, :, None, None]
+            m1 = dxhat.mean(axis=(1, 2, 3), keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=(1, 2, 3), keepdims=True)
+            gin[:, sl] = istd * (dxhat - m1 - xhat * m2)
+        dgamma = np.einsum("nchw,nchw->nc", gout, xhat_full)
+        dbeta = gout.sum(axis=(2, 3))
+        return y, gin, [np.concatenate([dgamma, dbeta], axis=1)]
 
     def _check(self, layer, ref, x_shape, dtype, seed):
         rng = _rng(seed)
@@ -464,6 +524,42 @@ class TestKernelParity:
     def test_avgpool(self, dtype, shape):
         n, H, W = self.SHAPES[shape]
         self._check(AvgPool(), self._ref_avgpool, (n, 8, H, W), dtype, 23)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ["desk", "paper", "non-square", "odd"])
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize("channels", CHANNELS)
+    def test_depthwise(self, dtype, shape, kernel, channels):
+        n, H, W = self.SHAPES[shape]
+        layer = DepthwiseConv(channels, kernel)
+        self._check(layer, self._ref_depthwise, (n, channels, H, W), dtype, 24)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ["desk", "paper", "non-square", "odd"])
+    @pytest.mark.parametrize("channels", CHANNELS)
+    def test_norm(self, dtype, shape, channels):
+        n, H, W = self.SHAPES[shape]
+        layer = PerSampleNorm(channels)
+        self._check(layer, self._ref_norm, (n, channels, H, W), dtype, 25)
+
+    @pytest.mark.parametrize("c_in, c_out", [(12, 12), (3, 20)])
+    def test_convblock_residual_relu_is_bit_identical(self, c_in, c_out):
+        # the in-place residual add and ReLU against relu(norm(pw(dw(x))) + shortcut(x))
+        block = ConvBlock(c_in, c_out, 3)
+        rng = _rng(26)
+        for layer in block.param_layers():
+            layer.params = rng.normal(scale=0.5, size=layer.n_params).astype(np.float32)
+        x = rng.normal(size=(4, c_in, 7, 9)).astype(np.float32)
+        y, cache = block.forward(x)
+        h = x
+        for layer in (block.dw, block.pw, block.norm):
+            h, _ = layer.forward(h)
+        shortcut = x if block.proj is None else block.proj.forward(x)[0]
+        pre = h + shortcut
+        ref = pre * (pre > 0)
+        assert y.dtype == ref.dtype
+        assert y.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(cache[-1], pre > 0)
 
 
 class TestErrors:
