@@ -1,13 +1,18 @@
-"""Kernel timings and memory peaks for the evaluation forward.
+"""Kernel timings and memory peaks for the evaluation forward and the
+per-sample gradients.
 
 Times Model.forward_bottom for the default genome C3x32-C3x64-Pavg at desk
 shape (3x8x8 images, d_rep 16) and paper shape (3x32x32 images, d_rep 128)
 with n = 512 and 1024 samples, and evaluate_accuracy at desk shape. This is
 the forward that representation emission, accuracy, the round's loss and
-the inversion probe's auxiliary set all run. Each case also stores the
-tracemalloc peak of one untimed call, in MiB, under
-`extra_info["tracemalloc_peak_mib"]`. The paper-shape cases at n = 1024
-need about 1.1 GiB while they run.
+the inversion probe's auxiliary set all run. It also times
+loss_and_per_sample_grads on one B=64 paper batch for the default genome
+and C5x64-C5x64-Pavg-C5x64: the per-sample gradients of one DP step. Each
+case also stores the tracemalloc peak of one untimed call, in MiB, under
+`extra_info["tracemalloc_peak_mib"]`. With paper batches run in 4-row cuts
+(nn.model.batch_cuts), the paper-shape forward peaks at about 7 MiB at
+n = 512 and 1024 (830 MiB with the former 512-row cuts), and the
+per-sample gradients at 13 MiB and 19 MiB (140 MiB and 209 MiB uncut).
 
 The file name does not match test_*.py, so the tier-1 suite does not
 collect it. Run it on one BLAS thread, as the stage benchmark does:
@@ -23,7 +28,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fednaslab.nn import evaluate_accuracy
+from fednaslab.nn import evaluate_accuracy, loss_and_per_sample_grads
 from fednaslab.space import SpaceConfig, genome_from_string, materialize
 
 GENOME = "C3x32-C3x64-Pavg"
@@ -33,10 +38,10 @@ SPACES = {
 }
 
 
-def _setup(shape, n):
+def _setup(shape, n, genome=GENOME):
     space = SPACES[shape]
     rng = np.random.default_rng(0)
-    model = materialize(genome_from_string(GENOME), space, rng)
+    model = materialize(genome_from_string(genome), space, rng)
     x = rng.normal(size=(n, *space.input_shape)).astype(np.float32)
     y = rng.integers(0, space.num_classes, size=n)
     return model, x, y
@@ -73,3 +78,14 @@ def test_evaluate_accuracy(benchmark, n):
     scores = benchmark.pedantic(evaluate_accuracy, (model, x, y), rounds=5,
                                 iterations=1, warmup_rounds=1)
     assert np.isfinite(scores).all()
+
+
+@pytest.mark.parametrize("genome", [GENOME, "C5x64-C5x64-Pavg-C5x64"])
+def test_loss_and_per_sample_grads(benchmark, genome):
+    model, x, y = _setup("paper", 64, genome)
+    benchmark.group = f"loss_and_per_sample_grads-paper-{genome}"
+    benchmark.extra_info["tracemalloc_peak_mib"] = _peak_mib(
+        loss_and_per_sample_grads, model, x, y)
+    _, psg, _ = benchmark.pedantic(loss_and_per_sample_grads, (model, x, y),
+                                   rounds=5, iterations=1, warmup_rounds=1)
+    assert sum(p.shape[1] for p in psg) == model.n_params

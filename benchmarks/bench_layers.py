@@ -7,6 +7,11 @@ The "stem" cases and ConvBlock(32, 64, 3) are the shapes the default genome
 C3x32-C3x64-Pavg runs at paper shape: the first block's depthwise conv on
 the 3 image channels and its norm over 32 channels, and the second block
 whole, so its in-place residual add and ReLU show in a kernel time.
+The "cut" cases are the 4-row cuts that nn.model.batch_cuts makes of a
+B=64 paper batch, next to the same layer at the full batch ("block"/"paper"):
+the second block's depthwise conv of the default genome (32 channels, k3)
+and of C5x64-C5x64-Pavg-C5x64 (64 channels, k5). 16 cut calls do the work of
+one full-batch call.
 TransposeConv takes the half-side input whose output has that side, as in
 the inversion decoder; Linear is the adaptation layer after global pooling
 (desk 64 -> d_rep 16, paper 64 -> d_rep 128). The file name does not match test_*.py, so the
@@ -39,6 +44,9 @@ CASES = {
     "depthwise5-desk": (lambda: DepthwiseConv(32, 5), (32, 32, 8, 8)),
     "depthwise5-paper": (lambda: DepthwiseConv(64, 5), (64, 64, 32, 32)),
     "depthwise3-stem-paper": (lambda: DepthwiseConv(3, 3), (64, 3, 32, 32)),
+    "depthwise3-block-paper": (lambda: DepthwiseConv(32, 3), (64, 32, 32, 32)),
+    "depthwise3-block-cut": (lambda: DepthwiseConv(32, 3), (4, 32, 32, 32)),
+    "depthwise5-cut": (lambda: DepthwiseConv(64, 5), (4, 64, 32, 32)),
     "norm-desk": (lambda: PerSampleNorm(32), (32, 32, 8, 8)),
     "norm-paper": (lambda: PerSampleNorm(64), (64, 64, 32, 32)),
     "norm-stem-paper": (lambda: PerSampleNorm(32), (64, 32, 32, 32)),

@@ -127,21 +127,6 @@ def load_cifar_binary(path) -> Dataset:
     return Dataset(images, fine, num_classes, coarse)
 
 
-def write_cifar_binary(dataset: Dataset, path) -> None:
-    """Serialize back to the binary record format (round-trip partner of
-    `load_cifar_binary`; pixel floats are mapped to the nearest u8)."""
-    n, c, h, w = dataset.images.shape
-    if (c, h, w) != (3, 32, 32):
-        raise ConfigError(f"binary format requires 3x32x32 images, got {(c, h, w)}")
-    pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
-    cols = [dataset.labels.astype(np.uint8)[:, None]]
-    if dataset.coarse_labels is not None:
-        cols.insert(0, dataset.coarse_labels.astype(np.uint8)[:, None])
-    records = np.hstack(cols + [pixels.reshape(n, _IMAGE_BYTES)])
-    with open(path, "wb") as fh:
-        fh.write(records.tobytes())
-
-
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     """Integer allocation of `total` proportional to `weights` (floor, then
     distribute the shortfall by descending fractional part; ties by index)."""

@@ -375,7 +375,9 @@ class Linear(Layer):
         x = cache
         w, _ = self._views()
         n = x.shape[0]
-        gin = gout @ w.T
+        # a contiguous w.T keeps each row's input gradient the same bits at
+        # any row count past one; OpenBLAS's transposed-operand GEMM does not
+        gin = gout @ np.ascontiguousarray(w.T)
         gw = np.einsum("ni,no->nio", x, gout).reshape(n, -1)
         return gin, [np.concatenate([gw, gout], axis=1)]
 

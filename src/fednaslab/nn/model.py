@@ -1,5 +1,14 @@
 """Split model (client bottom + shared-width head), losses, and training
-helpers; every trainer takes one layer stack."""
+helpers; every trainer takes one layer stack.
+
+Every per-sample computation here is row-wise: no layer mixes samples, and
+row i of a loss gradient is sample i's own. So a large batch runs in cuts
+(batch_cuts), each forwarded, and for gradients backpropagated, while its
+activations still sit in cache; outputs and per-sample gradients are the
+cuts' results stacked. Model.forward_bottom and loss_and_per_sample_grads
+are the two entry points, and every evaluation, emission, DP step and plain
+gradient goes through one of them.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +17,31 @@ import numpy as np
 from ..errors import NonFiniteError, ShapeMismatchError
 from .layers import Layer, Sequential
 
-# most rows one evaluation forward through the bottom takes at once
-EVAL_BATCH = 512
+# A batch whose input holds more than CUT_ABOVE bytes runs in near-equal
+# cuts of at most CUT_BYTES of input each. At 3x32x32 float32 that is 4 rows
+# a cut, and each activation of a 64-channel block is then 1 MiB, inside a
+# 2 MiB L2; uncut, a 64-row batch writes and rereads 16 MiB per layer. Desk
+# batches (3x8x8, up to 682 rows) stay whole: cut into 64-row pieces, they
+# ran faster in a warm process but 10-17% slower in the benchmark's fresh
+# stage processes, with about 1.5x the minor page faults. Cuts are
+# near-equal so that no float32 cut at 3x32x32 holds a single row, whose
+# matmuls would take the GEMV path and round differently from the same row
+# inside a GEMM.
+CUT_ABOVE = 512 * 1024
+CUT_BYTES = 48 * 1024
+
+
+def batch_cuts(x):
+    """Row slices covering x in order: one slice for a batch of at most
+    CUT_ABOVE bytes (an empty one included), else the fewest near-equal
+    runs of at most CUT_BYTES each (at least one row)."""
+    n = len(x)
+    if x.nbytes <= CUT_ABOVE:
+        return [slice(0, n)]
+    rows = max(1, CUT_BYTES // (x.nbytes // n))
+    count = -(-n // rows)
+    bounds = [i * n // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def softmax_cross_entropy(logits, labels):
@@ -63,18 +95,16 @@ class Model(Sequential):
         self.head = head
 
     def forward_bottom(self, x):
-        """Evaluation forward through the bottom, in cuts of at most
-        EVAL_BATCH rows (an empty input is one empty cut): representations
-        [n, d_rep], checked finite."""
-        z = np.concatenate([self.bottom.forward(x[start:start + EVAL_BATCH])[0]
-                            for start in range(0, max(len(x), 1), EVAL_BATCH)])
+        """Evaluation forward through the bottom, one cut at a time
+        (batch_cuts): representations [n, d_rep], checked finite."""
+        z = np.concatenate([self.bottom.forward(x[cut])[0] for cut in batch_cuts(x)])
         if not np.isfinite(z).all():
             raise NonFiniteError("bottom produced non-finite representations")
         return z
 
     def logits(self, x):
         """Evaluation forward pass: class logits, checked finite. The bottom
-        runs in EVAL_BATCH cuts (forward_bottom), the head in one batch."""
+        runs in cuts (forward_bottom), the head in one batch."""
         out, _ = self.head.forward(self.forward_bottom(x))
         if not np.isfinite(out).all():
             raise NonFiniteError("head produced non-finite logits")
@@ -89,11 +119,22 @@ def loss_and_per_sample_grads(model: Layer, x, target, loss=softmax_cross_entrop
     psg_list holds one [n, p_i] array per parameterized primitive layer of
     the stack, in parameter order. Row i of each array is the gradient of
     sample i's own loss.
+
+    Forward, loss gradient and backward run one cut at a time (batch_cuts);
+    the cuts' outputs and per-sample gradients are stacked, and the mean
+    loss is taken once over the whole output.
     """
-    out, cache = model.forward(x)
-    loss_value, gout = loss(out, target)
-    _, psg_list = model.backward(gout, cache)
-    return loss_value, psg_list, out
+    outs, psgs = [], []
+    for cut in batch_cuts(x):
+        out, cache = model.forward(x[cut])
+        loss_value, gout = loss(out, target[cut])
+        outs.append(out)
+        psgs.append(model.backward(gout, cache)[1])
+    if len(outs) == 1:
+        return loss_value, psgs[0], out
+    out = np.concatenate(outs)
+    loss_value, _ = loss(out, target)
+    return loss_value, [np.concatenate(layer_psgs) for layer_psgs in zip(*psgs)], out
 
 
 def batch_gradient(model: Layer, x, target, loss=softmax_cross_entropy):

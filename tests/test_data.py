@@ -18,9 +18,21 @@ from fednaslab.data import (
     partition_dirichlet,
     split_nas_subsets,
     synth_dataset,
-    write_cifar_binary,
 )
 from fednaslab.errors import ConfigError, ParseError
+
+
+def write_cifar_binary(dataset: Dataset, path) -> None:
+    """Serialize back to the binary record format (round-trip partner of
+    `load_cifar_binary`; pixel floats are mapped to the nearest u8)."""
+    n = len(dataset.images)
+    pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
+    cols = [dataset.labels.astype(np.uint8)[:, None]]
+    if dataset.coarse_labels is not None:
+        cols.insert(0, dataset.coarse_labels.astype(np.uint8)[:, None])
+    records = np.hstack(cols + [pixels.reshape(n, 3 * 32 * 32)])
+    with open(path, "wb") as fh:
+        fh.write(records.tobytes())
 
 
 def _total_variation(p, q):

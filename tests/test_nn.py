@@ -35,6 +35,8 @@ from fednaslab.nn import (
     softmax_cross_entropy,
     train_plain_sgd,
 )
+from fednaslab.privacy import DPConfig, dp_sgd_step
+from fednaslab.space import SpaceConfig, genome_from_string, materialize
 
 RTOL = 1e-3
 ATOL = 1e-6
@@ -606,6 +608,17 @@ def _small_model():
     return Model(bottom, _init(Sequential([Linear(4, 3)]), 22))
 
 
+def _one_cut(monkeypatch):
+    """Run every batch as one cut: today's uncut path."""
+    monkeypatch.setattr(nn_model, "CUT_ABOVE", math.inf)
+
+
+def _cut_rows(monkeypatch, x, rows):
+    """Cut every batch shaped like x into runs of at most `rows` rows."""
+    monkeypatch.setattr(nn_model, "CUT_ABOVE", 0)
+    monkeypatch.setattr(nn_model, "CUT_BYTES", rows * x[0].nbytes)
+
+
 class TestEvaluationPass:
     def test_bottom_runs_in_eval_batch_cuts(self, monkeypatch):
         model = _small_model()
@@ -617,10 +630,10 @@ class TestEvaluationPass:
             rows.append(len(xb))
             return forward(xb)
 
-        monkeypatch.setattr(nn_model, "EVAL_BATCH", 3)
+        _cut_rows(monkeypatch, x, 3)
         monkeypatch.setattr(model.bottom, "forward", recording)
         z = model.forward_bottom(x)
-        assert rows == [3, 3, 2]
+        assert rows == [2, 3, 3]
         np.testing.assert_allclose(z, uncut, rtol=1e-5, atol=1e-6)
 
     def test_accuracy_and_loss_match_the_uncut_logits(self, monkeypatch):
@@ -630,7 +643,7 @@ class TestEvaluationPass:
         logits, _ = model.forward(x)
         ref_loss, _ = softmax_cross_entropy(logits, y)
         ref_acc = (logits.argmax(axis=1) == y).mean()
-        monkeypatch.setattr(nn_model, "EVAL_BATCH", 3)
+        _cut_rows(monkeypatch, x, 3)
         acc, loss = evaluate_accuracy(model, x, y)
         assert acc == ref_acc
         assert loss == pytest.approx(ref_loss, rel=1e-5)
@@ -641,6 +654,102 @@ class TestEvaluationPass:
                                       np.zeros(0, dtype=np.int64))
         assert acc == 0.0
         assert math.isnan(loss)
+
+
+@pytest.fixture(scope="module")
+def paper_batch():
+    """The default genome at paper shape and one B=64 batch of 3x32x32."""
+    space = SpaceConfig(input_shape=(3, 32, 32), d_rep=128)
+    rng = _rng(31)
+    model = materialize(genome_from_string("C3x32-C3x64-Pavg"), space, rng)
+    x = rng.normal(size=(64, 3, 32, 32)).astype(np.float32)
+    return model, x, rng.integers(0, 10, size=64)
+
+
+class TestBatchCuts:
+    @pytest.mark.parametrize("n", [32, 333])
+    def test_desk_batches_run_whole(self, n):
+        assert nn_model.batch_cuts(np.zeros((n, 3, 8, 8), np.float32)) == [slice(0, n)]
+
+    def test_paper_batch_is_cut(self):
+        cuts = nn_model.batch_cuts(np.zeros((64, 3, 32, 32), np.float32))
+        assert [cut.stop - cut.start for cut in cuts] == [4] * 16
+        assert [cut.start for cut in cuts] == list(range(0, 64, 4))
+
+    @pytest.mark.parametrize("n", [43, 47, 133])
+    def test_cuts_cover_the_batch_in_near_equal_runs(self, n):
+        cuts = nn_model.batch_cuts(np.zeros((n, 3, 32, 32), np.float32))
+        sizes = [cut.stop - cut.start for cut in cuts]
+        assert cuts[0].start == 0 and cuts[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(cuts, cuts[1:]))
+        assert max(sizes) <= 4 and max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= 2
+
+    def test_empty_input_returns_an_empty_result(self, paper_batch):
+        model, x, _ = paper_batch
+        assert nn_model.batch_cuts(x[:0]) == [slice(0, 0)]
+        assert model.forward_bottom(x[:0]).shape == (0, 128)
+
+    def test_cut_and_uncut_agree_bit_for_bit(self, paper_batch, monkeypatch):
+        model, x, y = paper_batch
+        loss, psg, out = loss_and_per_sample_grads(model, x, y)
+        z = model.forward_bottom(x)
+        _one_cut(monkeypatch)
+        ref_loss, ref_psg, ref_out = loss_and_per_sample_grads(model, x, y)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(out, ref_out)
+        for got, ref in zip(psg, ref_psg, strict=True):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(z, model.forward_bottom(x))
+
+    @pytest.mark.parametrize("rows", [2, 3, 4])
+    def test_a_rows_gradients_do_not_depend_on_its_cut(self, paper_batch, rows):
+        model, x, y = paper_batch
+        # the whole 64-row batch through the layers, as one cut runs it
+        out, cache = model.forward(x)
+        _, psg = model.backward(softmax_cross_entropy(out, y)[1], cache)
+        _, short, _ = loss_and_per_sample_grads(model, x[8:8 + rows], y[8:8 + rows])
+        for got, ref in zip(short, psg, strict=True):
+            np.testing.assert_array_equal(got, ref[8:8 + rows])
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_odd_remainder_cut_agrees_within_tolerance(self, monkeypatch, dtype, rtol):
+        model = _small_model().astype(dtype)
+        x = _rng(32).normal(size=(7, 2, 5, 5)).astype(dtype)
+        y = _rng(33).integers(0, 3, size=7)
+        ref_loss, ref_psg, ref_out = loss_and_per_sample_grads(model, x, y)
+        rows, forward = [], model.forward
+
+        def recording(xb):
+            rows.append(len(xb))
+            return forward(xb)
+
+        _cut_rows(monkeypatch, x, 2)
+        monkeypatch.setattr(model, "forward", recording)
+        loss, psg, out = loss_and_per_sample_grads(model, x, y)
+        assert rows == [1, 2, 2, 2]
+        assert loss == pytest.approx(ref_loss, rel=rtol)
+        np.testing.assert_allclose(out, ref_out, rtol=rtol, atol=rtol)
+        for got, ref in zip(psg, ref_psg, strict=True):
+            np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol)
+
+    def test_dp_step_moves_the_parameters_identically(self, paper_batch, monkeypatch):
+        model, x, y = paper_batch
+        dp = DPConfig(clip_norm=1.0, noise_multiplier=1.0, sampling_rate=0.1, delta=1e-5)
+        start = model.get_flat()
+
+        def step():
+            model.set_flat(start)
+            loss = dp_sgd_step(model, x, y, dp, 0.1, _rng(34))
+            return loss, model.get_flat()
+
+        cut_loss, cut_params = step()
+        _one_cut(monkeypatch)
+        uncut_loss, uncut_params = step()
+        model.set_flat(start)
+        assert cut_loss == uncut_loss
+        np.testing.assert_array_equal(cut_params, uncut_params)
+        assert not np.array_equal(cut_params, start)
 
 
 class TestBatchSamplers:
