@@ -17,6 +17,10 @@ collect it. Run it on one BLAS thread, as the stage benchmark does:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
         python -m pytest benchmarks/bench_privacy.py --benchmark-json out.json
+
+Point PYTHONPATH at another checkout's src to time that version, and
+compare runs by each case's `extra_info["scaled_median_s"]`, the median
+scaled to the reference host speed (benchmarks/conftest.py).
 """
 
 import numpy as np

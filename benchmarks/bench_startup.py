@@ -3,15 +3,19 @@
 Every `fednaslab` command is a new process, so this import is paid once
 per stage before `cli.main` runs. Each round starts one child interpreter
 that imports the package found on PYTHONPATH and reports the import's
-duration and the scipy subpackages it loaded. The file name does not
-match test_*.py, so the tier-1 suite does not collect it. Run it on one
-BLAS thread, as the stage benchmark does:
+duration (`import_s`), every module named `scipy` or `scipy.*` that it
+loaded (`scipy`; the package imports none at run time) and whether it
+loaded `numpy.f2py` (`numpy_f2py`), which scipy's array-API layer pulls
+in. The file name does not match test_*.py, so the tier-1 suite does not
+collect it. Run it on one BLAS thread, as the stage benchmark does:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
         python -m pytest benchmarks/bench_startup.py --benchmark-json out.json
 
-Point PYTHONPATH at another checkout's src to time that version. For the
-per-module breakdown, run `python -X importtime -c "import fednaslab.cli"`.
+Point PYTHONPATH at another checkout's src to time that version, and
+compare runs by `extra_info["scaled_median_s"]`, the median scaled to the
+reference host speed (benchmarks/conftest.py). For the per-module
+breakdown, run `python -X importtime -c "import fednaslab.cli"`.
 """
 
 import json
@@ -25,7 +29,8 @@ t = time.perf_counter()
 import fednaslab.cli
 elapsed = time.perf_counter() - t
 print(json.dumps({"import_s": elapsed, "scipy": sorted(
-    m for m in sys.modules if m.startswith("scipy.") and m.count(".") == 1)}))
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "numpy_f2py": "numpy.f2py" in sys.modules}))
 """
 
 

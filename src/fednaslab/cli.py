@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import importlib
 import json
 import logging
 import math
@@ -67,6 +68,12 @@ from .space import (
 )
 
 logger = logging.getLogger(__name__)
+
+# numpy imports these two on first use, which every stage makes
+# (np.random.default_rng, and np.unique's masked-array check); import them
+# with the package, so that a stage's time holds no module import
+for _lazy in ("numpy.random", "numpy.ma"):
+    importlib.import_module(_lazy)
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3

@@ -8,28 +8,38 @@ The four dimensions are normalized to the unit cube (log scale for learning
 rate, sampling rate, and clip norm) so one set of lengthscales is meaningful
 across decades.
 
-The candidate pool is a scrambled Sobol' sequence from a local numpy copy of
-scipy.stats.qmc.Sobol(d=4, scramble=True) (Joe-Kuo direction numbers, linear
-matrix scrambling plus a digital shift, Gray-code order) that returns the
-same points bit for bit. Importing scipy.stats costs every command about
-0.5 s of start-up for this one call, so the package does not.
+The package imports no scipy at run time; scipy's import was most of every
+command's start-up. Each scipy call the search made has a numpy
+replacement, checked against scipy in tests/test_hpo.py:
+
+- scipy.stats.qmc.Sobol(d=4, scramble=True): `sobol_points`, a local copy
+  (Joe-Kuo direction numbers, linear matrix scrambling plus a digital shift,
+  Gray-code order) that returns the same points bit for bit.
+- scipy.special.ndtr in expected improvement: exp of the accountant's
+  `privacy._log_ndtr`; EI is within 1e-13 of the scipy.stats.norm formula,
+  relative to its larger term.
+- LAPACK dpotrf/dpotrs and scipy.linalg.solve_triangular in `Surrogate`:
+  np.linalg.cholesky and np.linalg.solve on the triangular factor. The
+  factor, alpha, the posterior and the log marginal likelihood agree with
+  scipy's to about 1e-14 times the kernel's condition number, and a
+  LinAlgError escalates the jitter where dpotrf's info > 0 did.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, special
-from scipy.linalg import lapack
 
 from .errors import ConfigError, InfeasibleError, NonFiniteError
 from .nn.model import evaluate_accuracy
 from .privacy import (
     DPConfig,
+    _log_ndtr,
     privacy_cost,
     privacy_cost_integer_orders,
     train_dp_sgd,
@@ -166,7 +176,10 @@ class Surrogate:
     """GP posterior state over unit-cube points.
 
     The prior mean is the observation mean; `signal_var` is the kernel's
-    amplitude. `alpha` and the Cholesky factor are cached at construction.
+    amplitude. The Cholesky factor L and the whitened residual
+    L^-1 (y - mean), which is all the marginal likelihood needs, are cached
+    at construction; `alpha` = K^-1 (y - mean) on first use, since a fit
+    only reads the posterior of the surrogate it keeps.
     """
 
     x: np.ndarray
@@ -175,7 +188,7 @@ class Surrogate:
     signal_var: float
     jitter: float = JITTER_START
     chol: np.ndarray = field(init=False, repr=False)
-    alpha: np.ndarray = field(init=False, repr=False)
+    white: np.ndarray = field(init=False, repr=False)
     y_mean: float = field(init=False)
 
     def __post_init__(self):
@@ -184,44 +197,40 @@ class Surrogate:
         self.lengthscales = np.asarray(self.lengthscales, dtype=np.float64)
         self.y_mean = float(self.y.mean())
         kernel = _matern52(self.x, self.x, self.lengthscales, self.signal_var)
-        # LAPACK is called directly (scipy's cholesky/cho_solve wrappers cost
-        # more than the factorization at these sizes), so nothing else
-        # rejects a non-finite kernel or observation
         if not (np.isfinite(kernel).all() and np.isfinite(self.y).all()):
             raise ValueError("GP kernel or observations are not finite")
         jitter = self.jitter
         while True:
-            chol, info = lapack.dpotrf(kernel + jitter * np.eye(len(self.y)), lower=1)
-            if info == 0:
+            try:
+                chol = np.linalg.cholesky(kernel + jitter * np.eye(len(self.y)))
                 break
-            if info < 0:
-                raise ValueError(f"dpotrf rejected its argument {-info}")
-            # info > 0: a leading minor is not positive definite
-            jitter *= 10.0
-            if jitter > JITTER_MAX:
-                raise InfeasibleError(
-                    f"kernel stayed singular up to jitter {JITTER_MAX}"
-                )
+            except np.linalg.LinAlgError:
+                # a leading minor is not positive definite
+                jitter *= 10.0
+                if jitter > JITTER_MAX:
+                    raise InfeasibleError(
+                        f"kernel stayed singular up to jitter {JITTER_MAX}"
+                    ) from None
         self.chol = chol
         self.jitter = jitter
-        resid = self.y - self.y_mean
-        self.alpha, info = lapack.dpotrs(chol, resid, lower=1)
-        if info != 0:
-            raise ValueError(f"dpotrs rejected its argument {-info}")
+        self.white = np.linalg.solve(chol, self.y - self.y_mean)
+
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        return np.linalg.solve(self.chol.T, self.white)
 
     def posterior(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Mean and variance at each query point (vectorized)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         k_star = _matern52(pts, self.x, self.lengthscales, self.signal_var)
         mean = self.y_mean + k_star @ self.alpha
-        v = linalg.solve_triangular(self.chol, k_star.T, lower=True)
+        v = np.linalg.solve(self.chol, k_star.T)
         var = self.signal_var - (v * v).sum(axis=0)
         return mean, np.maximum(var, 0.0)
 
     def log_marginal_likelihood(self) -> float:
-        resid = self.y - self.y_mean
         return float(
-            -0.5 * resid @ self.alpha
+            -0.5 * self.white @ self.white
             - np.log(np.diag(self.chol)).sum()
             - 0.5 * len(self.y) * math.log(2.0 * math.pi)
         )
@@ -288,7 +297,7 @@ def expected_improvement_values(mu, sigma_p, incumbent: float,
     if np.any(pos):
         u = gap[pos] / sigma_p[pos]
         out = out.copy()
-        out[pos] = gap[pos] * special.ndtr(u) + sigma_p[pos] * np.exp(
+        out[pos] = gap[pos] * np.exp(_log_ndtr(u)) + sigma_p[pos] * np.exp(
             -0.5 * u * u
         ) / math.sqrt(2.0 * math.pi)
     return np.maximum(out, 0.0)

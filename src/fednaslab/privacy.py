@@ -15,12 +15,23 @@ of the same client hits. The refined cost is memoized in the same way per
 (q, sigma, delta, steps) point: a round's plan pre-check at steps + k and the
 ledger read after those k steps ask for the same point, and refine it once.
 
-The two scalar solvers are local copies of scipy's, ported operation for
-operation so they return the same floats: `_brentq` is Brent's root finder
-of scipy.optimize.brentq (Zeros/brentq.c) and `_minimize_bounded` is the
-bounded Brent minimizer of scipy.optimize.minimize_scalar(method="bounded")
-(_minimize_scalar_bounded). Importing scipy.optimize costs every command
-about 0.2 s of start-up for these two calls, so the package does not.
+The package imports no scipy at run time; scipy's import was most of every
+command's start-up. Each scipy call the accountant made has a numpy or
+`math` replacement here, checked against scipy in tests/test_privacy.py:
+
+- scipy.optimize.brentq and minimize_scalar(method="bounded"): `_brentq`
+  (Zeros/brentq.c) and `_minimize_bounded` (_minimize_scalar_bounded) are
+  ported operation for operation and return the same floats.
+- scipy.special.gammaln for the integer orders' binomials: log C(a, i) from
+  the exact `math.comb` up to order 64, from `math.lgamma` above; the table
+  is within 1e-13 of gammaln.
+- gammaln and gammasgn in the fractional-order series: |binom(alpha, i)| by
+  its ratio recurrence and its sign by parity (see `_log_a_frac_vec`). log A
+  is within rtol 1e-10 (atol 1e-15 where log A is near 0) of the scipy
+  series, and closer than it to a 30-digit sum where gammaln's cancellation
+  parts them.
+- scipy.special.log_ndtr: `_log_ndtr`, within rtol 1e-15 and atol 5e-16 of
+  it on [-1e4, 40].
 
 Batches are drawn uniformly without replacement but accounted with the
 subsampled (Poisson-style) bound, the standard approximation in DP-SGD
@@ -39,7 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import BudgetExhaustedError, InfeasibleError, NonFiniteError
 from .nn.model import apply_update, drawn_batches, loss_and_per_sample_grads
@@ -77,12 +87,9 @@ class DPConfig:
 
 
 _INT_ORDER_GRID = np.arange(2, 65, dtype=np.float64)
+# log C(a, i) from the exact integers, for the grid's orders 2..64
 _INT_LOGBINOM = {
-    a: (
-        special.gammaln(a + 1)
-        - special.gammaln(np.arange(a + 1) + 1.0)
-        - special.gammaln(a - np.arange(a + 1) + 1.0)
-    )
+    a: np.array([math.log(math.comb(a, i)) for i in range(a + 1)])
     for a in range(2, 65)
 }
 
@@ -94,14 +101,13 @@ def _log_a_int(lq: np.ndarray, l1q: np.ndarray, inv2s2: np.ndarray, a: int) -> n
     number of (q, sigma) pairs with 0 < q < 1: arrays that broadcast to one
     shape, which the result takes. The sum runs along a new trailing axis of
     length a + 1; coefficients above order 64 (refinement past the grid's
-    right edge) come from gammaln instead of the table.
+    right edge) come from math.lgamma instead of the table.
     """
     i = np.arange(a + 1, dtype=np.float64)
     log_binom = _INT_LOGBINOM.get(a)
     if log_binom is None:
-        log_binom = (
-            special.gammaln(a + 1) - special.gammaln(i + 1.0) - special.gammaln(a - i + 1.0)
-        )
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(a + 1)])
+        log_binom = log_fact[a] - log_fact - log_fact[::-1]
     terms = (
         log_binom
         + i * lq[..., None]
@@ -112,26 +118,60 @@ def _log_a_int(lq: np.ndarray, l1q: np.ndarray, inv2s2: np.ndarray, a: int) -> n
     return peak + np.log(np.exp(terms - peak[..., None]).sum(axis=-1))
 
 
-def _masked_logsumexp(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp over masked entries; all-masked rows give -inf."""
-    vals = np.where(mask, values, -np.inf)
-    peak = vals.max(axis=1)
-    safe = np.where(np.isfinite(peak), peak, 0.0)
-    with np.errstate(divide="ignore"):
-        out = safe + np.log(np.exp(vals - safe[:, None]).sum(axis=1))
-    return np.where(np.isfinite(peak), out, -np.inf)
+# log Phi takes the asymptotic series below _NDTR_LOW, where Phi nears the
+# bottom of the float range, and math.erfc above it
+_NDTR_LOW = -26.0
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# (-1)^k (2k - 1)!!, highest k first: the Mills-ratio series
+# -x Phi(x) / phi(x) ~ sum_k c_k x^-2k, whose first omitted term is below
+# 2e-18 at -26
+_MILLS = tuple(float((-1) ** k * math.prod(range(1, 2 * k, 2))) for k in range(8, -1, -1))
+
+
+def _log_ndtr(x) -> np.ndarray:
+    """log Phi(x), the log of the standard normal CDF, elementwise.
+
+    Above _NDTR_LOW it is log Phi(x) for x <= 0 and log1p(-Phi(-x)) for
+    x > 0, from Phi(-|x|) = erfc(|x| / sqrt 2) / 2; math.erfc takes one
+    element at a time, so callers pass the fewest distinct arguments they
+    can. Below, it is the Mills-ratio series, vectorized."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape)
+    band = x >= _NDTR_LOW
+    r = x[band]
+    tail = 0.5 * np.fromiter(map(math.erfc, (np.abs(r) * math.sqrt(0.5)).tolist()),
+                             np.float64, r.size)
+    log_phi = np.log1p(-tail)
+    np.log(tail, out=log_phi, where=r <= 0.0)
+    out[band] = log_phi
+    r = x[~band]
+    t = 1.0 / (r * r)
+    series = _MILLS[0] * t + _MILLS[1]
+    for c in _MILLS[2:]:
+        series *= t
+        series += c
+    out[~band] = np.log(series) - np.log(-r) - 0.5 * r * r - _HALF_LOG_2PI
+    return out
 
 
 def _log_a_frac_vec(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
     """log E[(mu/mu0)^alpha] for non-integer alphas, vectorized over orders.
 
     Series terms are accumulated in log space with signed buckets, in
-    geometrically growing blocks of the series index (the quadratic and
+    geometrically growing blocks of the series index i (the quadratic and
     linear index terms cancel exactly in the tail, leaving a polynomial
     decay that can need tens of thousands of terms at small orders).
     Because A >= 1, truncating once a block's final term sits 30 nats below
     both zero and the accumulated total leaves a negligible remainder; the
     relative guard also protects regimes where terms start tiny and rise.
+
+    |binom(alpha, i)| follows the ratio recurrence: its log is a running sum
+    of log|alpha - i| - log(i + 1), and it is negative where Gamma(j + 1) is,
+    j = alpha - i. Every term that depends on j (log|j|, its sign, the
+    Gaussian tail log Phi((j - z0) / sigma)) takes the same values for all
+    orders with one fractional part, shifted by floor(alpha): so each block
+    evaluates them once per fractional part, on j = top - k for the part's
+    largest order top, and each order reads its window k = i + (top - alpha).
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     n = alphas.size
@@ -140,56 +180,80 @@ def _log_a_frac_vec(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
     z0 = sigma * sigma * math.log(1.0 / q - 1.0) + 0.5
     lq, l1q = math.log(q), math.log1p(-q)
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
-    a0p = np.full(n, -np.inf)
-    a0n = np.full(n, -np.inf)
-    a1p = np.full(n, -np.inf)
-    a1n = np.full(n, -np.inf)
-    active = np.ones(n, dtype=bool)
+    whole = np.floor(alphas)
+    # alpha - floor(alpha) is exact, so orders of one part share it exactly
+    frac = alphas - whole
+    if n == 1:
+        # a refinement probe: one order is its own part
+        fracs, group, top = frac, np.zeros(1, dtype=np.intp), whole
+    else:
+        fracs, group = np.unique(frac, return_inverse=True)
+        top = np.zeros(fracs.size)
+        np.maximum.at(top, group, whole)
+    shift = (top[group] - whole).astype(np.intp)
+    span = int(shift.max())
+    # top + frac is the part's largest order, and top + frac - k rounds to
+    # the same float as alpha - i
+    top_alpha = (top + fracs)[:, None]
+    top = top[:, None]
+    # log|binom(alpha, i)| at the block's first i, then the running sum
+    coef = np.zeros((n, 1))
+    # per order and branch: the log sums of the positive terms, then of the
+    # negative ones
+    acc = np.full((n, 2, 2), -np.inf)
+    active = np.arange(n)
     i_start = 0
     block = 64
-    while active.any():
-        if i_start > 2_000_000:
-            raise InfeasibleError(
-                f"accountant series failed to converge (q={q}, sigma={sigma})"
-            )
-        idx = np.flatnonzero(active)
-        al = alphas[idx][:, None]
-        i = np.arange(i_start, i_start + block, dtype=np.float64)[None, :]
-        j = al - i
-        # |binom(alpha, i)| in log space: float binom overflows for large
-        # orders long before the full term does
-        log_coef = (
-            special.gammaln(al + 1.0)
-            - special.gammaln(i + 1.0)
-            - special.gammaln(j + 1.0)
-        )
-        sign = special.gammasgn(j + 1.0)
-        log_t0 = log_coef + i * lq + j * l1q
-        log_t1 = log_coef + j * lq + i * l1q
-        log_e0 = special.log_ndtr((z0 - i[0]) / sigma)[None, :]
-        log_e1 = special.log_ndtr((j - z0) / sigma)
-        log_s0 = log_t0 + (i * i - i) * inv2s2 + log_e0
-        log_s1 = log_t1 + (j * j - j) * inv2s2 + log_e1
-        pos = sign > 0
-        a0p[idx] = np.logaddexp(a0p[idx], _masked_logsumexp(log_s0, pos))
-        a1p[idx] = np.logaddexp(a1p[idx], _masked_logsumexp(log_s1, pos))
-        a0n[idx] = np.logaddexp(a0n[idx], _masked_logsumexp(log_s0, ~pos))
-        a1n[idx] = np.logaddexp(a1n[idx], _masked_logsumexp(log_s1, ~pos))
-        acc = np.maximum(a0p[idx], a1p[idx])
-        last = np.maximum(log_s0[:, -1], log_s1[:, -1])
-        done = (last < -30.0) & (last < acc - 30.0)
-        active[idx[done]] = False
-        i_start += block
-        block = min(block * 2, 8192)
-    # log(e^a0p - e^a0n) + same for the shifted branch; positives dominate
-    def _signed(lp, ln_):
-        with np.errstate(invalid="ignore"):
-            out = lp + np.log1p(-np.exp(np.minimum(ln_ - lp, 0.0)))
-        return np.where(np.isneginf(ln_), lp, out)
-
-    log_a0 = _signed(a0p, a0n)
-    log_a1 = _signed(a1p, a1n)
-    return np.logaddexp(log_a0, log_a1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while active.size:
+            if i_start > 2_000_000:
+                raise InfeasibleError(
+                    f"accountant series failed to converge (q={q}, sigma={sigma})"
+                )
+            k = np.arange(i_start, i_start + block + span, dtype=np.float64)
+            i = k[:block]
+            # the parts' runs of j, then the block's i: one branch's j-terms
+            # are the other's i-terms with the tail's argument negated
+            x = np.concatenate([(top_alpha - k).ravel(), i])
+            gap = (x - z0) / sigma
+            gap[-block:] *= -1.0
+            runs = np.empty((5, x.size))
+            np.log(np.abs(x), out=runs[0])
+            np.multiply(x, l1q, out=runs[1])
+            runs[2] = x * lq + (x * x - x) * inv2s2 + _log_ndtr(gap)
+            # the sign masks: binom(alpha, i) < 0 where Gamma(j + 1) < 0,
+            # j + 1 in (-1, 0), (-3, -2), ...
+            past = k - top
+            runs[4, :-block] = ((past >= 2.0) & (past % 2.0 == 0.0)).ravel()
+            runs[3] = 1.0 - runs[4]
+            window = (group[active] * k.size + shift[active])[:, None] + np.arange(block)
+            terms = np.take(runs, window, axis=1)
+            # the running sum over [carry, log|j| - log(i + 1), ...]
+            running = np.empty((active.size, block + 1))
+            running[:, :1] = coef[active]
+            np.subtract(terms[0], np.log1p(i), out=running[:, 1:])
+            np.cumsum(running, axis=1, out=running)
+            coef[active] = running[:, -1:]
+            log_s = terms[1:3]
+            log_s += running[:, :-1]
+            log_s[0] += runs[2, -block:]
+            log_s[1] += runs[1, -block:]
+            peak = log_s.max(axis=2).T[:, :, None]
+            scaled = np.exp(log_s.transpose(1, 0, 2) - peak)
+            # (order, branch, sign) sums of the scaled terms
+            sums = np.matmul(scaled, terms[3:].transpose(1, 2, 0))
+            updated = np.logaddexp(acc[active], np.log(sums) + peak)
+            acc[active] = updated
+            last = log_s[:, :, -1].max(axis=0)
+            done = last < np.minimum(updated[:, :, 0].max(axis=1), 0.0) - 30.0
+            active = active[~done]
+            i_start += block
+            block = min(block * 2, 8192)
+        # log(e^pos - e^neg) per branch; positives dominate
+        pos, neg = acc[:, :, 0], acc[:, :, 1]
+        signed = pos + np.log1p(-np.exp(np.minimum(neg - pos, 0.0)))
+    signed = np.where(np.isneginf(neg), pos, signed)
+    return np.logaddexp(signed[:, 0], signed[:, 1])
 
 
 def rdp_orders(dp: DPConfig, orders=None) -> np.ndarray:
@@ -223,13 +287,15 @@ def _rdp(q: float, sigma: float, orders: np.ndarray) -> np.ndarray:
     out = np.empty(orders.shape, dtype=np.float64)
     near_int = np.abs(orders - np.round(orders)) < _INT_TOL
     is_int = near_int & (np.round(orders) >= 2)
-    # same array arithmetic as privacy_cost_integer_orders, so both agree
-    # bit for bit on the integer orders
-    qs, sigmas = np.array([q]), np.array([sigma])
-    lq, l1q, inv2s2 = np.log(qs), np.log1p(-qs), 1.0 / (2.0 * sigmas ** 2)
-    for k in np.flatnonzero(is_int):
-        log_a = _log_a_int(lq, l1q, inv2s2, int(round(orders[k])))[0]
-        out[k] = log_a / (orders[k] - 1.0)
+    int_idx = np.flatnonzero(is_int)
+    if int_idx.size:
+        # same array arithmetic as privacy_cost_integer_orders, so both
+        # agree bit for bit on the integer orders
+        qs, sigmas = np.array([q]), np.array([sigma])
+        lq, l1q, inv2s2 = np.log(qs), np.log1p(-qs), 1.0 / (2.0 * sigmas ** 2)
+        for k in int_idx:
+            log_a = _log_a_int(lq, l1q, inv2s2, int(round(orders[k])))[0]
+            out[k] = log_a / (orders[k] - 1.0)
     frac_idx = np.flatnonzero(~is_int)
     if frac_idx.size:
         log_a = _log_a_frac_vec(q, sigma, orders[frac_idx])

@@ -11,7 +11,11 @@ import os
 
 import numpy as np
 import pytest
+from scipy import linalg
+from scipy.linalg import lapack
 from scipy.stats import norm, qmc
+
+from fednaslab import hpo
 
 from fednaslab.errors import ConfigError, InfeasibleError
 from fednaslab.hpo import (
@@ -219,6 +223,89 @@ class TestSurrogatePosterior:
         x[1, 0] = np.inf
         with pytest.raises(ValueError):
             Surrogate(x, rng.random(5), np.ones(4), signal_var=1.0)
+
+
+class TestScipyParity:
+    """The numpy Cholesky and triangular solves against the scipy calls they
+    replaced, on the kernels of random point sets."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_alpha_posterior_and_likelihood_match_cho_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 36))
+        x, y = rng.random((n, 4)), rng.random(n)
+        ls = np.exp(rng.uniform(math.log(0.05), math.log(5.0), 4))
+        var = float(rng.uniform(0.1, 2.0))
+        sur = Surrogate(x, y, ls, var)
+        kernel = hpo._matern52(x, x, ls, var) + sur.jitter * np.eye(n)
+        chol = linalg.cholesky(kernel, lower=True)
+        resid = y - y.mean()
+        alpha = linalg.cho_solve((chol, True), resid)
+        xq = rng.random((50, 4))
+        k_star = hpo._matern52(xq, x, ls, var)
+        v = linalg.solve_triangular(chol, k_star.T, lower=True)
+        lml = (-0.5 * resid @ alpha - np.log(np.diag(chol)).sum()
+               - 0.5 * n * math.log(2.0 * math.pi))
+        # two backward-stable solvers part by about eps times the condition
+        # number (up to 2e4 here)
+        tol = 1e-14 * np.linalg.cond(kernel)
+        np.testing.assert_allclose(sur.chol, chol, rtol=0, atol=tol)
+        np.testing.assert_allclose(sur.alpha, alpha, rtol=0, atol=tol * np.abs(alpha).max())
+        mean, variance = sur.posterior(xq)
+        np.testing.assert_allclose(mean, y.mean() + k_star @ alpha, rtol=0, atol=tol)
+        np.testing.assert_allclose(variance, np.maximum(var - (v * v).sum(axis=0), 0.0),
+                                   rtol=0, atol=tol * var)
+        assert abs(sur.log_marginal_likelihood() - lml) <= tol * max(1.0, abs(lml))
+
+    @staticmethod
+    def _rank_deficient(shift):
+        # rank 3 of 8, shifted down: positive definite only once the jitter
+        # exceeds the shift
+        b = np.random.default_rng(0).random((8, 3))
+        return b @ b.T - shift * np.eye(8)
+
+    def _jitters_tried(self, monkeypatch, kernel):
+        tried = []
+        factor = np.linalg.cholesky
+
+        def spy(matrix):
+            tried.append(float(matrix[0, 0] - kernel[0, 0]))
+            return factor(matrix)
+
+        monkeypatch.setattr(hpo, "_matern52", lambda *args: kernel)
+        monkeypatch.setattr(hpo.np.linalg, "cholesky", spy)
+        return tried
+
+    def test_jitter_escalates_where_dpotrf_fails(self, monkeypatch):
+        kernel = self._rank_deficient(5e-6)
+        tried = self._jitters_tried(monkeypatch, kernel)
+        sur = Surrogate(np.zeros((8, 4)), np.arange(8.0), np.ones(4), 1.0)
+        assert tried == pytest.approx([1e-6, 1e-5])
+        assert sur.jitter == pytest.approx(1e-5)
+        # LAPACK's info > 0 at the jitter given up, 0 at the one kept
+        assert lapack.dpotrf(kernel + 1e-6 * np.eye(8), lower=1)[1] > 0
+        assert lapack.dpotrf(kernel + 1e-5 * np.eye(8), lower=1)[1] == 0
+
+    def test_rank_deficient_kernel_escalates_then_raises(self, monkeypatch):
+        kernel = self._rank_deficient(1e-3)
+        tried = self._jitters_tried(monkeypatch, kernel)
+        with pytest.raises(InfeasibleError):
+            Surrogate(np.zeros((8, 4)), np.arange(8.0), np.ones(4), 1.0)
+        assert tried == pytest.approx([1e-6, 1e-5, 1e-4])
+        for jitter in tried:
+            assert lapack.dpotrf(kernel + jitter * np.eye(8), lower=1)[1] > 0
+
+    def test_expected_improvement_matches_scipy_norm(self):
+        rng = np.random.default_rng(10)
+        mu = rng.normal(size=2000) * 3.0
+        sd = np.abs(rng.normal(size=2000)) + 1e-3
+        u = (mu - 0.2 - 0.01) / sd
+        want = np.maximum((mu - 0.2 - 0.01) * norm.cdf(u) + sd * norm.pdf(u), 0.0)
+        got = expected_improvement_values(mu, sd, 0.2, xi=0.01)
+        # the two terms cancel where u is very negative; compare at the
+        # scale of the larger term
+        scale = np.abs(mu - 0.21) * norm.cdf(u) + sd * norm.pdf(u)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale + 1e-300)
 
 
 class TestGPFit:

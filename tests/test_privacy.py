@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 from scipy.special import logsumexp
 
 from fednaslab import privacy
@@ -155,6 +155,151 @@ class TestAccountantOracle:
         grid_only = grid_eps(dp, 10)
         refined = privacy_cost(dp, 10)
         assert 0 < refined <= grid_only
+
+
+def _ref_log_a_frac(q, sigma, alphas):
+    """The scipy series that privacy._log_a_frac_vec replaced: the same
+    blocks and truncation, with |binom(alpha, i)| from gammaln, its sign
+    from gammasgn, and the Gaussian tails from log_ndtr, each evaluated on
+    the whole (order, index) block."""
+    def masked_logsumexp(values, mask):
+        vals = np.where(mask, values, -np.inf)
+        peak = vals.max(axis=1)
+        safe = np.where(np.isfinite(peak), peak, 0.0)
+        with np.errstate(divide="ignore"):
+            out = safe + np.log(np.exp(vals - safe[:, None]).sum(axis=1))
+        return np.where(np.isfinite(peak), out, -np.inf)
+
+    alphas = np.asarray(alphas, dtype=np.float64)
+    n = alphas.size
+    z0 = sigma * sigma * math.log(1.0 / q - 1.0) + 0.5
+    lq, l1q = math.log(q), math.log1p(-q)
+    inv2s2 = 1.0 / (2.0 * sigma * sigma)
+    a0p, a0n, a1p, a1n = (np.full(n, -np.inf) for _ in range(4))
+    active = np.ones(n, dtype=bool)
+    i_start, block = 0, 64
+    while active.any():
+        idx = np.flatnonzero(active)
+        al = alphas[idx][:, None]
+        i = np.arange(i_start, i_start + block, dtype=np.float64)[None, :]
+        j = al - i
+        log_coef = (special.gammaln(al + 1.0) - special.gammaln(i + 1.0)
+                    - special.gammaln(j + 1.0))
+        sign = special.gammasgn(j + 1.0)
+        log_s0 = (log_coef + i * lq + j * l1q + (i * i - i) * inv2s2
+                  + special.log_ndtr((z0 - i[0]) / sigma)[None, :])
+        log_s1 = (log_coef + j * lq + i * l1q + (j * j - j) * inv2s2
+                  + special.log_ndtr((j - z0) / sigma))
+        pos = sign > 0
+        a0p[idx] = np.logaddexp(a0p[idx], masked_logsumexp(log_s0, pos))
+        a1p[idx] = np.logaddexp(a1p[idx], masked_logsumexp(log_s1, pos))
+        a0n[idx] = np.logaddexp(a0n[idx], masked_logsumexp(log_s0, ~pos))
+        a1n[idx] = np.logaddexp(a1n[idx], masked_logsumexp(log_s1, ~pos))
+        acc = np.maximum(a0p[idx], a1p[idx])
+        last = np.maximum(log_s0[:, -1], log_s1[:, -1])
+        active[idx[(last < -30.0) & (last < acc - 30.0)]] = False
+        i_start += block
+        block = min(block * 2, 8192)
+
+    def signed(lp, ln_):
+        with np.errstate(invalid="ignore"):
+            out = lp + np.log1p(-np.exp(np.minimum(ln_ - lp, 0.0)))
+        return np.where(np.isneginf(ln_), lp, out)
+
+    return np.logaddexp(signed(a0p, a0n), signed(a1p, a1n))
+
+
+def _exact_log_a(q, sigma, alpha, terms):
+    """log A_alpha by the same series summed in 30-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        q, sigma, alpha = mpmath.mpf(q), mpmath.mpf(sigma), mpmath.mpf(alpha)
+        z0 = sigma * sigma * mpmath.log(1 / q - 1) + mpmath.mpf(1) / 2
+        total, coef = mpmath.mpf(0), mpmath.mpf(1)
+        for i in range(terms):
+            j = alpha - i
+            total += coef * (
+                q**i * (1 - q) ** j * mpmath.exp((i * i - i) / (2 * sigma**2))
+                * mpmath.ncdf((z0 - i) / sigma)
+                + q**j * (1 - q) ** i * mpmath.exp((j * j - j) / (2 * sigma**2))
+                * mpmath.ncdf((j - z0) / sigma))
+            coef *= (alpha - i) / (i + 1)
+        return float(mpmath.log(total))
+
+
+class TestScipyParity:
+    """The numpy kernels of the accountant against the scipy functions and
+    the scipy series they replaced."""
+
+    # below 2, on and off the 0.25 lattice, and up to the refinement's cap
+    ALPHAS = np.concatenate([
+        DEFAULT_ORDERS[DEFAULT_ORDERS % 1.0 != 0.0],
+        [1.0001, 1.1, 1.3, 1.9, 2.7, 7.3333, 100.5, 1000.1, 8191.5],
+    ])
+
+    @pytest.mark.parametrize("q", [0.01, 32 / 333, 0.33, 0.9])
+    @pytest.mark.parametrize("sigma", [0.5, 0.99, 3.0, 8.0])
+    def test_fractional_series_matches_scipy_series(self, q, sigma):
+        got = privacy._log_a_frac_vec(q, sigma, self.ALPHAS)
+        want = _ref_log_a_frac(q, sigma, self.ALPHAS)
+        # log A near 0 carries an absolute rounding floor in both series
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
+
+    def test_one_order_at_a_time_matches_the_vector(self):
+        # refinement probes single orders; each order reads its own window
+        q, sigma = 32 / 333, 0.99
+        together = privacy._log_a_frac_vec(q, sigma, self.ALPHAS)
+        alone = [privacy._log_a_frac_vec(q, sigma, np.array([a]))[0]
+                 for a in self.ALPHAS]
+        np.testing.assert_allclose(alone, together, rtol=1e-13, atol=1e-16)
+
+    @pytest.mark.parametrize("q, sigma, alpha, terms", [
+        (0.01, 100.0, 16.5, 300),
+        (0.001, 30.0, 36.75, 400),
+        (0.001, 30.0, 511.9, 1500),
+    ])
+    def test_closer_to_exact_where_gammaln_cancels(self, q, sigma, alpha, terms):
+        # log A of 1e-6 to 1e-4: gammaln's cancellation costs the scipy
+        # series 1e-9 of it, beyond the parity grid's rtol, while the ratio
+        # recurrence stays within 2e-10 of the 30-digit sum
+        exact = _exact_log_a(q, sigma, alpha, terms)
+        got = privacy._log_a_frac_vec(q, sigma, np.array([alpha]))[0]
+        ref = _ref_log_a_frac(q, sigma, np.array([alpha]))[0]
+        assert abs(got - exact) <= 2e-10 * abs(exact)
+        assert abs(got - exact) < abs(ref - exact)
+
+    def test_log_ndtr_matches_scipy(self):
+        tiny = np.finfo(float).eps
+        x = np.concatenate([
+            np.linspace(-1e4, 40.0, 100_001),
+            np.linspace(-40.0, 10.0, 100_001),
+            # both sides of each branch point, and both zeros
+            [privacy._NDTR_LOW * (1 + tiny), privacy._NDTR_LOW,
+             privacy._NDTR_LOW * (1 - tiny), -tiny, -0.0, 0.0, tiny],
+        ])
+        np.testing.assert_allclose(privacy._log_ndtr(x), special.log_ndtr(x),
+                                   rtol=1e-15, atol=5e-16)
+        ends = np.array([-np.inf, np.inf, np.nan])
+        np.testing.assert_array_equal(privacy._log_ndtr(ends), [-np.inf, 0.0, np.nan])
+
+    def test_integer_binomials_match_gammaln(self):
+        for a, table in privacy._INT_LOGBINOM.items():
+            i = np.arange(a + 1.0)
+            want = special.gammaln(a + 1.0) - special.gammaln(i + 1.0) - special.gammaln(a - i + 1.0)
+            np.testing.assert_allclose(table, want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("a", [65, 128, 1024])
+    def test_integer_orders_above_the_table_match_gammaln(self, a):
+        qs, sigmas = np.array([0.01, 0.1, 0.5]), np.array([1.0, 2.0, 8.0])
+        lq, l1q, inv2s2 = np.log(qs), np.log1p(-qs), 1.0 / (2.0 * sigmas**2)
+        i = np.arange(a + 1.0)
+        log_binom = special.gammaln(a + 1.0) - special.gammaln(i + 1.0) - special.gammaln(a - i + 1.0)
+        terms = (log_binom + i * lq[:, None] + (a - i) * l1q[:, None]
+                 + (i * i - i) * inv2s2[:, None])
+        want = logsumexp(terms, axis=1)
+        np.testing.assert_allclose(privacy._log_a_int(lq, l1q, inv2s2, a), want,
+                                   rtol=1e-12)
 
 
 class TestBudgets:
