@@ -252,12 +252,21 @@ def gp_fit(x, y) -> Surrogate:
     dims = x.shape[1]
     var0 = max(float(np.var(y)), 1e-4)
 
-    best: Surrogate | None = None
-    best_lml = -np.inf
+    # the descent revisits parameter vectors (a step and its inverse, starts
+    # that meet), and a surrogate is a deterministic function of them
+    scored: dict[bytes, float] = {}
+
+    def score(params: np.ndarray) -> float:
+        key = params.tobytes()
+        if key not in scored:
+            scored[key] = Surrogate(
+                x, y, params[:dims], params[dims]).log_marginal_likelihood()
+        return scored[key]
+
+    best, best_lml = None, -np.inf
     for ls0 in _LS_STARTS:
         params = np.array([ls0] * dims + [var0])
-        current = Surrogate(x, y, params[:dims], params[dims])
-        lml = current.log_marginal_likelihood()
+        lml = score(params)
         for _ in range(3):  # descent passes
             improved = False
             for pi in range(dims + 1):
@@ -268,16 +277,15 @@ def gp_fit(x, y) -> Surrogate:
                     trial[pi] = min(max(trial[pi], lo), hi)
                     if trial[pi] == params[pi]:
                         continue
-                    cand = Surrogate(x, y, trial[:dims], trial[dims])
-                    cand_lml = cand.log_marginal_likelihood()
+                    cand_lml = score(trial)
                     if cand_lml > lml + 1e-10:
-                        params, current, lml = trial, cand, cand_lml
+                        params, lml = trial, cand_lml
                         improved = True
             if not improved:
                 break
         if lml > best_lml:
-            best, best_lml = current, lml
-    return best
+            best, best_lml = params, lml
+    return Surrogate(x, y, best[:dims], best[dims])
 
 
 def gp_posterior(surrogate: Surrogate, point) -> tuple[float, float]:

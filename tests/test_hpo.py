@@ -331,6 +331,58 @@ class TestGPFit:
         with pytest.raises(ConfigError):
             gp_fit(np.array([[0.5, 0.5, 0.5, 0.5]]), np.array([0.5]))
 
+    @staticmethod
+    def _ref_gp_fit(x, y):
+        # the descent as written before it scored each parameter vector once
+        dims = x.shape[1]
+        var0 = max(float(np.var(y)), 1e-4)
+        best, best_lml = None, -np.inf
+        for ls0 in hpo._LS_STARTS:
+            params = np.array([ls0] * dims + [var0])
+            current = Surrogate(x, y, params[:dims], params[dims])
+            lml = current.log_marginal_likelihood()
+            for _ in range(3):
+                improved = False
+                for pi in range(dims + 1):
+                    for factor in hpo._STEP_FACTORS:
+                        trial = params.copy()
+                        trial[pi] *= factor
+                        lo, hi = hpo._LS_BOUNDS if pi < dims else hpo._VAR_BOUNDS
+                        trial[pi] = min(max(trial[pi], lo), hi)
+                        if trial[pi] == params[pi]:
+                            continue
+                        cand = Surrogate(x, y, trial[:dims], trial[dims])
+                        cand_lml = cand.log_marginal_likelihood()
+                        if cand_lml > lml + 1e-10:
+                            params, current, lml = trial, cand, cand_lml
+                            improved = True
+                if not improved:
+                    break
+            if lml > best_lml:
+                best, best_lml = current, lml
+        return best
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 30])
+    def test_each_parameter_vector_is_built_once(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        x, y = rng.random((n, 4)), rng.random(n)
+        want = self._ref_gp_fit(x, y)
+        built = []
+
+        class Counting(Surrogate):
+            def __post_init__(self):
+                built.append(np.append(self.lengthscales, self.signal_var).tobytes())
+                super().__post_init__()
+
+        monkeypatch.setattr(hpo, "Surrogate", Counting)
+        got = gp_fit(x, y)
+        # every vector once, and the winner once more to return it
+        assert len(built) == len(set(built)) + 1
+        assert np.array_equal(got.lengthscales, want.lengthscales)
+        assert got.signal_var == want.signal_var
+        assert np.array_equal(got.chol, want.chol)
+        assert got.log_marginal_likelihood() == want.log_marginal_likelihood()
+
     def test_fitted_surrogate_interpolates(self):
         rng = np.random.default_rng(7)
         x = rng.random((9, 4))
