@@ -14,8 +14,12 @@ and of C5x64-C5x64-Pavg-C5x64 (64 channels, k5). 16 cut calls do the work of
 one full-batch call.
 TransposeConv takes the half-side input whose output has that side, as in
 the inversion decoder; Linear is the adaptation layer after global pooling
-(desk 64 -> d_rep 16, paper 64 -> d_rep 128). The file name does not match test_*.py, so the
-tier-1 suite does not collect it. Run it on one BLAS thread, as the stage
+(desk 64 -> d_rep 16, paper 64 -> d_rep 128). test_backward times the
+per-sample mode that DP-SGD runs; test_backward_plain times the plain mode
+(per_sample=False) that every other training path runs, for the
+parameterized layers at desk shape and at the 4-row paper cut, in the same
+benchmark group as the per-sample case. The file name does not match
+test_*.py, so the tier-1 suite does not collect it. Run it on one BLAS thread, as the stage
 benchmark does:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
@@ -56,13 +60,21 @@ CASES = {
     "convblock-paper": (lambda: ConvBlock(32, 64, 3), (64, 32, 32, 32)),
     "linear-desk": (lambda: Linear(64, 16), (32, 64)),
     "linear-paper": (lambda: Linear(64, 128), (64, 64)),
+    "linear-cut": (lambda: Linear(64, 128), (4, 64)),
     "pointwise-desk": (lambda: PointwiseConv(32, 64), (32, 32, 8, 8)),
     "pointwise-paper": (lambda: PointwiseConv(32, 64), (64, 32, 32, 32)),
+    "pointwise-cut": (lambda: PointwiseConv(32, 64), (4, 32, 32, 32)),
     "transpose-desk": (lambda: TransposeConv(32, 16), (32, 32, 4, 4)),
     "transpose-paper": (lambda: TransposeConv(32, 16), (64, 32, 16, 16)),
+    "transpose-cut": (lambda: TransposeConv(32, 16), (4, 32, 16, 16)),
     "avgpool-desk": (AvgPool, (32, 64, 8, 8)),
     "avgpool-paper": (AvgPool, (64, 64, 32, 32)),
 }
+PLAIN_CASES = [
+    "depthwise3-desk", "depthwise5-desk", "depthwise3-block-cut", "depthwise5-cut",
+    "pointwise-desk", "pointwise-cut", "linear-desk", "linear-cut",
+    "transpose-desk", "transpose-cut",
+]
 
 
 def _setup(case):
@@ -91,3 +103,12 @@ def test_backward(benchmark, case):
     gin, psg = benchmark(layer.backward, gout, cache)
     assert np.isfinite(gin).all()
     assert all(p.shape[0] == gout.shape[0] for p in psg)
+
+
+@pytest.mark.parametrize("case", PLAIN_CASES)
+def test_backward_plain(benchmark, case):
+    layer, _, cache, gout = _setup(case)
+    benchmark.group = case
+    gin, sums = benchmark(layer.backward, gout, cache, False)
+    assert np.isfinite(gin).all()
+    assert [g.shape for g in sums] == [(layer.n_params,)]

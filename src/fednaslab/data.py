@@ -268,7 +268,7 @@ def split_nas_subsets(indices, labels, rng: np.random.Generator) -> SplitSets:
     if n >= 700:
         sizes = (500, 100, 100)
     else:
-        sizes = tuple(_largest_remainder(np.array([5.0, 1.0, 1.0]), n))
+        sizes = tuple(map(int, _largest_remainder(np.array([5.0, 1.0, 1.0]), n)))
         logger.warning(
             "shard of %d is under 700: proportional split %s, no remainder",
             n, sizes,

@@ -1,21 +1,28 @@
-"""Numpy layer kernels with explicit per-sample backward passes.
+"""Numpy layer kernels with one backward in two modes.
 
-Every backward keeps the batch axis in its weight-gradient contraction, so
-per-sample gradients come out exact and vectorized. Channel contractions
-run on BLAS: the batch axis is kept through batched matmul over
-(n, channels, positions) views, and a contraction that sums over the batch
-anyway, such as TransposeConv's input gradient, is one GEMM over all
-n * positions rows. The depthwise conv runs on BLAS too: each of its k row
-offsets is one batched GEMM of every sample's rows against per-channel
-banded (W, W) matrices (row-wise lowering, as in MEC, Cho & Brand 2017).
+backward(gout, cache, per_sample) computes the input gradient the same way
+in both modes; the flag sets only the weight gradient. In per-sample mode
+(the default, and the mode DP-SGD needs) the weight-gradient contraction
+keeps the batch axis, so each sample's gradient comes out exact and
+vectorized: batched matmul over (n, channels, positions) views, and k^2
+einsums for the depthwise kernel. With the flag off each primitive returns
+the gradient summed over the batch: Linear as one GEMM, DepthwiseConv as
+one batched GEMM of row stacks per row offset, PointwiseConv and
+TransposeConv as their batched matmul summed over n, and PerSampleNorm as
+the sum of the [n, C] terms its input gradient needs anyway.
+Input-gradient contractions, which sum over the batch in both modes, run on
+BLAS. The depthwise conv runs as banded GEMMs: each of its k row offsets is
+one batched GEMM of every sample's rows against per-channel banded (W, W)
+matrices (row-wise lowering, as in MEC, Cho & Brand 2017).
 
 Layers form one tree. A primitive owns a flat parameter vector; a container
 (ConvBlock, Sequential, and the Model built on Sequential) owns none and
 lists its sublayers in children(). Parameter access walks that tree once,
-in Layer. A layer's backward returns (grad_wrt_input, [per_sample_grads
-...]) where the list holds one [n, p_i] array per parameterized primitive
-in the layer's tree, in the same order as param_layers(). Parameter-free
-layers return an empty list.
+in Layer. A layer's backward returns (grad_wrt_input, grads) where grads
+holds one array per parameterized primitive in the layer's tree, in the
+same order as param_layers(): [n, p_i] per-sample rows in per-sample mode,
+the batch-summed [p_i] otherwise. Containers pass the flag down.
+Parameter-free layers return an empty list.
 
 A primitive's constructor states its parameter layout once (Layer._layout):
 the weight shape, the bias count and the fan-in. The flat vector is the
@@ -87,7 +94,7 @@ class Layer:
     def forward(self, x):
         raise NotImplementedError
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, per_sample=True):
         raise NotImplementedError
 
     def astype(self, dtype):
@@ -163,12 +170,24 @@ class DepthwiseConv(Layer):
         rows = _row_stack(x, self.kernel // 2)
         return _banded_conv(rows, w, n, H), (rows, x.shape)
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, per_sample=True):
         rows, (n, c, H, W) = cache
         k, p = self.kernel, self.kernel // 2
         w, _ = self._views()
         g_rows = _row_stack(gout, p)
         gin = _banded_conv(g_rows, w[:, ::-1, ::-1], n, H)
+        if not per_sample:
+            # the stacks' rows a + t and p + t pair x[i + a - p] with gout[i]
+            # of one sample, or meet a zero gap row, so pairs[a, c] sums
+            # x[.., i + a - p, j_in] * gout[.., i, j_out] over samples and
+            # rows, and gw[c, a, b] is its diagonal j_in - j_out = b - p
+            span = n * (H + p)
+            g_t = g_rows[:, p:p + span]
+            pairs = np.stack([np.matmul(rows[:, a:a + span].transpose(0, 2, 1), g_t)
+                              for a in range(k)])
+            gw = np.stack([np.trace(pairs, offset=p - b, axis1=2, axis2=3)
+                           for b in range(k)], axis=-1)
+            return gin, [gw.transpose(1, 0, 2).reshape(-1)]
         # gw[n, c, a, b] = sum_ij x[n, c, i + a - p, j + b - p] * gout[n, c, i, j]
         g = _sample_rows(g_rows, n, H, p, p)
         gw = np.empty((n, c, k, k), dtype=gout.dtype)
@@ -201,16 +220,20 @@ class PointwiseConv(Layer):
             y += b[None, :, None, None]
         return y, x
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, per_sample=True):
         x = cache
         w, _ = self._views()
         n, c, H, W = x.shape
         g3 = gout.reshape(n, self.c_out, H * W)
         gin = np.matmul(w, g3).reshape(n, c, H, W)
         gw = np.matmul(x.reshape(n, c, H * W), g3.transpose(0, 2, 1)).reshape(n, -1)
+        if not per_sample:
+            # summing the batched matmul beats one tensordot GEMM, whose
+            # operand transposes cost more than the sum at 32x32 maps
+            gw = gw.sum(axis=0)
         if self.bias:
-            gb = gout.sum(axis=(2, 3))
-            return gin, [np.concatenate([gw, gb], axis=1)]
+            gb = gout.sum(axis=(2, 3) if per_sample else (0, 2, 3))
+            return gin, [np.concatenate([gw, gb], axis=-1)]
         return gin, [gw]
 
 
@@ -259,7 +282,7 @@ class PerSampleNorm(Layer):
         y += beta[None, :, None, None]
         return y, (xc, istd)
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, per_sample=True):
         xc, istd = cache
         gamma, _ = self._views()
         hw = gout.shape[2] * gout.shape[3]
@@ -272,7 +295,8 @@ class PerSampleNorm(Layer):
         gin = gout * (gamma * istd)[:, :, None, None]
         gin -= xc * (m2 * istd * istd)[:, :, None, None]
         gin -= (m1 * istd)[:, :, None, None]
-        return gin, [np.concatenate([dgamma, dbeta], axis=1)]
+        grads = np.concatenate([dgamma, dbeta], axis=1)
+        return gin, [grads if per_sample else grads.sum(axis=0)]
 
 
 class ReLU(Layer):
@@ -280,7 +304,7 @@ class ReLU(Layer):
         mask = x > 0
         return x * mask, mask
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, per_sample=True):
         return gout * cache, []
 
 
@@ -299,7 +323,7 @@ class AvgPool(Layer):
         y *= 0.25
         return y, x.shape
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, per_sample=True):
         n, c, H, W = cache
         H2, W2 = H // 2 * 2, W // 2 * 2
         gin = np.zeros((n, c, H, W), dtype=gout.dtype)
@@ -328,7 +352,7 @@ class MaxPool(Layer):
         y = np.take_along_axis(xw, idx[..., None], axis=-1)[..., 0]
         return y, (idx, x.shape)
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, per_sample=True):
         idx, (n, c, H, W) = cache
         H2, W2 = H // 2, W // 2
         gw = np.zeros((n, c, H2, W2, 4), dtype=gout.dtype)
@@ -350,7 +374,7 @@ class GlobalAvgPool(Layer):
             self._bad_input(x, "[n, c, h, w]")
         return x.mean(axis=(2, 3)), x.shape
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, per_sample=True):
         n, c, H, W = cache
         gin = np.broadcast_to(
             gout[:, :, None, None] / (H * W), (n, c, H, W)
@@ -371,13 +395,15 @@ class Linear(Layer):
         w, b = self._views()
         return x @ w + b, x
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, per_sample=True):
         x = cache
         w, _ = self._views()
         n = x.shape[0]
         # a contiguous w.T keeps each row's input gradient the same bits at
         # any row count past one; OpenBLAS's transposed-operand GEMM does not
         gin = gout @ np.ascontiguousarray(w.T)
+        if not per_sample:
+            return gin, [np.concatenate([(x.T @ gout).reshape(-1), gout.sum(axis=0)])]
         gw = np.einsum("ni,no->nio", x, gout).reshape(n, -1)
         return gin, [np.concatenate([gw, gout], axis=1)]
 
@@ -405,7 +431,7 @@ class TransposeConv(Layer):
         y += b[None, :, None, None]
         return y, x
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, per_sample=True):
         x = cache
         w, _ = self._views()
         n, c, H, W = x.shape
@@ -416,8 +442,12 @@ class TransposeConv(Layer):
         gin = gt.reshape(n * H * W, d * 4) @ w.reshape(c, d * 4).T
         gin = gin.reshape(n, H, W, c).transpose(0, 3, 1, 2)
         gw = np.matmul(x.reshape(n, c, H * W), gt).reshape(n, -1)
-        gb = gout.sum(axis=(2, 3))
-        return gin, [np.concatenate([gw, gb], axis=1)]
+        if not per_sample:
+            # as in PointwiseConv; one GEMM over all n*H*W rows pays a
+            # channels-last copy of x and ran slower at every decoder shape
+            gw = gw.sum(axis=0)
+        gb = gout.sum(axis=(2, 3) if per_sample else (0, 2, 3))
+        return gin, [np.concatenate([gw, gb], axis=-1)]
 
 
 class Reshape(Layer):
@@ -430,7 +460,7 @@ class Reshape(Layer):
     def forward(self, x):
         return x.reshape(x.shape[0], *self.shape), x.shape
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, per_sample=True):
         return gout.reshape(cache), []
 
 
@@ -472,14 +502,14 @@ class ConvBlock(Layer):
         h3 *= mask
         return h3, (c_dw, c_pw, c_norm, c_proj, mask)
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, per_sample=True):
         c_dw, c_pw, c_norm, c_proj, mask = cache
         g = gout * mask
-        g_norm, psg_norm = self.norm.backward(g, c_norm)
-        g_pw, psg_pw = self.pw.backward(g_norm, c_pw)
-        g_dw, psg_dw = self.dw.backward(g_pw, c_dw)
+        g_norm, psg_norm = self.norm.backward(g, c_norm, per_sample)
+        g_pw, psg_pw = self.pw.backward(g_norm, c_pw, per_sample)
+        g_dw, psg_dw = self.dw.backward(g_pw, c_dw, per_sample)
         if self.proj is not None:
-            g_proj, psg_proj = self.proj.backward(g, c_proj)
+            g_proj, psg_proj = self.proj.backward(g, c_proj, per_sample)
             gin = g_dw + g_proj
         else:
             psg_proj = []
@@ -504,10 +534,10 @@ class Sequential(Layer):
             caches.append(cache)
         return x, caches
 
-    def backward(self, gout, caches):
+    def backward(self, gout, caches, per_sample=True):
         psg_rev = []
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            gout, psg = layer.backward(gout, cache)
+            gout, psg = layer.backward(gout, cache, per_sample)
             psg_rev.append(psg)
         flat = []
         for psg in reversed(psg_rev):

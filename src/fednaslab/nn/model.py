@@ -4,10 +4,14 @@ helpers; every trainer takes one layer stack.
 Every per-sample computation here is row-wise: no layer mixes samples, and
 row i of a loss gradient is sample i's own. So a large batch runs in cuts
 (batch_cuts), each forwarded, and for gradients backpropagated, while its
-activations still sit in cache; outputs and per-sample gradients are the
-cuts' results stacked. Model.forward_bottom and loss_and_per_sample_grads
-are the two entry points, and every evaluation, emission, DP step and plain
-gradient goes through one of them.
+activations still sit in cache; outputs are the cuts' results stacked, and
+gradients the cuts' per-sample rows stacked or, in plain mode, their
+batch sums added. Model.forward_bottom and loss_and_per_sample_grads are the
+two entry points, and every evaluation, emission, DP step and plain
+gradient goes through one of them. Only DP-SGD asks for per-sample
+gradients; every plain path (batch_gradient) runs the layers' backward with
+per_sample off and gets one [p_i] sum per layer back, not the [n, P]
+matrix.
 """
 
 from __future__ import annotations
@@ -111,37 +115,44 @@ class Model(Sequential):
         return out
 
 
-def loss_and_per_sample_grads(model: Layer, x, target, loss=softmax_cross_entropy):
+def loss_and_per_sample_grads(model: Layer, x, target, loss=softmax_cross_entropy,
+                              per_sample=True):
     """Forward through one layer stack, then backprop one loss per sample.
 
     `loss(output, target)` returns the mean loss and the per-sample
-    gradient wrt the output. Returns (mean_loss, psg_list, output) where
-    psg_list holds one [n, p_i] array per parameterized primitive layer of
-    the stack, in parameter order. Row i of each array is the gradient of
-    sample i's own loss.
+    gradient wrt the output. Returns (mean_loss, grads, output) where grads
+    holds one array per parameterized primitive layer of the stack, in
+    parameter order. In per-sample mode each is [n, p_i], and row i is the
+    gradient of sample i's own loss. With per_sample off each is the [p_i]
+    sum of those rows, contracted inside the layers' backward.
 
     Forward, loss gradient and backward run one cut at a time (batch_cuts);
-    the cuts' outputs and per-sample gradients are stacked, and the mean
-    loss is taken once over the whole output.
+    the cuts' outputs are stacked, their gradients stacked (per-sample) or
+    added (plain), and the mean loss is taken once over the whole output.
+
+    The name covers both modes because the stage benchmark traces this
+    function by name and reads the size of its result.
     """
-    outs, psgs = [], []
+    outs, grads = [], []
     for cut in batch_cuts(x):
         out, cache = model.forward(x[cut])
         loss_value, gout = loss(out, target[cut])
         outs.append(out)
-        psgs.append(model.backward(gout, cache)[1])
+        grads.append(model.backward(gout, cache, per_sample)[1])
     if len(outs) == 1:
-        return loss_value, psgs[0], out
+        return loss_value, grads[0], out
     out = np.concatenate(outs)
     loss_value, _ = loss(out, target)
-    return loss_value, [np.concatenate(layer_psgs) for layer_psgs in zip(*psgs)], out
+    join = np.concatenate if per_sample else sum
+    return loss_value, [join(layer_grads) for layer_grads in zip(*grads)], out
 
 
 def batch_gradient(model: Layer, x, target, loss=softmax_cross_entropy):
-    """Mean loss and the batch-mean gradient per primitive layer."""
-    loss_value, psg_list, out = loss_and_per_sample_grads(model, x, target, loss=loss)
-    grads = [psg.mean(axis=0) for psg in psg_list]
-    return loss_value, grads, out
+    """Mean loss and the batch-mean gradient per primitive layer: plain
+    mode's batch sums divided by the batch size."""
+    loss_value, sums, out = loss_and_per_sample_grads(model, x, target, loss=loss,
+                                                      per_sample=False)
+    return loss_value, [total / len(x) for total in sums], out
 
 
 def apply_update(model: Layer, deltas, eta):

@@ -274,6 +274,8 @@ class TestSplitNasSubsets:
         with caplog.at_level("WARNING", logger="fednaslab.data"):
             s = split_nas_subsets(np.arange(70), labels, np.random.default_rng(11))
         assert any("under 700" in r.message for r in caplog.records)
+        assert any("proportional split (50, 10, 10)," in r.getMessage()
+                   for r in caplog.records)
         assert (len(s.nas_train), len(s.nas_val), len(s.nas_test)) == (50, 10, 10)
         assert len(s.fed_remainder) == 0
 

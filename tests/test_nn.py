@@ -564,6 +564,61 @@ class TestKernelParity:
         np.testing.assert_array_equal(cache[-1], pre > 0)
 
 
+class TestPlainMode:
+    """backward with per_sample off returns the row sum of per-sample mode."""
+
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize("make,shape", [
+        (lambda: DepthwiseConv(4, 3), (5, 4, 7, 9)),
+        (lambda: DepthwiseConv(4, 5), (5, 4, 8, 8)),
+        (lambda: PointwiseConv(4, 6), (5, 4, 3, 5)),
+        (lambda: PointwiseConv(4, 6, bias=False), (5, 4, 3, 5)),
+        (lambda: PerSampleNorm(12), (5, 12, 4, 4)),
+        (lambda: Linear(5, 3), (7, 5)),
+        (lambda: TransposeConv(4, 3), (5, 4, 3, 5)),
+        (lambda: ConvBlock(4, 8, 3), (5, 4, 6, 6)),
+        (lambda: ConvBlock(8, 8, 5), (5, 8, 6, 6)),
+    ], ids=["dw3", "dw5", "pw", "pw-nobias", "norm", "linear", "transpose",
+            "block-proj", "block-identity"])
+    def test_plain_is_the_row_sum_of_per_sample(self, make, shape):
+        layer = make().astype(np.float64)
+        rng = _rng(40)
+        for primitive in layer.param_layers():
+            primitive.params = rng.normal(scale=0.5, size=primitive.n_params)
+        x = rng.normal(size=shape)
+        y, cache = layer.forward(x)
+        gout = rng.normal(size=y.shape)
+        gin, psg = layer.backward(gout, cache)
+        plain_gin, sums = layer.backward(gout, cache, per_sample=False)
+        np.testing.assert_array_equal(plain_gin, gin)
+        assert len(sums) == len(psg) == len(layer.param_layers())
+        for got, rows in zip(sums, psg):
+            _close(got, rows.sum(axis=0), self.RTOL)
+
+    def test_plain_grads_are_one_vector_per_layer(self):
+        model = _small_model()
+        x = _rng(41).normal(size=(6, 2, 5, 5)).astype(np.float32)
+        _, sums, _ = loss_and_per_sample_grads(model, x, _rng(42).integers(0, 3, size=6),
+                                               per_sample=False)
+        assert [g.shape for g in sums] == [(l.n_params,) for l in model.param_layers()]
+        assert all(g.dtype == np.float32 for g in sums)
+
+    def test_cut_plain_batch_adds_the_cuts(self, monkeypatch):
+        model = _small_model().astype(np.float64)
+        x = _rng(43).normal(size=(7, 2, 5, 5))
+        y = _rng(44).integers(0, 3, size=7)
+        ref_loss, psg, _ = loss_and_per_sample_grads(model, x, y)
+        _cut_rows(monkeypatch, x, 2)
+        loss, sums, _ = loss_and_per_sample_grads(model, x, y, per_sample=False)
+        assert loss == pytest.approx(ref_loss, rel=self.RTOL)
+        for got, rows in zip(sums, psg, strict=True):
+            _close(got, rows.sum(axis=0), self.RTOL)
+        _, grads, _ = batch_gradient(model, x, y)
+        for got, rows in zip(grads, psg, strict=True):
+            _close(got, rows.mean(axis=0), self.RTOL)
+
+
 class TestErrors:
     def test_shape_mismatch_names_layer(self):
         conv = PointwiseConv(3, 8)
