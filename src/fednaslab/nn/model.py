@@ -25,9 +25,13 @@ from .layers import Layer, Sequential
 # cuts of at most CUT_BYTES of input each. At 3x32x32 float32 that is 4 rows
 # a cut, and each activation of a 64-channel block is then 1 MiB, inside a
 # 2 MiB L2; uncut, a 64-row batch writes and rereads 16 MiB per layer. Desk
-# batches (3x8x8, up to 682 rows) stay whole: cut into 64-row pieces, they
-# ran faster in a warm process but 10-17% slower in the benchmark's fresh
-# stage processes, with about 1.5x the minor page faults. Cuts are
+# batches (3x8x8, up to 682 rows) stay whole. Cut into 64-row pieces under
+# the allocator policy that fednaslab.cli sets, they took 18-26 MB less peak
+# RSS in the train and attack stages and fewer minor faults (2.3k against
+# 7.0k and 1.9k against 6.4k), but no settled time: fresh stage processes
+# read nas 0.38 against 0.48 s and hpo, train and attack within 4%, and
+# perfbench's scaled wall_s moved -13% (desk-attack), -5% (desk-dp-train,
+# +14% unscaled) and +4% (desk-search) over 5 pairs. Cuts are
 # near-equal so that no float32 cut at 3x32x32 holds a single row, whose
 # matmuls would take the GEMV path and round differently from the same row
 # inside a GEMM.

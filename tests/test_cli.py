@@ -1,15 +1,21 @@
-"""Command-line driver: artifact layout, exit codes, and rerun determinism."""
+"""Command-line driver: artifact layout, exit codes, rerun determinism, and
+the allocator policy that importing it sets."""
 
 import csv
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from fednaslab import cli
 from fednaslab.analysis import (
     ConvergenceConstants,
     check_eta_w,
@@ -502,3 +508,62 @@ class TestTopLevel:
         result = _invoke(["train", "-c", config, "--no-nas"])
         assert result.exit_code == 2
         assert "input_shape" in _all_output(result)
+
+
+# 20 plain-SGD steps at desk shape in a fresh interpreter; prints the minor
+# page faults they took. argv[1] == "cli" imports fednaslab.cli first.
+_DESK_STEPS = """
+import resource, sys
+import numpy as np
+if sys.argv[1] == "cli":
+    import fednaslab.cli
+from fednaslab.nn.model import apply_update, batch_gradient
+from fednaslab.space import SpaceConfig, genome_from_string, materialize
+space = SpaceConfig(input_shape=(3, 8, 8), d_rep=16, num_classes=2)
+rng = np.random.default_rng(0)
+model = materialize(genome_from_string("C3x32-C3x64-Pavg"), space, rng)
+x = rng.normal(size=(77, 3, 8, 8)).astype(np.float32)
+y = rng.integers(0, 2, size=77)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for step in range(20):
+    n = (77, 62, 47)[step % 3]
+    _, grads, _ = batch_gradient(model, x[:n], y[:n])
+    apply_update(model, grads, 0.01)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(not _glibc(), reason="the policy is glibc's mallopt")
+    def test_cli_import_keeps_layer_temporaries_on_the_heap(self):
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        # glibc's own allocator settings would set the policy in both children
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = str(src)
+
+        def faults(mode):
+            out = subprocess.run([sys.executable, "-c", _DESK_STEPS, mode],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+            return int(out.stdout)
+
+        plain, with_cli = faults("plain"), faults("cli")
+        assert with_cli < plain / 4, (plain, with_cli)
+
+    @pytest.mark.parametrize("loader", ["no-mallopt", "no-library"])
+    def test_start_up_without_mallopt_sets_nothing(self, monkeypatch, loader):
+        def cdll(name):
+            if loader == "no-library":
+                raise OSError("no C library")
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli._keep_temporaries_on_heap() is None
