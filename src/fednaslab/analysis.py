@@ -16,7 +16,6 @@ the representations reveal.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import logging
 import math
@@ -27,6 +26,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleError, NonFiniteError
 from .nn.layers import Linear, ReLU, Reshape, Sequential, TransposeConv
 from .nn.model import Adam, Model, batch_gradient, mse, shuffled_batches
+from .records import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -355,8 +355,5 @@ def inversion_attack(model: Model, aux_images: np.ndarray,
 
 def write_attack_csv(path, reports: list[AttackReport]) -> None:
     """One row per attack: the privacy label, the victim MSE, and the seed."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["eps", "mse", "seed"])
-        for r in reports:
-            writer.writerow([f"{r.eps_label:g}", f"{r.mse:.8g}", r.seed])
+    write_csv(path, ["eps", "mse", "seed"],
+              ([f"{r.eps_label:g}", f"{r.mse:.8g}", r.seed] for r in reports))

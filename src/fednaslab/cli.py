@@ -8,6 +8,10 @@ output directory: architecture search writes genome files, hyperparameter
 search writes chosen-config files, training writes round logs and model
 snapshots, and the attack probe consumes those snapshots.
 
+The stages return their results and open no file: this module alone writes
+the output directory, each CSV through its stage's `write_*` rows and each
+JSON file through `records.write_json`.
+
 Importing this module sets the process's allocator policy on glibc: large
 numpy temporaries stay on the heap instead of being mapped and unmapped per
 op (`_keep_temporaries_on_heap` states the values and why).
@@ -18,7 +22,6 @@ Exit codes: 0 success, 2 configuration or input error, 3 infeasibility
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import dataclasses
 import functools
@@ -60,11 +63,23 @@ from .errors import (
     InfeasibleError,
     ParseError,
 )
-from .federation import ClientState, local_steps, run_rounds
-from .ga import TrainingEvaluator, run_ga
-from .hpo import DPTrialEvaluator, HyperConfig, SearchDomain, run_bo
+from .federation import (
+    ClientState,
+    local_steps,
+    run_rounds,
+    summarize,
+    write_round_csv,
+)
+from .ga import TrainingEvaluator, run_ga, write_ga_trace
+from .hpo import (
+    DPTrialEvaluator,
+    HyperConfig,
+    SearchDomain,
+    run_bo,
+    write_bo_trace,
+)
 from .privacy import DPConfig, calibrate_sigma, privacy_cost
-from .records import read_record, read_value
+from .records import json_text, read_record, read_value, write_csv, write_json
 from .space import (
     Genome,
     genome_from_string,
@@ -196,6 +211,12 @@ def _prepare(config: ExperimentConfig):
     else:
         plan = partition_class_subset(dataset.labels, config.clients.count,
                                       part.classes_per_client, part.skew, prng)
+    for k, shard in enumerate(plan.client_indices):
+        if not len(shard):
+            raise ConfigError(
+                f"client {k} gets no samples from the {plan.scheme} partition "
+                f"of {len(dataset.labels)} samples over {config.clients.count} "
+                "clients; give the clients more data or fewer clients")
     splits = [
         split_nas_subsets(plan.client_indices[k], dataset.labels,
                           np.random.default_rng((config.seed, _TAG_SPLIT, k)))
@@ -318,10 +339,10 @@ def nas(config: ExperimentConfig, out_dir: str) -> dict:
             dataset.images[split.nas_val], dataset.labels[split.nas_val],
             epochs=config.ga.eval_epochs, eta=config.train.eta,
             batch_size=config.train.batch_size)
-        trace_path = os.path.join(out_dir, f"ga_client{k}.csv")
         result = run_ga(config.ga, config.space, evaluator,
-                        np.random.default_rng((config.seed, _TAG_NAS, k)),
-                        csv_path=trace_path)
+                        np.random.default_rng((config.seed, _TAG_NAS, k)))
+        trace_path = os.path.join(out_dir, f"ga_client{k}.csv")
+        write_ga_trace(trace_path, result.history)
         path = _genome_path(out_dir, k)
         with open(path, "w") as fh:
             fh.write(str(result.best_genome) + "\n")
@@ -347,23 +368,20 @@ def hpo(config: ExperimentConfig, out_dir: str) -> dict:
             dataset.images[split.nas_val], dataset.labels[split.nas_val],
             domain, seed=(config.seed * 1000 + k) & 0x7FFFFFFF,
             delta=config.clients.delta)
-        trace_path = os.path.join(out_dir, f"bo_client{k}.csv")
         eps_budget = config.clients.budget_for(k)
         try:
             result = run_bo(
                 evaluator, domain, eps_budget, delta=config.clients.delta,
-                rng=np.random.default_rng((config.seed, _TAG_HPO, k)),
-                csv_path=trace_path)
+                rng=np.random.default_rng((config.seed, _TAG_HPO, k)))
         except InfeasibleError as exc:
             raise InfeasibleError(f"client {k}: {exc}") from exc
+        trace_path = os.path.join(out_dir, f"bo_client{k}.csv")
+        write_bo_trace(trace_path, result.trace)
         best = result.best
         path = _hyper_path(out_dir, k)
-        with open(path, "w") as fh:
-            json.dump({**dataclasses.asdict(best),
-                       "predicted": result.best_predicted,
-                       "observed": result.best_observed},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {**dataclasses.asdict(best),
+                          "predicted": result.best_predicted,
+                          "observed": result.best_observed})
         click.echo(f"client {k}: eta={best.eta:.4g} B={best.batch_size} "
                    f"C={best.clip:.3g} sigma={best.sigma:.3g} "
                    f"(observed {result.best_observed:.4f})")
@@ -431,13 +449,14 @@ def train(config: ExperimentConfig, out_dir: str, no_nas: bool,
             splits[k].nas_test, config.clients.budget_for(k),
             np.random.default_rng((config.seed, _TAG_TRAIN, k)),
             delta=config.clients.delta))
-    rounds_path = os.path.join(out_dir, "rounds.csv")
-    summary_path = os.path.join(out_dir, "summary.json")
     reports = run_rounds(config.train, clients, dataset,
                          np.random.default_rng((config.seed, _TAG_TRAIN)),
                          participation=config.clients.participation,
-                         aggregate=not local_only,
-                         csv_path=rounds_path, summary_path=summary_path)
+                         aggregate=not local_only)
+    rounds_path = os.path.join(out_dir, "rounds.csv")
+    write_round_csv(rounds_path, reports)
+    summary_path = os.path.join(out_dir, "summary.json")
+    write_json(summary_path, summarize(reports, config.train.target_acc))
     artifacts = {"rounds": rounds_path, "summary": summary_path}
     for client in clients:
         path = _model_path(out_dir, client.client_id)
@@ -529,9 +548,7 @@ def attack(config: ExperimentConfig, out_dir: str,
                    "ordering_holds": None,
                    "note": "single privacy setting; ordering check skipped"}
         click.echo("single privacy setting; ordering check skipped")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary_path, summary)
     return {"attack_csv": csv_path, "attack_summary": summary_path}
 
 
@@ -573,12 +590,10 @@ def bounds(constants_path: str, out_path: str | None,
     report["max_eta_theta"] = {"value": head_bound.value,
                                "feasible": head_bound.feasible}
     report["eta_w_check"] = check_eta_w(constants)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        write_json(out_path, report)
     else:
-        click.echo(text, nl=False)
+        click.echo(json_text(report), nl=False)
     if t_sweep is not None:
         if report["corollary2"]["infeasible"]:
             click.echo("T sweep skipped: descent coefficient infeasible",
@@ -594,13 +609,10 @@ def bounds(constants_path: str, out_path: str | None,
                 raise ConfigError("--t-sweep values must be >= 1")
             sweep_path = (os.path.splitext(out_path)[0] + "_tsweep.csv"
                           if out_path else "bounds_tsweep.csv")
-            with open(sweep_path, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["T", "bound"])
-                for t_val in ts:
-                    value = corollary2_avg_grad_bound(
-                        dataclasses.replace(constants, T=t_val))
-                    writer.writerow([t_val, f"{value:.10g}"])
+            write_csv(sweep_path, ["T", "bound"],
+                      ([t_val, format(corollary2_avg_grad_bound(
+                          dataclasses.replace(constants, T=t_val)), ".10g")]
+                       for t_val in ts))
             click.echo(f"T sweep written to {sweep_path}", err=True)
 
 
@@ -636,8 +648,10 @@ def report(run_dir: str) -> None:
         found = True
         click.echo(f"attack ordering holds: {asum['ordering_holds']} "
                    f"over {asum['seeds']} seeds")
-    genomes = sorted(name for name in os.listdir(run_dir)
-                     if name.startswith("genome_client"))
+    # genome_client<k>.txt: a shorter name holds a smaller k
+    genomes = sorted((name for name in os.listdir(run_dir)
+                      if name.startswith("genome_client")),
+                     key=lambda name: (len(name), name))
     for name in genomes:
         with open(os.path.join(run_dir, name)) as fh:
             click.echo(f"{name}: {fh.read().strip()}")

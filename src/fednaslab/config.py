@@ -38,7 +38,7 @@ from .errors import ConfigError
 from .federation import TrainSpec
 from .ga import GAConfig
 from .hpo import BOSpec
-from .records import read_record, read_value
+from .records import read_record, read_value, write_json
 from .space import SpaceConfig
 
 OUTPUT_ROOT_ENV = "FEDNASLAB_RUNS"
@@ -306,6 +306,4 @@ class RunManifest:
         self.finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, dataclasses.asdict(self))

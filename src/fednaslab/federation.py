@@ -16,8 +16,6 @@ ledger's guarantee, and no server work touches a ledger.
 from __future__ import annotations
 
 import copy
-import csv
-import json
 import logging
 import math
 import struct
@@ -52,6 +50,7 @@ from .privacy import (
     max_steps_within_budget,  # noqa: F401  unused; perfbench/spans.py traces it here
     train_dp_sgd,
 )
+from .records import write_csv
 from .space import Genome, SpaceConfig, materialize
 
 logger = logging.getLogger(__name__)
@@ -377,25 +376,17 @@ class RoundReport:
 
 
 def write_round_csv(path, reports: list[RoundReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["round", "client", "val_acc", "loss", "eps_spent",
-             "bytes_up", "bytes_down"]
-        )
-        for report in reports:
-            for r in report.rows:
-                writer.writerow([
-                    report.round_index, r.client_id, f"{r.val_acc:.6f}",
-                    f"{r.loss:.6f}", f"{r.eps_spent:.6f}", r.bytes_up,
-                    r.bytes_down,
-                ])
+    write_csv(path, ["round", "client", "val_acc", "loss", "eps_spent",
+                     "bytes_up", "bytes_down"],
+              ([report.round_index, r.client_id, f"{r.val_acc:.6f}",
+                f"{r.loss:.6f}", f"{r.eps_spent:.6f}", r.bytes_up, r.bytes_down]
+               for report in reports for r in report.rows))
 
 
 def run_rounds(spec: TrainSpec, clients: list[ClientState],
                dataset: Dataset, rng: np.random.Generator, *,
-               participation: float = 1.0, aggregate: bool = True,
-               csv_path=None, summary_path=None) -> list[RoundReport]:
+               participation: float = 1.0,
+               aggregate: bool = True) -> list[RoundReport]:
     """Drive the full simulation for `spec.rounds` rounds.
 
     Each round trains a `participation` fraction of the clients (at least
@@ -473,13 +464,6 @@ def run_rounds(spec: TrainSpec, clients: list[ClientState],
         reports.append(RoundReport(t, rows))
         logger.info("round %d: mean acc %.4f (std %.4f)", t,
                     reports[-1].mean_acc, reports[-1].std_acc)
-    if csv_path is not None:
-        write_round_csv(csv_path, reports)
-    if summary_path is not None:
-        with open(summary_path, "w") as fh:
-            json.dump(summarize(reports, spec.target_acc), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
     return reports
 
 

@@ -10,7 +10,6 @@ while tests can drive the loop with cheap synthetic objectives.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteError
 from .nn.model import evaluate_accuracy, shuffled_batches, train_plain_sgd
+from .records import write_csv
 from .space import (
     Genome,
     SpaceConfig,
@@ -277,21 +277,18 @@ class TrainingEvaluator:
 
 
 def write_ga_trace(path, history: list[GenerationRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["gen", "best_acc", "mean_acc", "best_genome"])
-        for rec in history:
-            writer.writerow([rec.gen, f"{rec.best_acc:.6f}",
-                             f"{rec.mean_acc:.6f}", rec.best_genome])
+    write_csv(path, ["gen", "best_acc", "mean_acc", "best_genome"],
+              ([rec.gen, f"{rec.best_acc:.6f}", f"{rec.mean_acc:.6f}",
+                rec.best_genome] for rec in history))
 
 
-def run_ga(cfg: GAConfig, space: SpaceConfig, fitness, rng: np.random.Generator,
-           csv_path=None) -> GAResult:
+def run_ga(cfg: GAConfig, space: SpaceConfig, fitness,
+           rng: np.random.Generator) -> GAResult:
     """Run the full search loop and return the all-time best genome.
 
     `fitness` is any callable (genome, seed) -> score in [0, 1]; one shared
     evaluation seed is drawn up front so equal genomes score equally within
-    a run. Per-generation records land in `history` (and optionally a CSV).
+    a run. Per-generation records land in `history` (`write_ga_trace`).
     """
     eval_seed = int(rng.integers(2**31 - 1))
     pop = init_population(cfg, space, rng)
@@ -335,6 +332,4 @@ def run_ga(cfg: GAConfig, space: SpaceConfig, fitness, rng: np.random.Generator,
             best_genome, best_fit = gen_best.genome, gen_best.require_fitness()
         record(gen)
 
-    if csv_path is not None:
-        write_ga_trace(csv_path, history)
     return GAResult(best_genome, best_fit, history)

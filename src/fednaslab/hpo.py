@@ -27,7 +27,6 @@ replacement, checked against scipy in tests/test_hpo.py:
 
 from __future__ import annotations
 
-import csv
 import functools
 import logging
 import math
@@ -44,6 +43,7 @@ from .privacy import (
     privacy_cost_integer_orders,
     train_dp_sgd,
 )
+from .records import write_csv
 from .space import Genome, SpaceConfig, materialize
 
 logger = logging.getLogger(__name__)
@@ -422,22 +422,13 @@ class BOResult:
 
 
 def write_bo_trace(path, trace: list[BORecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["iter", "eta", "B", "C", "sigma", "eps_planned", "val_acc", "feasible"]
-        )
-        for rec in trace:
-            writer.writerow([
-                rec.trial,
-                f"{rec.config.eta:.8g}",
-                rec.config.batch_size,
-                f"{rec.config.clip:.8g}",
-                f"{rec.config.sigma:.8g}",
+    write_csv(path, ["iter", "eta", "B", "C", "sigma", "eps_planned", "val_acc",
+                     "feasible"],
+              ([rec.trial, f"{rec.config.eta:.8g}", rec.config.batch_size,
+                f"{rec.config.clip:.8g}", f"{rec.config.sigma:.8g}",
                 f"{rec.eps_planned:.6f}",
                 "" if rec.val_acc is None else f"{rec.val_acc:.6f}",
-                int(rec.feasible),
-            ])
+                int(rec.feasible)] for rec in trace))
 
 
 class DPTrialEvaluator:
@@ -485,8 +476,7 @@ class DPTrialEvaluator:
 
 
 def run_bo(evaluate, domain: SearchDomain, eps_budget: float, *,
-           delta: float, rng: np.random.Generator,
-           csv_path=None) -> BOResult:
+           delta: float, rng: np.random.Generator) -> BOResult:
     """Full constrained-BO loop over `domain`.
 
     Phase one draws random configs until `domain.spec.k_init` feasible ones
@@ -544,8 +534,6 @@ def run_bo(evaluate, domain: SearchDomain, eps_budget: float, *,
     )
     best_i = order[0]
     result = BOResult(configs[best_i], float(mean[best_i]), max(ys), trace)
-    if csv_path is not None:
-        write_bo_trace(csv_path, trace)
     logger.info("BO done: best predicted %.4f (observed max %.4f)",
                 result.best_predicted, result.best_observed)
     return result

@@ -1,10 +1,14 @@
-"""The one reader of every input document, below every module that owns a
-record dataclass (config, space and the stages), so each reads through it."""
+"""The one reader of every input document (`read_record`) and the one
+holder of every artifact's format (`write_csv`, `write_json`), below every
+module that owns a record dataclass (config, space and the stages), so each
+reads and writes through it."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
+import json
 import math
 import types
 import typing
@@ -93,3 +97,22 @@ def read_record(cls, mapping, where: str = "", *, complete: bool = False):
         return cls(**kwargs)
     except ValueError as exc:
         _fail(where, str(exc))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `header`, then each row of `rows`, as CSV with `\\n` line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def json_text(doc) -> str:
+    """`doc` as JSON: 2-space indent, sorted keys and a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` to `path` as `json_text`."""
+    with open(path, "w") as fh:
+        fh.write(json_text(doc))

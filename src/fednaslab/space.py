@@ -223,7 +223,7 @@ def materialize(genome: Genome, space: SpaceConfig, rng: np.random.Generator) ->
     problems = validate_genome(genome, space)
     if problems:
         raise InfeasibleError(f"invalid genome {genome.key}: {problems}")
-    c, h, w = space.input_shape
+    c = space.input_shape[0]
     layers = []
     for g in genome:
         if g.kind == "conv":
@@ -231,7 +231,6 @@ def materialize(genome: Genome, space: SpaceConfig, rng: np.random.Generator) ->
             c = g.channels
         else:
             layers.append(AvgPool() if g.pool == "avg" else MaxPool())
-            h, w = h // 2, w // 2
     layers.append(GlobalAvgPool())
     layers.append(Linear(c, space.d_rep))
     model = Model(Sequential(layers),

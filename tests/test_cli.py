@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -465,6 +466,14 @@ class TestReport:
         result = _invoke(["report", tmp_path / "void"])
         assert result.exit_code == 2
 
+    def test_genomes_listed_in_client_order(self, tmp_path):
+        for k in (10, 2, 0, 11, 1):
+            (tmp_path / f"genome_client{k}.txt").write_text(f"C3x{k + 8}\n")
+        result = _invoke(["report", tmp_path])
+        assert result.exit_code == 0, _all_output(result)
+        assert result.output.splitlines() == [
+            f"genome_client{k}.txt: C3x{k + 8}" for k in (0, 1, 2, 10, 11)]
+
     @pytest.mark.parametrize("name,content,needle", [
         ("manifest_train.json", '{"command": "train"', "JSON"),
         ("manifest_train.json", json.dumps({
@@ -501,6 +510,21 @@ class TestTopLevel:
     def test_missing_config_exits_2(self, tmp_path):
         result = _invoke(["nas", "-c", tmp_path / "ghost.yaml"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", [["nas"], ["train", "--no-nas"]],
+                             ids=["nas", "train"])
+    def test_empty_client_shard_exits_2_naming_the_client(self, tmp_path,
+                                                          command):
+        # six samples over eight clients: the Dirichlet plan must leave a
+        # client empty, and is accepted as-is after 100 redraws
+        config = _write_config(tmp_path, "empty", dataset={"per_class": 3},
+                               clients={"count": 8},
+                               partition={"alpha": 0.05})
+        result = _invoke([command[0], "-c", config, *command[1:]])
+        text = _all_output(result)
+        assert result.exit_code == 2, text
+        assert re.search(r"client \d+ gets no samples", text)
+        assert "Traceback" not in text
 
     def test_space_dataset_shape_mismatch_exits_2(self, tmp_path):
         config = _write_config(tmp_path, "mismatch",

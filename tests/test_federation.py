@@ -44,6 +44,7 @@ from fednaslab.federation import (
 from fednaslab.hpo import HyperConfig
 from fednaslab.nn.model import Model, softmax_cross_entropy
 from fednaslab.privacy import DPConfig, privacy_cost, train_dp_sgd
+from fednaslab.records import write_json
 from fednaslab.space import SpaceConfig, materialize, sample_random_genome
 
 SMALL = SpaceConfig(
@@ -503,8 +504,9 @@ class TestRunRounds:
             spec = TrainSpec(rounds=2, local_epochs=1, target_acc=0.5)
             csv_path = tmp_path / f"rounds_{run}.csv"
             summary_path = tmp_path / f"summary_{run}.json"
-            run_rounds(spec, clients, ds, np.random.default_rng(31),
-                       csv_path=csv_path, summary_path=summary_path)
+            reports = run_rounds(spec, clients, ds, np.random.default_rng(31))
+            write_round_csv(csv_path, reports)
+            write_json(summary_path, summarize(reports, spec.target_acc))
             outputs.append((csv_path.read_bytes(), summary_path.read_bytes()))
         assert outputs[0] == outputs[1]
         header = outputs[0][0].decode().splitlines()[0]

@@ -405,7 +405,8 @@ class TestRunGA:
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         results = []
         for p in paths:
-            res = run_ga(cfg, SPACE, fit, np.random.default_rng(33), csv_path=p)
+            res = run_ga(cfg, SPACE, fit, np.random.default_rng(33))
+            write_ga_trace(p, res.history)
             results.append(res)
         assert results[0].best_genome.key == results[1].best_genome.key
         a, b = paths[0].read_bytes(), paths[1].read_bytes()

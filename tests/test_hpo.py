@@ -633,8 +633,9 @@ class TestRunBO:
         paths = []
         for run in range(2):
             path = tmp_path / f"bo_{run}.csv"
-            run_bo(lambda c: min(1.0, 5 * c.eta), dom, 3.0, delta=1e-5,
-                   rng=np.random.default_rng(16), csv_path=path)
+            res = run_bo(lambda c: min(1.0, 5 * c.eta), dom, 3.0, delta=1e-5,
+                         rng=np.random.default_rng(16))
+            write_bo_trace(path, res.trace)
             paths.append(path)
         first, second = (p.read_bytes() for p in paths)
         assert first == second

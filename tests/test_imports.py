@@ -5,6 +5,9 @@ the benchmark patches the name where the module looks it up, so the module
 keeps the import even after its own code stops calling it. Once the
 benchmark drops such a trace target, this test flags the leftover import.
 
+Only fednaslab.records imports csv or calls json.dump: the CSV and JSON
+formats of every artifact live there (`write_csv`, `write_json`).
+
 Importing fednaslab.cli must load no scipy module and not numpy.f2py: the
 package runs on numpy alone, and scipy's import (with numpy.f2py, which its
 array-API layer pulls in) was most of every command's start-up. scipy stays
@@ -70,6 +73,31 @@ def test_every_module_level_import_is_used(path):
     traced = TRACED.get(_module_name(path), set())
     unused = _imported_names(tree) - _used_names(tree) - traced
     assert not unused, f"{_module_name(path)} imports {sorted(unused)} unused"
+
+
+def _artifact_writes(tree):
+    """The `csv` imports and `json.dump` uses in a module's syntax tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "csv"]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if node.module == "csv" or a.name == "dump"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "dump"
+              and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append("json.dump")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if _module_name(p) != "fednaslab.records"],
+    ids=_module_name)
+def test_only_records_holds_the_artifact_formats(path):
+    found = _artifact_writes(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, (
+        f"{_module_name(path)} uses {found}; write CSV and JSON artifacts "
+        "through records.write_csv and records.write_json")
 
 
 def test_cli_import_loads_no_scipy_and_no_f2py():
