@@ -328,24 +328,19 @@ def inversion_attack(model: Model, aux_images: np.ndarray,
     z_aux = model.forward_bottom(aux)
     decoder = build_decoder(z_aux.shape[1], aux.shape[1:], rng)
     optimizer = Adam(decoder.param_layers(), lr=spec.decoder_lr)
-    failed = False
+    per_sample = np.full(victim.shape[0], np.inf)
     try:
         for idx in shuffled_batches(aux.shape[0], DECODER_BATCH,
                                     spec.decoder_epochs, rng):
             _, grads, _ = batch_gradient(decoder, z_aux[idx], aux[idx], loss=mse)
             optimizer.step(grads)
     except (NonFiniteError, FloatingPointError):
-        failed = True
         logger.warning("decoder training diverged (eps label %g, seed %d)",
                        eps_label, seed)
-    if failed:
-        return AttackReport(eps_label, math.inf,
-                            np.full(victim.shape[0], np.inf), seed,
-                            failed=True)
-    z_victim = model.forward_bottom(victim)
-    recon, _ = decoder.forward(z_victim)
-    per_sample = np.mean((recon.astype(np.float64) - victim) ** 2,
-                         axis=(1, 2, 3))
+    else:
+        recon, _ = decoder.forward(model.forward_bottom(victim))
+        per_sample = np.mean((recon.astype(np.float64) - victim) ** 2,
+                             axis=(1, 2, 3))
     if not np.isfinite(per_sample).all():
         return AttackReport(eps_label, math.inf,
                             np.full(victim.shape[0], np.inf), seed,

@@ -222,6 +222,13 @@ def _prepare(config: ExperimentConfig):
                           np.random.default_rng((config.seed, _TAG_SPLIT, k)))
         for k in range(config.clients.count)
     ]
+    for k, split in enumerate(splits):
+        for name in ("nas_val", "nas_test"):
+            if not len(getattr(split, name)):
+                raise ConfigError(
+                    f"client {k}'s shard of {len(plan.client_indices[k])} "
+                    f"samples leaves its {name} subset empty; give the "
+                    "clients more data or fewer clients")
     return dataset, splits
 
 

@@ -7,10 +7,11 @@ per-sample representations over a fixed little-endian wire format, retrains
 the head on the pooled samples server-side, and broadcasts the head back to
 every client bit-exactly.
 
-A client's ledger covers its local DP-SGD steps only. The uploaded
-representations z_i = f(theta, x_i) read the raw samples x_i, so they, their
-labels and the server's head training on them are released outside the
-ledger's guarantee, and no server work touches a ledger.
+A client's ledger holds its mechanism, eps budget and step count, and covers
+its local DP-SGD steps only. The uploaded representations z_i = f(theta,
+x_i) read the raw samples x_i, so they, their labels and the server's head
+training on them are released outside the ledger's guarantee, and no server
+work touches a ledger.
 """
 
 from __future__ import annotations
@@ -115,7 +116,6 @@ class ClientState:
     shard: np.ndarray
     test_idx: np.ndarray
     ledger: PrivacyLedger
-    eps_budget: float
     rounds_trained: int = 0
 
     def __post_init__(self):
@@ -136,7 +136,7 @@ class ClientState:
     def create(cls, client_id: int, genome: Genome, space: SpaceConfig,
                hyper: HyperConfig, shard, test_idx, eps_budget: float,
                rng: np.random.Generator, *, delta: float) -> "ClientState":
-        """Materialize the model and fix the ledger's mechanism parameters.
+        """Materialize the model and open the ledger of its mechanism and budget.
 
         The sampling rate is pinned at creation (batch over shard size) so
         that composed privacy accounting stays valid across rounds.
@@ -147,7 +147,7 @@ class ClientState:
         dp = DPConfig(hyper.clip, hyper.sigma, batch / len(shard), delta)
         model = materialize(genome, space, rng)
         return cls(client_id, genome, model, hyper, shard, test_idx,
-                   PrivacyLedger(dp), eps_budget)
+                   PrivacyLedger(dp, eps_budget))
 
 
 @dataclass
@@ -244,11 +244,11 @@ def local_train(client: ClientState, dataset: Dataset, epochs: int,
     """Train the client's full model (bottom and head jointly) for `epochs`
     local passes; returns per-step losses.
 
-    A finite budget trains through train_dp_sgd, whose plan pre-check is the
-    only budget check: if the plan does not fit, it raises
-    BudgetExhaustedError before any step runs and the caller should skip
-    this client's round. An infinite budget trains without any privacy
-    machinery.
+    A finite ledger budget trains through train_dp_sgd under the client's
+    ledger, whose plan pre-check is the only budget check: if the plan does
+    not fit, it raises BudgetExhaustedError before any step runs and the
+    caller should skip this client's round. An infinite budget trains
+    without any privacy machinery.
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
@@ -258,16 +258,13 @@ def local_train(client: ClientState, dataset: Dataset, epochs: int,
     y = dataset.labels[client.shard]
     batch = min(client.hyper.batch_size, client.m_k)
     steps = local_steps(epochs, client.m_k, batch)
-    if math.isinf(client.eps_budget):
+    if math.isinf(client.ledger.budget):
         losses = train_plain_sgd(client.model, x, y,
                                  drawn_batches(client.m_k, batch, steps, rng),
                                  eta=client.hyper.eta)
     else:
-        losses = train_dp_sgd(client.model, x, y, client.ledger.dp,
-                              eta=client.hyper.eta, batch_size=batch,
-                              total_steps=steps, rng=rng,
-                              ledger=client.ledger,
-                              eps_budget=client.eps_budget)
+        losses = train_dp_sgd(client.model, x, y, client.ledger,
+                              eta=client.hyper.eta, steps=steps, rng=rng)
     client.rounds_trained += 1
     return losses
 
@@ -439,12 +436,12 @@ def run_rounds(spec: TrainSpec, clients: list[ClientState],
             logger.warning("round %d: no uploads, head unchanged", t)
         rows = []
         for client in clients:
-            if math.isfinite(client.eps_budget):
+            if math.isfinite(client.ledger.budget):
                 spent = client.ledger.eps_spent()
-                if spent > client.eps_budget + 1e-9:
+                if spent > client.ledger.budget + 1e-9:
                     raise FedNasError(
                         f"budget safety violated: client {client.client_id} "
-                        f"spent {spent} of {client.eps_budget}")
+                        f"spent {spent} of {client.ledger.budget}")
             else:
                 spent = 0.0
             x_te = dataset.images[client.test_idx]

@@ -38,6 +38,7 @@ from .errors import ConfigError, InfeasibleError, NonFiniteError
 from .nn.model import evaluate_accuracy
 from .privacy import (
     DPConfig,
+    PrivacyLedger,
     _log_ndtr,
     privacy_cost,
     privacy_cost_integer_orders,
@@ -435,10 +436,12 @@ class DPTrialEvaluator:
     """Trains a genome's network under a candidate config and scores it.
 
     Each call materializes fresh weights from a per-trial seed (deterministic
-    in call order), runs `domain.trial_steps` DP-SGD steps at the sampling
-    rate the domain assigns the config, and returns validation accuracy, so
-    a trial spends exactly what `planned_cost` charged it. `x_train` is the
-    domain's shard. A diverged (non-finite) trial scores 0.
+    in call order), runs `domain.trial_steps` DP-SGD steps under its own
+    ledger at the sampling rate the domain assigns the config, and returns
+    validation accuracy, so a trial spends exactly what `planned_cost`
+    charged it. `run_bo` has checked that cost, so the ledger's budget is
+    infinite. `x_train` is the domain's shard. A diverged (non-finite)
+    trial scores 0.
     """
 
     def __init__(self, genome: Genome, space: SpaceConfig, x_train, y_train,
@@ -464,10 +467,9 @@ class DPTrialEvaluator:
         dp = DPConfig(config.clip, config.sigma,
                       self.domain.sampling_rate(config), self.delta)
         try:
-            train_dp_sgd(model, self.x_train, self.y_train, dp,
-                         eta=config.eta, batch_size=config.batch_size,
-                         total_steps=self.domain.trial_steps(config.batch_size),
-                         rng=rng)
+            train_dp_sgd(model, self.x_train, self.y_train, PrivacyLedger(dp),
+                         eta=config.eta,
+                         steps=self.domain.trial_steps(config.batch_size), rng=rng)
             acc, _ = evaluate_accuracy(model, self.x_val, self.y_val)
             return acc
         except NonFiniteError:

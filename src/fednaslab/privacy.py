@@ -37,10 +37,12 @@ Batches are drawn uniformly without replacement but accounted with the
 subsampled (Poisson-style) bound, the standard approximation in DP-SGD
 implementations.
 
-The ledger covers local DP-SGD steps only; only dp_sgd_step advances it.
-The representations and labels a client uploads are computed from its raw
-samples (z_i = f(theta, x_i) reads x_i directly), so they and the server's
-head training on them are released outside the ledger's guarantee.
+Every DP-SGD run (a `train` round or an `hpo` trial) runs under a
+PrivacyLedger of its mechanism, budget and step count; a client's ledger
+still covers its local DP-SGD steps only. The representations and labels a
+client uploads are computed from its raw samples (z_i = f(theta, x_i) reads
+x_i directly), so they and the server's head training on them are released
+outside the ledger's guarantee.
 """
 
 from __future__ import annotations
@@ -285,23 +287,33 @@ def _rdp(q: float, sigma: float, orders: np.ndarray) -> np.ndarray:
     if q == 1.0:
         return orders / (2.0 * sigma * sigma)
     out = np.empty(orders.shape, dtype=np.float64)
-    near_int = np.abs(orders - np.round(orders)) < _INT_TOL
-    is_int = near_int & (np.round(orders) >= 2)
-    int_idx = np.flatnonzero(is_int)
-    if int_idx.size:
-        # same array arithmetic as privacy_cost_integer_orders, so both
-        # agree bit for bit on the integer orders
-        qs, sigmas = np.array([q]), np.array([sigma])
-        lq, l1q, inv2s2 = np.log(qs), np.log1p(-qs), 1.0 / (2.0 * sigmas ** 2)
-        for k in int_idx:
-            log_a = _log_a_int(lq, l1q, inv2s2, int(round(orders[k])))[0]
-            out[k] = log_a / (orders[k] - 1.0)
-    frac_idx = np.flatnonzero(~is_int)
-    if frac_idx.size:
-        log_a = _log_a_frac_vec(q, sigma, orders[frac_idx])
-        out[frac_idx] = log_a / (orders[frac_idx] - 1.0)
-    # the moment E[(mu/mu0)^alpha] is >= 1, so the divergence is nonnegative;
-    # clamp away truncation-level negatives
+    near = np.round(orders)
+    is_int = (np.abs(orders - near) < _INT_TOL) & (near >= 2)
+    if is_int.any():
+        out[is_int] = _int_rdp(np.array([q]), np.array([sigma]), orders[is_int])[0]
+    if not is_int.all():
+        frac = orders[~is_int]
+        # the moment E[(mu/mu0)^alpha] is >= 1, so the divergence is
+        # nonnegative; clamp away truncation-level negatives
+        out[~is_int] = np.maximum(_log_a_frac_vec(q, sigma, frac) / (frac - 1.0), 0.0)
+    return out
+
+
+def _int_rdp(qs: np.ndarray, sigmas: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Per-step Renyi divergence of each (q, sigma) pair at integer orders
+    >= 2, as a [pairs, orders] array: inf at sigma = 0, a / (2 sigma^2) at
+    q = 1, and the exact binomial sum of `_log_a_int` below that, clamped at
+    0. Each order divides by its float value minus 1, so an order within
+    _INT_TOL of an integer keeps its own bits."""
+    out = np.full((qs.size, orders.size), np.inf)
+    full = (sigmas > 0.0) & (qs >= 1.0)
+    out[full] = orders / (2.0 * sigmas[full, None] ** 2)
+    sub = (sigmas > 0.0) & (qs < 1.0)
+    if sub.any():
+        lq, l1q = np.log(qs[sub]), np.log1p(-qs[sub])
+        inv2s2 = 1.0 / (2.0 * sigmas[sub] ** 2)
+        out[sub] = np.column_stack([_log_a_int(lq, l1q, inv2s2, int(round(a)))
+                                    for a in orders]) / (orders - 1.0)
     return np.maximum(out, 0.0)
 
 
@@ -326,29 +338,11 @@ def privacy_cost_integer_orders(qs, sigmas, steps, delta: float) -> np.ndarray:
         raise ValueError("sampling rates must lie in (0, 1]")
     if np.any(sigmas < 0.0) or np.any(steps < 0.0):
         raise ValueError("sigma and steps must be non-negative")
-    log_inv_delta = math.log(1.0 / delta)
-    alists = _INT_ORDER_GRID
-    eps = np.full(qs.shape, np.inf)
-    live = (sigmas > 0.0) & (steps > 0.0)
-
-    full = live & (qs >= 1.0)
-    if full.any():
-        rdp = alists[None, :] / (2.0 * sigmas[full, None] ** 2)
-        cand = steps[full, None] * rdp + log_inv_delta / (alists[None, :] - 1.0)
-        eps[full] = cand.min(axis=1)
-
-    sub = live & (qs < 1.0)
-    if sub.any():
-        lq = np.log(qs[sub])
-        l1q = np.log1p(-qs[sub])
-        inv2s2 = 1.0 / (2.0 * sigmas[sub] ** 2)
-        best = np.full(lq.shape, np.inf)
-        for a in range(2, 65):
-            rdp = np.maximum(_log_a_int(lq, l1q, inv2s2, a), 0.0) / (a - 1.0)
-            best = np.minimum(best, steps[sub] * rdp + log_inv_delta / (a - 1.0))
-        eps[sub] = best
-
-    eps[steps == 0.0] = 0.0
+    eps = np.where(steps == 0.0, 0.0, np.inf)
+    live = steps > 0.0
+    rdp = _int_rdp(qs[live], sigmas[live], _INT_ORDER_GRID)
+    eps[live] = (steps[live, None] * rdp
+                 + math.log(1.0 / delta) / (_INT_ORDER_GRID - 1.0)).min(axis=1)
     return eps
 
 
@@ -626,9 +620,11 @@ def calibrate_sigma(
 
 @dataclass
 class PrivacyLedger:
-    """Counts noisy steps for one client; eps_spent is derived, never stored."""
+    """The one record of a DP-SGD run: its mechanism, its eps budget and the
+    noisy steps taken so far; eps_spent is derived, never stored."""
 
     dp: DPConfig
+    budget: float = math.inf
     steps: int = 0
 
     def increment(self, n: int = 1) -> None:
@@ -669,19 +665,21 @@ def dp_sgd_step(model, x, y, dp: DPConfig, eta: float, rng: np.random.Generator,
     return loss_value
 
 
-def train_dp_sgd(model, x, y, dp: DPConfig, *, eta: float, batch_size: int,
-                 total_steps: int, rng: np.random.Generator,
-                 ledger: PrivacyLedger | None = None,
-                 eps_budget: float = math.inf) -> list[float]:
-    """Run `total_steps` DP-SGD steps with uniform without-replacement batches.
+def train_dp_sgd(model, x, y, ledger: PrivacyLedger, *, eta: float, steps: int,
+                 rng: np.random.Generator) -> list[float]:
+    """Run `steps` DP-SGD steps under the ledger's mechanism and charge each
+    to it. Each step draws round(q * len(x)) rows uniformly without
+    replacement at the ledger's sampling rate q, the rate the accountant
+    prices (see the module docstring on the sampler it assumes).
 
-    The whole plan is pre-checked against the budget; if it does not fit,
+    A finite ledger budget pre-checks the whole plan; if it does not fit,
     nothing runs (no partial spend)."""
-    if ledger is not None and eps_budget != math.inf:
-        if privacy_cost(ledger.dp, ledger.steps + total_steps) > eps_budget:
+    dp, n = ledger.dp, x.shape[0]
+    if ledger.budget != math.inf:
+        if privacy_cost(dp, ledger.steps + steps) > ledger.budget:
             raise BudgetExhaustedError(
-                f"{total_steps} more steps would exceed eps={eps_budget} "
+                f"{steps} more steps would exceed eps={ledger.budget} "
                 f"(already spent {ledger.steps} steps)"
             )
     return [dp_sgd_step(model, x[idx], y[idx], dp, eta, rng, ledger)
-            for idx in drawn_batches(x.shape[0], batch_size, total_steps, rng)]
+            for idx in drawn_batches(n, round(dp.sampling_rate * n), steps, rng)]

@@ -62,6 +62,7 @@ from fednaslab.nn import (
 )
 from fednaslab.privacy import (
     DPConfig,
+    PrivacyLedger,
     calibrate_sigma,
     dp_sgd_step,
     privacy_cost,
@@ -615,8 +616,9 @@ def test_criterion_12_inversion_error_orders_with_privacy():
     order = np.random.default_rng((9, 1)).permutation(len(ds.images))
     aux = ds.images[order[:260]]
     victims = ds.images[order[260:300]]
-    # noise multipliers calibrated to each budget at a fixed reference plan
-    ref_q, ref_steps = 0.25, 60
+    # noise multipliers calibrated to each budget at the plan each run
+    # draws: 50-row batches of the 300 rows, 60 steps
+    ref_q, ref_steps = 50 / 300, 60
     levels = (math.inf, 50.0, 5.0, 0.5)
     sigmas = {math.inf: 0.0}
     for eps in levels[1:]:
@@ -628,8 +630,8 @@ def test_criterion_12_inversion_error_orders_with_privacy():
         for j, eps in enumerate(levels):
             model = materialize(genome, space, np.random.default_rng((9, 2)))
             train_dp_sgd(model, ds.images, ds.labels,
-                         DPConfig(clip, sigmas[eps], ref_q, 1e-5),
-                         eta=0.5, batch_size=50, total_steps=ref_steps,
+                         PrivacyLedger(DPConfig(clip, sigmas[eps], ref_q, 1e-5)),
+                         eta=0.5, steps=ref_steps,
                          rng=np.random.default_rng((seed, 7, j)))
             report = inversion_attack(model, aux, victims,
                                       AttackSpec(decoder_epochs=60),

@@ -28,7 +28,7 @@ from fednaslab.analysis import (
     write_attack_csv,
 )
 from fednaslab.errors import ConfigError, InfeasibleError
-from fednaslab.privacy import DPConfig, train_dp_sgd
+from fednaslab.privacy import DPConfig, PrivacyLedger, train_dp_sgd
 from fednaslab.space import SpaceConfig, materialize, sample_random_genome
 
 # ---------------------------------------------------------------------------
@@ -394,8 +394,8 @@ class TestInversionAttack:
             noisy = _encoder(seed)
             dp = DPConfig(clip_norm=1.0, noise_multiplier=6.0,
                           sampling_rate=0.25, delta=1e-5)
-            train_dp_sgd(noisy, x, y, dp, eta=2.0, batch_size=50,
-                         total_steps=100, rng=np.random.default_rng(seed))
+            train_dp_sgd(noisy, x, y, PrivacyLedger(dp), eta=2.0, steps=100,
+                         rng=np.random.default_rng(seed))
             cfg = AttackSpec(decoder_epochs=12)
             mse_clean = inversion_attack(
                 clean, aux, victims, cfg, np.random.default_rng(seed)).mse

@@ -526,6 +526,22 @@ class TestTopLevel:
         assert re.search(r"client \d+ gets no samples", text)
         assert "Traceback" not in text
 
+    @pytest.mark.parametrize("command", [["nas"], ["hpo"], ["train", "--no-nas"]],
+                             ids=["nas", "hpo", "train"])
+    def test_tiny_shard_without_validation_exits_2(self, tmp_path, command):
+        # seed 1, ten samples over three clients: two shards of 2 samples,
+        # whose 5:1:1 split leaves nas_val or nas_test empty
+        config = _write_config(tmp_path, "tiny", seed=1,
+                               dataset={"per_class": 5},
+                               clients={"count": 3},
+                               partition={"alpha": 0.3})
+        result = _invoke([command[0], "-c", config, *command[1:]])
+        text = _all_output(result)
+        assert result.exit_code == 2, text
+        assert re.search(r"client \d+'s shard of \d samples leaves its "
+                         r"nas_(val|test) subset empty", text)
+        assert "Traceback" not in text
+
     def test_space_dataset_shape_mismatch_exits_2(self, tmp_path):
         config = _write_config(tmp_path, "mismatch",
                                dataset={"per_class": 60, "image_side": 16})

@@ -43,7 +43,7 @@ from fednaslab.federation import (
 )
 from fednaslab.hpo import HyperConfig
 from fednaslab.nn.model import Model, softmax_cross_entropy
-from fednaslab.privacy import DPConfig, privacy_cost, train_dp_sgd
+from fednaslab.privacy import DPConfig, PrivacyLedger, privacy_cost, train_dp_sgd
 from fednaslab.records import write_json
 from fednaslab.space import SpaceConfig, materialize, sample_random_genome
 
@@ -195,8 +195,8 @@ class TestLocalTrain:
         y = ds.labels[noiseless.shard]
         dp = DPConfig(1e9, 0.0, 32 / noiseless.m_k, 1e-5)
         losses_dp = train_dp_sgd(
-            noiseless.model, x, y, dp, eta=0.05, batch_size=32,
-            total_steps=len(losses_plain), rng=np.random.default_rng(7),
+            noiseless.model, x, y, PrivacyLedger(dp), eta=0.05,
+            steps=len(losses_plain), rng=np.random.default_rng(7),
         )
         assert np.allclose(losses_plain, losses_dp, atol=1e-5)
 

@@ -671,18 +671,14 @@ class TestDpSgd:
         parts = _tiny_stack(8)
         dp = DPConfig(1.0, 1.0, 0.5, 1e-5)
         ledger = PrivacyLedger(dp)
-        train_dp_sgd(
-            parts, x, y, dp, eta=0.05, batch_size=6, total_steps=4,
-            rng=np.random.default_rng(9), ledger=ledger, eps_budget=math.inf,
-        )
+        train_dp_sgd(parts, x, y, ledger, eta=0.05, steps=4,
+                     rng=np.random.default_rng(9))
         assert ledger.steps == 4
-        tight = privacy_cost(dp, 5)  # budget that admits 5 steps total
+        ledger.budget = privacy_cost(dp, 5)  # admits 5 steps total
         before = parts.get_flat().copy()
         with pytest.raises(BudgetExhaustedError):
-            train_dp_sgd(
-                parts, x, y, dp, eta=0.05, batch_size=6, total_steps=2,
-                rng=np.random.default_rng(10), ledger=ledger, eps_budget=tight,
-            )
+            train_dp_sgd(parts, x, y, ledger, eta=0.05, steps=2,
+                         rng=np.random.default_rng(10))
         # nothing ran: no partial spend, no parameter movement
         assert ledger.steps == 4
         np.testing.assert_array_equal(parts.get_flat(), before)
@@ -705,23 +701,28 @@ class TestDpSgd:
         for _ in range(2):
             parts = _tiny_stack(13)
             train_dp_sgd(
-                parts, x, y, DPConfig(1.0, 1.5, 0.5, 1e-5), eta=0.1,
-                batch_size=5, total_steps=6, rng=np.random.default_rng(14),
+                parts, x, y, PrivacyLedger(DPConfig(1.0, 1.5, 0.5, 1e-5)),
+                eta=0.1, steps=6, rng=np.random.default_rng(14),
             )
             outs.append(parts.get_flat())
         np.testing.assert_array_equal(outs[0], outs[1])
 
-    def test_batch_and_noise_draws_alternate_on_one_generator(self):
-        # each step draws its batch and then its noise from the same generator
+    @pytest.mark.parametrize("q, n, batch", [(0.5, 10, 5), (0.3, 10, 3),
+                                             (1.0, 10, 10), (0.25, 12, 3)])
+    def test_batch_and_noise_draws_alternate_on_one_generator(self, q, n, batch):
+        # each step draws round(q * n) rows at the ledger's rate and then its
+        # noise, from the same generator, and charges the ledger one step
         rng = np.random.default_rng(15)
-        x = rng.normal(size=(10, 4)).astype(np.float32)
-        y = rng.integers(0, 3, size=10)
-        dp = DPConfig(1.0, 1.5, 0.5, 1e-5)
+        x = rng.normal(size=(n, 4)).astype(np.float32)
+        y = rng.integers(0, 3, size=n)
+        dp = DPConfig(1.0, 1.5, q, 1e-5)
+        ledger = PrivacyLedger(dp)
         parts, ref = _tiny_stack(16), _tiny_stack(16)
-        train_dp_sgd(parts, x, y, dp, eta=0.1, batch_size=5, total_steps=6,
+        train_dp_sgd(parts, x, y, ledger, eta=0.1, steps=6,
                      rng=np.random.default_rng(17))
         ref_rng = np.random.default_rng(17)
         for _ in range(6):
-            idx = ref_rng.choice(10, size=5, replace=False)
+            idx = ref_rng.choice(n, size=batch, replace=False)
             dp_sgd_step(ref, x[idx], y[idx], dp, 0.1, ref_rng)
         np.testing.assert_array_equal(parts.get_flat(), ref.get_flat())
+        assert ledger.steps == 6
