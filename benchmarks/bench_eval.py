@@ -13,6 +13,10 @@ case also stores the tracemalloc peak of one untimed call, in MiB, under
 (nn.model.batch_cuts), the paper-shape forward peaks at about 7 MiB at
 n = 512 and 1024 (830 MiB with the former 512-row cuts), and the
 per-sample gradients at 13 MiB and 19 MiB (140 MiB and 209 MiB uncut).
+With every evaluation input run in cuts, 64 rows at desk shape, the
+desk-shape forward peaks at 6.6 MiB at n = 512 and 1024; when inputs of
+at most 512 KiB ran whole it peaked at 52.5 MiB at n = 512 (and 34.2 MiB
+on a 333-row desk shard, 43.8 MiB on a 27-row paper test set).
 
 The file name does not match test_*.py, so the tier-1 suite does not
 collect it. Run it on one BLAS thread, as the stage benchmark does:

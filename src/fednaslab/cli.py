@@ -119,7 +119,7 @@ def _keep_temporaries_on_heap() -> None:
     adaptation could ever keep there, and never trim mid-stage. The mmap
     threshold is glibc's own cap on its adaptive one on 64-bit builds
     (DEFAULT_MMAP_THRESHOLD_MAX, 32 MiB); the trim threshold, 256 MiB, is
-    more than twice the peak RSS of any benchmark stage (about 100 MB at
+    more than twice the peak RSS of any benchmark stage (about 66 MB, at
     paper shape). Without glibc (no `mallopt` symbol) nothing is set and the
     platform's allocator runs as it is.
     """

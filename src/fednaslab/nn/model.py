@@ -2,16 +2,17 @@
 helpers; every trainer takes one layer stack.
 
 Every per-sample computation here is row-wise: no layer mixes samples, and
-row i of a loss gradient is sample i's own. So a large batch runs in cuts
+row i of a loss gradient is sample i's own. So a batch runs in cuts
 (batch_cuts), each forwarded, and for gradients backpropagated, while its
 activations still sit in cache; outputs are the cuts' results stacked, and
 gradients the cuts' per-sample rows stacked or, in plain mode, their
 batch sums added. Model.forward_bottom and loss_and_per_sample_grads are the
 two entry points, and every evaluation, emission, DP step and plain
-gradient goes through one of them. Only DP-SGD asks for per-sample
-gradients; every plain path (batch_gradient) runs the layers' backward with
-per_sample off and gets one [p_i] sum per layer back, not the [n, P]
-matrix.
+gradient goes through one of them. An evaluation forward runs every input
+in cuts; a gradient batch runs whole up to CUT_ABOVE bytes. Only DP-SGD
+asks for per-sample gradients; every plain path (batch_gradient) runs the
+layers' backward with per_sample off and gets one [p_i] sum per layer
+back, not the [n, P] matrix.
 """
 
 from __future__ import annotations
@@ -21,31 +22,43 @@ import numpy as np
 from ..errors import NonFiniteError, ShapeMismatchError
 from .layers import Layer, Sequential
 
-# A batch whose input holds more than CUT_ABOVE bytes runs in near-equal
-# cuts of at most CUT_BYTES of input each. At 3x32x32 float32 that is 4 rows
-# a cut, and each activation of a 64-channel block is then 1 MiB, inside a
-# 2 MiB L2; uncut, a 64-row batch writes and rereads 16 MiB per layer. Desk
-# batches (3x8x8, up to 682 rows) stay whole. Cut into 64-row pieces under
-# the allocator policy that fednaslab.cli sets, they took 18-26 MB less peak
-# RSS in the train and attack stages and fewer minor faults (2.3k against
-# 7.0k and 1.9k against 6.4k), but no settled time: fresh stage processes
-# read nas 0.38 against 0.48 s and hpo, train and attack within 4%, and
-# perfbench's scaled wall_s moved -13% (desk-attack), -5% (desk-dp-train,
-# +14% unscaled) and +4% (desk-search) over 5 pairs. Cuts are
-# near-equal so that no float32 cut at 3x32x32 holds a single row, whose
-# matmuls would take the GEMV path and round differently from the same row
-# inside a GEMM.
+# batch_cuts splits an input into near-equal cuts of at most CUT_BYTES each.
+# At 3x32x32 float32 that is 4 rows a cut, and each activation of a
+# 64-channel block is then 1 MiB, inside a 2 MiB L2; uncut, a 64-row batch
+# writes and rereads 16 MiB per layer. At 3x8x8 it is 64 rows a cut.
+#
+# Model.forward_bottom cuts every input, whatever its size. Its callers
+# (shard emission, test evaluation, the inversion probe's auxiliary set)
+# forward a few hundred desk rows or a few dozen paper rows at once, and
+# such a batch, run whole, set the stage's peak RSS. For the default genome
+# the forward's tracemalloc peak fell from 34.2 to 5.8 MiB on a 333-row desk
+# shard and from 43.8 to 6.5 MiB on a 27-row paper test set, and perfbench's
+# peak_rss_mb from 74 to 48 MB (desk-attack), 68 to 50 MB (desk-dp-train)
+# and 96 to 66 MB (paper-dp-train).
+#
+# loss_and_per_sample_grads keeps a batch of at most CUT_ABOVE bytes whole,
+# so no desk gradient batch (3x8x8, up to 682 rows) is cut. Each cut of a
+# gradient batch costs one more walk of the stack, and its per-sample rows
+# are concatenated afterwards; with desk gradient batches cut into 64 rows
+# as well, perfbench's desk-search wall_s rose 4% (the cut side won 1 of 5
+# pairs).
+#
+# Cuts are near-equal: while CUT_BYTES holds three rows or more, as at both
+# shapes, no cut of an input of two rows or more holds a single row. A
+# single row's matmuls take the GEMV path and round differently from the
+# same row inside a GEMM; in a cut of two rows or more a row gets the same
+# bits as in the whole batch.
 CUT_ABOVE = 512 * 1024
 CUT_BYTES = 48 * 1024
 
 
 def batch_cuts(x):
-    """Row slices covering x in order: one slice for a batch of at most
-    CUT_ABOVE bytes (an empty one included), else the fewest near-equal
-    runs of at most CUT_BYTES each (at least one row)."""
+    """Row slices covering x in order: the fewest near-equal runs of at
+    most CUT_BYTES each (at least one row), or one empty slice for an empty
+    x."""
     n = len(x)
-    if x.nbytes <= CUT_ABOVE:
-        return [slice(0, n)]
+    if n == 0:
+        return [slice(0, 0)]
     rows = max(1, CUT_BYTES // (x.nbytes // n))
     count = -(-n // rows)
     bounds = [i * n // count for i in range(count + 1)]
@@ -104,7 +117,8 @@ class Model(Sequential):
 
     def forward_bottom(self, x):
         """Evaluation forward through the bottom, one cut at a time
-        (batch_cuts): representations [n, d_rep], checked finite."""
+        (batch_cuts) whatever the size of x: representations [n, d_rep],
+        checked finite."""
         z = np.concatenate([self.bottom.forward(x[cut])[0] for cut in batch_cuts(x)])
         if not np.isfinite(z).all():
             raise NonFiniteError("bottom produced non-finite representations")
@@ -130,15 +144,16 @@ def loss_and_per_sample_grads(model: Layer, x, target, loss=softmax_cross_entrop
     gradient of sample i's own loss. With per_sample off each is the [p_i]
     sum of those rows, contracted inside the layers' backward.
 
-    Forward, loss gradient and backward run one cut at a time (batch_cuts);
-    the cuts' outputs are stacked, their gradients stacked (per-sample) or
+    A batch of at most CUT_ABOVE bytes runs whole; a larger one runs
+    forward, loss gradient and backward one cut at a time (batch_cuts); the
+    cuts' outputs are stacked, their gradients stacked (per-sample) or
     added (plain), and the mean loss is taken once over the whole output.
 
     The name covers both modes because the stage benchmark traces this
     function by name and reads the size of its result.
     """
     outs, grads = [], []
-    for cut in batch_cuts(x):
+    for cut in [slice(0, len(x))] if x.nbytes <= CUT_ABOVE else batch_cuts(x):
         out, cache = model.forward(x[cut])
         loss_value, gout = loss(out, target[cut])
         outs.append(out)

@@ -5,6 +5,7 @@ every analytic backward pass, per-sample and batch-mean alike.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -664,7 +665,8 @@ def _small_model():
 
 
 def _one_cut(monkeypatch):
-    """Run every batch as one cut: today's uncut path."""
+    """Run every gradient batch as one cut: the uncut gradient path.
+    Evaluation forwards cut whatever CUT_ABOVE holds."""
     monkeypatch.setattr(nn_model, "CUT_ABOVE", math.inf)
 
 
@@ -674,19 +676,25 @@ def _cut_rows(monkeypatch, x, rows):
     monkeypatch.setattr(nn_model, "CUT_BYTES", rows * x[0].nbytes)
 
 
+def _recorded_rows(monkeypatch, layer):
+    """Patch layer.forward to record the rows of every input it is given."""
+    rows, forward = [], layer.forward
+
+    def recording(xb):
+        rows.append(len(xb))
+        return forward(xb)
+
+    monkeypatch.setattr(layer, "forward", recording)
+    return rows
+
+
 class TestEvaluationPass:
     def test_bottom_runs_in_eval_batch_cuts(self, monkeypatch):
         model = _small_model()
         x = _rng(23).normal(size=(8, 2, 5, 5)).astype(np.float32)
         uncut, _ = model.bottom.forward(x)
-        rows, forward = [], model.bottom.forward
-
-        def recording(xb):
-            rows.append(len(xb))
-            return forward(xb)
-
         _cut_rows(monkeypatch, x, 3)
-        monkeypatch.setattr(model.bottom, "forward", recording)
+        rows = _recorded_rows(monkeypatch, model.bottom)
         z = model.forward_bottom(x)
         assert rows == [2, 3, 3]
         np.testing.assert_allclose(z, uncut, rtol=1e-5, atol=1e-6)
@@ -721,10 +729,40 @@ def paper_batch():
     return model, x, rng.integers(0, 10, size=64)
 
 
+@pytest.fixture(scope="module")
+def desk_model():
+    """The default genome at desk shape (3x8x8, d_rep 16)."""
+    space = SpaceConfig(input_shape=(3, 8, 8), d_rep=16)
+    return materialize(genome_from_string("C3x32-C3x64-Pavg"), space, _rng(35))
+
+
 class TestBatchCuts:
     @pytest.mark.parametrize("n", [32, 333])
-    def test_desk_batches_run_whole(self, n):
-        assert nn_model.batch_cuts(np.zeros((n, 3, 8, 8), np.float32)) == [slice(0, n)]
+    def test_desk_batches_run_whole(self, desk_model, monkeypatch, n):
+        # gradient batches at desk shape stay under CUT_ABOVE and run whole
+        x = _rng(36).normal(size=(n, 3, 8, 8)).astype(np.float32)
+        y = _rng(37).integers(0, 3, size=n)
+        rows = _recorded_rows(monkeypatch, desk_model)
+        loss_and_per_sample_grads(desk_model, x, y)
+        assert rows == [n]
+
+    def test_desk_evaluation_runs_in_cuts_in_bounded_memory(self, desk_model,
+                                                            monkeypatch):
+        x = _rng(38).normal(size=(333, 3, 8, 8)).astype(np.float32)
+        whole, _ = desk_model.bottom.forward(x)
+        tracemalloc.start()
+        try:
+            z = desk_model.forward_bottom(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(z, whole)
+        # 34.2 MiB when the whole shard ran as one batch
+        assert peak < 12 * 2**20
+        rows = _recorded_rows(monkeypatch, desk_model.bottom)
+        desk_model.forward_bottom(x)
+        assert sum(rows) == 333 and max(rows) <= 64
+        assert max(rows) - min(rows) <= 1
 
     def test_paper_batch_is_cut(self):
         cuts = nn_model.batch_cuts(np.zeros((64, 3, 32, 32), np.float32))
@@ -748,14 +786,13 @@ class TestBatchCuts:
     def test_cut_and_uncut_agree_bit_for_bit(self, paper_batch, monkeypatch):
         model, x, y = paper_batch
         loss, psg, out = loss_and_per_sample_grads(model, x, y)
-        z = model.forward_bottom(x)
+        np.testing.assert_array_equal(model.forward_bottom(x), model.bottom.forward(x)[0])
         _one_cut(monkeypatch)
         ref_loss, ref_psg, ref_out = loss_and_per_sample_grads(model, x, y)
         assert loss == ref_loss
         np.testing.assert_array_equal(out, ref_out)
         for got, ref in zip(psg, ref_psg, strict=True):
             np.testing.assert_array_equal(got, ref)
-        np.testing.assert_array_equal(z, model.forward_bottom(x))
 
     @pytest.mark.parametrize("rows", [2, 3, 4])
     def test_a_rows_gradients_do_not_depend_on_its_cut(self, paper_batch, rows):
@@ -773,14 +810,8 @@ class TestBatchCuts:
         x = _rng(32).normal(size=(7, 2, 5, 5)).astype(dtype)
         y = _rng(33).integers(0, 3, size=7)
         ref_loss, ref_psg, ref_out = loss_and_per_sample_grads(model, x, y)
-        rows, forward = [], model.forward
-
-        def recording(xb):
-            rows.append(len(xb))
-            return forward(xb)
-
         _cut_rows(monkeypatch, x, 2)
-        monkeypatch.setattr(model, "forward", recording)
+        rows = _recorded_rows(monkeypatch, model)
         loss, psg, out = loss_and_per_sample_grads(model, x, y)
         assert rows == [1, 2, 2, 2]
         assert loss == pytest.approx(ref_loss, rel=rtol)
