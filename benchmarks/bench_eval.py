@@ -19,7 +19,8 @@ at most 512 KiB ran whole it peaked at 52.5 MiB at n = 512 (and 34.2 MiB
 on a 333-row desk shard, 43.8 MiB on a 27-row paper test set).
 
 The file name does not match test_*.py, so the tier-1 suite does not
-collect it. Run it on one BLAS thread, as the stage benchmark does:
+run its cases; tests/test_imports.py only imports it. Run it on one BLAS
+thread, as the stage benchmark does:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
         python -m pytest benchmarks/bench_eval.py --benchmark-json out.json
@@ -27,6 +28,12 @@ collect it. Run it on one BLAS thread, as the stage benchmark does:
 Point PYTHONPATH at another checkout's src to time that version, and
 compare runs by each case's `extra_info["scaled_median_s"]`, the median
 scaled to the reference host speed (benchmarks/conftest.py).
+
+That scaling does not steady these cases. Across four runs of the same
+forward_bottom code on a shared 2-core host, `scaled_median_s` read 56 to
+105 ms at desk-1024 and 600 to 1205 ms at paper-1024, so a kernel gain
+under about 2x cannot be read from one run of 5 rounds. The tracemalloc
+peaks repeated exactly; compare those.
 """
 
 import tracemalloc

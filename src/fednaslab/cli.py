@@ -78,7 +78,7 @@ from .hpo import (
     run_bo,
     write_bo_trace,
 )
-from .privacy import DPConfig, calibrate_sigma, privacy_cost
+from .privacy import calibrate_sigma, privacy_cost
 from .records import json_text, read_record, read_value, write_csv, write_json
 from .space import (
     Genome,
@@ -420,11 +420,10 @@ def _resolve_hyper(config: ExperimentConfig, out_dir: str, k: int,
                         k, sigma, total)
         hyper = HyperConfig(t.eta, batch, t.clip, float(sigma))
     if math.isfinite(budget):
-        # q and steps as the client's ledger and round 1's pre-check see
-        # them, so this reads the accountant point calibration or round 1
-        # refines anyway
-        dp = DPConfig(hyper.clip, hyper.sigma, batch / m_k, config.clients.delta)
-        planned = privacy_cost(dp, total)
+        # the mechanism of the client's ledger and the steps of round 1's
+        # pre-check, so this reads the accountant point calibration or
+        # round 1 refines anyway
+        planned = privacy_cost(hyper.mechanism(m_k, config.clients.delta), total)
         if planned > budget:
             raise InfeasibleError(
                 f"client {k}: {source} sets sigma={hyper.sigma:.4g}, whose "

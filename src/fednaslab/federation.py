@@ -46,7 +46,6 @@ from .nn.model import (
     train_plain_sgd,
 )
 from .privacy import (
-    DPConfig,
     PrivacyLedger,
     max_steps_within_budget,  # noqa: F401  unused; perfbench/spans.py traces it here
     train_dp_sgd,
@@ -138,13 +137,11 @@ class ClientState:
                rng: np.random.Generator, *, delta: float) -> "ClientState":
         """Materialize the model and open the ledger of its mechanism and budget.
 
-        The sampling rate is pinned at creation (batch over shard size) so
-        that composed privacy accounting stays valid across rounds.
+        The mechanism is pinned at creation (`hyper.mechanism` on the shard,
+        which rejects an empty one) so that composed privacy accounting
+        stays valid across rounds.
         """
-        if len(shard) < 1:
-            raise ConfigError(f"client {client_id} has an empty shard")
-        batch = min(hyper.batch_size, len(shard))
-        dp = DPConfig(hyper.clip, hyper.sigma, batch / len(shard), delta)
+        dp = hyper.mechanism(len(shard), delta)
         model = materialize(genome, space, rng)
         return cls(client_id, genome, model, hyper, shard, test_idx,
                    PrivacyLedger(dp, eps_budget))
@@ -256,7 +253,8 @@ def local_train(client: ClientState, dataset: Dataset, epochs: int,
         return []
     x = dataset.images[client.shard]
     y = dataset.labels[client.shard]
-    batch = min(client.hyper.batch_size, client.m_k)
+    # the rows train_dp_sgd draws at the ledger's rate
+    batch = round(client.ledger.dp.sampling_rate * client.m_k)
     steps = local_steps(epochs, client.m_k, batch)
     if math.isinf(client.ledger.budget):
         losses = train_plain_sgd(client.model, x, y,
@@ -436,14 +434,12 @@ def run_rounds(spec: TrainSpec, clients: list[ClientState],
             logger.warning("round %d: no uploads, head unchanged", t)
         rows = []
         for client in clients:
-            if math.isfinite(client.ledger.budget):
-                spent = client.ledger.eps_spent()
-                if spent > client.ledger.budget + 1e-9:
-                    raise FedNasError(
-                        f"budget safety violated: client {client.client_id} "
-                        f"spent {spent} of {client.ledger.budget}")
-            else:
-                spent = 0.0
+            # 0.0 at an infinite budget, whose plain steps charge nothing
+            spent = client.ledger.eps_spent()
+            if spent > client.ledger.budget + 1e-9:
+                raise FedNasError(
+                    f"budget safety violated: client {client.client_id} "
+                    f"spent {spent} of {client.ledger.budget}")
             x_te = dataset.images[client.test_idx]
             y_te = dataset.labels[client.test_idx]
             try:

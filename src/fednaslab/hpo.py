@@ -74,6 +74,14 @@ class HyperConfig:
         if self.sigma < 0:
             raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
 
+    def mechanism(self, n: int, delta: float) -> DPConfig:
+        """The DP-SGD mechanism of this recipe on `n` samples: its clip and
+        sigma at the rate min(B, n) / n its batches draw. The only code that
+        turns a recipe into a mechanism."""
+        if n < 1:
+            raise ConfigError(f"a mechanism needs n >= 1 samples, got {n}")
+        return DPConfig(self.clip, self.sigma, min(self.batch_size, n) / n, delta)
+
 
 @dataclass(frozen=True)
 class BOSpec:
@@ -158,9 +166,6 @@ class SearchDomain:
             clip=float(log_interp(u[2], *spec.clip_range)),
             sigma=float(sig_lo + u[3] * (sig_hi - sig_lo)),
         )
-
-    def sampling_rate(self, config: HyperConfig) -> float:
-        return min(config.batch_size / self.dataset_size, 1.0)
 
 
 def _matern52(a: np.ndarray, b: np.ndarray, lengthscales: np.ndarray,
@@ -289,11 +294,6 @@ def gp_fit(x, y) -> Surrogate:
     return Surrogate(x, y, best[:dims], best[dims])
 
 
-def gp_posterior(surrogate: Surrogate, point) -> tuple[float, float]:
-    mean, var = surrogate.posterior(np.atleast_2d(point))
-    return float(mean[0]), float(var[0])
-
-
 def expected_improvement_values(mu, sigma_p, incumbent: float,
                                 xi: float = XI_DEFAULT) -> np.ndarray:
     """EI = (mu - y* - xi) Phi(u) + sigma_p phi(u); the degenerate
@@ -314,7 +314,8 @@ def expected_improvement_values(mu, sigma_p, incumbent: float,
 
 def _planned_costs(configs: list[HyperConfig], domain: SearchDomain,
                    delta: float) -> np.ndarray:
-    qs = np.array([domain.sampling_rate(c) for c in configs])
+    qs = np.array([c.mechanism(domain.dataset_size, delta).sampling_rate
+                   for c in configs])
     sigmas = np.array([c.sigma for c in configs])
     steps = np.array([domain.trial_steps(c.batch_size) for c in configs])
     return privacy_cost_integer_orders(qs, sigmas, steps, delta)
@@ -323,8 +324,8 @@ def _planned_costs(configs: list[HyperConfig], domain: SearchDomain,
 def planned_cost(config: HyperConfig, domain: SearchDomain,
                  delta: float) -> float:
     """Exact planned privacy cost of one trial (full order grid)."""
-    dp = DPConfig(config.clip, config.sigma, domain.sampling_rate(config), delta)
-    return privacy_cost(dp, domain.trial_steps(config.batch_size))
+    return privacy_cost(config.mechanism(domain.dataset_size, delta),
+                        domain.trial_steps(config.batch_size))
 
 
 _SOBOL_BITS = 30
@@ -437,11 +438,10 @@ class DPTrialEvaluator:
 
     Each call materializes fresh weights from a per-trial seed (deterministic
     in call order), runs `domain.trial_steps` DP-SGD steps under its own
-    ledger at the sampling rate the domain assigns the config, and returns
-    validation accuracy, so a trial spends exactly what `planned_cost`
-    charged it. `run_bo` has checked that cost, so the ledger's budget is
-    infinite. `x_train` is the domain's shard. A diverged (non-finite)
-    trial scores 0.
+    ledger of `config.mechanism` on the shard, and returns validation
+    accuracy, so a trial spends exactly what `planned_cost` charged it.
+    `run_bo` has checked that cost, so the ledger's budget is infinite.
+    `x_train` is the domain's shard. A diverged (non-finite) trial scores 0.
     """
 
     def __init__(self, genome: Genome, space: SpaceConfig, x_train, y_train,
@@ -464,8 +464,7 @@ class DPTrialEvaluator:
         self.calls += 1
         rng = np.random.default_rng((self.seed, self.calls))
         model = materialize(self.genome, self.space, rng)
-        dp = DPConfig(config.clip, config.sigma,
-                      self.domain.sampling_rate(config), self.delta)
+        dp = config.mechanism(self.domain.dataset_size, self.delta)
         try:
             train_dp_sgd(model, self.x_train, self.y_train, PrivacyLedger(dp),
                          eta=config.eta,

@@ -37,12 +37,14 @@ Batches are drawn uniformly without replacement but accounted with the
 subsampled (Poisson-style) bound, the standard approximation in DP-SGD
 implementations.
 
-Every DP-SGD run (a `train` round or an `hpo` trial) runs under a
-PrivacyLedger of its mechanism, budget and step count; a client's ledger
-still covers its local DP-SGD steps only. The representations and labels a
-client uploads are computed from its raw samples (z_i = f(theta, x_i) reads
-x_i directly), so they and the server's head training on them are released
-outside the ledger's guarantee.
+Every DP-SGD run (a client's `train` rounds or one `hpo` trial) runs under
+a PrivacyLedger of its mechanism, budget and step count, which
+`hpo.HyperConfig.mechanism` builds from the run's recipe. The ledger is a DP
+step's only handle: the step reads the mechanism from it and charges itself
+to it. A client's ledger covers its local DP-SGD steps only. The
+representations and labels a client uploads are computed from its raw
+samples (z_i = f(theta, x_i) reads x_i directly), so they and the server's
+head training on them are released outside the ledger's guarantee.
 """
 
 from __future__ import annotations
@@ -627,20 +629,19 @@ class PrivacyLedger:
     budget: float = math.inf
     steps: int = 0
 
-    def increment(self, n: int = 1) -> None:
-        self.steps += n
-
     def eps_spent(self) -> float:
         return privacy_cost(self.dp, self.steps)
 
 
-def dp_sgd_step(model, x, y, dp: DPConfig, eta: float, rng: np.random.Generator,
-                ledger: PrivacyLedger | None = None) -> float:
-    """One noisy step: clip each sample's gradient, sum, add N(0, (sigma C)^2),
-    average over the batch, descend. Returns the pre-step mean loss.
+def dp_sgd_step(model, x, y, ledger: PrivacyLedger, eta: float,
+                rng: np.random.Generator) -> float:
+    """One noisy step under the ledger's mechanism: clip each sample's
+    gradient to C, sum, add N(0, (sigma C)^2), average over the batch,
+    descend, and charge the ledger one step. Returns the pre-step mean loss.
 
     The update is computed in full and checked finite before any parameter
-    moves; a non-finite update rejects the step."""
+    moves; a non-finite update rejects the step and charges nothing."""
+    dp = ledger.dp
     loss_value, psg_list, _ = loss_and_per_sample_grads(model, x, y)
     sq = np.zeros(x.shape[0], dtype=np.float64)
     for psg in psg_list:
@@ -660,8 +661,7 @@ def dp_sgd_step(model, x, y, dp: DPConfig, eta: float, rng: np.random.Generator,
         if not np.isfinite(delta).all():
             raise NonFiniteError("dp-sgd update is not finite; step rejected")
     apply_update(model, deltas, eta)
-    if ledger is not None:
-        ledger.increment()
+    ledger.steps += 1
     return loss_value
 
 
@@ -681,5 +681,5 @@ def train_dp_sgd(model, x, y, ledger: PrivacyLedger, *, eta: float, steps: int,
                 f"{steps} more steps would exceed eps={ledger.budget} "
                 f"(already spent {ledger.steps} steps)"
             )
-    return [dp_sgd_step(model, x[idx], y[idx], dp, eta, rng, ledger)
+    return [dp_sgd_step(model, x[idx], y[idx], ledger, eta, rng)
             for idx in drawn_batches(n, round(dp.sampling_rate * n), steps, rng)]

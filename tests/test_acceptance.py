@@ -49,7 +49,6 @@ from fednaslab.hpo import (
     SearchDomain,
     Surrogate,
     expected_improvement_values,
-    gp_posterior,
     planned_cost,
     run_bo,
 )
@@ -150,13 +149,13 @@ def test_criterion_02_dp_step_with_zero_noise_matches_plain_sgd():
     model_a = materialize(genome, space, np.random.default_rng(202))
     model_b = materialize(genome, space, np.random.default_rng(202))
     assert np.array_equal(model_a.get_flat(), model_b.get_flat())
-    dp = DPConfig(1e9, 0.0, 1.0, 1e-5)
+    ledger = PrivacyLedger(DPConfig(1e9, 0.0, 1.0, 1e-5))
     batch_rng = np.random.default_rng(203)
     n = len(ds.images)
     for step in range(50):
         idx = batch_rng.choice(n, size=16, replace=False)
         xb, yb = ds.images[idx], ds.labels[idx]
-        dp_sgd_step(model_a, xb, yb, dp, eta=0.05,
+        dp_sgd_step(model_a, xb, yb, ledger, eta=0.05,
                     rng=np.random.default_rng(0))
         _, grads, _ = batch_gradient(model_b, xb, yb)
         apply_update(model_b, grads, 0.05)
@@ -291,7 +290,7 @@ def test_criterion_05_gp_posterior_oracles_and_ei_values():
         mean_hand = ybar + ks0 * a0 + ks1 * a1
         quad = (ks0 * ks0 * k00 - 2 * ks0 * ks1 * k01 + ks1 * ks1 * k00) / det
         var_hand = max(sv - quad, 0.0)
-        mu, var = gp_posterior(s, q)
+        (mu,), (var,) = s.posterior(q)
         assert abs(mu - mean_hand) <= 1e-8, f"mean at {q}: {mu} vs {mean_hand}"
         assert abs(var - var_hand) <= 1e-8, f"var at {q}: {var} vs {var_hand}"
 
@@ -311,7 +310,7 @@ def test_criterion_05_gp_posterior_oracles_and_ei_values():
         kstar = np.array([_matern52_scalar(q, b, ls3, sv3) for b in x3])
         mean_dense = y3.mean() + kstar @ kinv @ resid
         var_dense = max(sv3 - kstar @ kinv @ kstar, 0.0)
-        mu, var = gp_posterior(s3, q)
+        (mu,), (var,) = s3.posterior(q)
         assert abs(mu - mean_dense) <= 1e-8
         assert abs(var - var_dense) <= 1e-8
 

@@ -147,11 +147,19 @@ class TestClientState:
             32 / client.m_k
         )
         assert client.m_k == len(client.shard)
+        # the ledger holds the recipe's one mechanism: rate min(B, n) / n
+        mechanism = client.hyper.mechanism(client.m_k, 1e-5)
+        assert client.ledger.dp == mechanism
+        assert mechanism.sampling_rate == 32 / client.m_k
+        assert (mechanism.clip_norm, mechanism.noise_multiplier,
+                mechanism.delta) == (10.0, 0.0, 1e-5)
 
     def test_oversized_batch_clamped_to_full_shard(self):
         ds = _dataset()
         client = _client(ds, batch=10_000)
         assert client.ledger.dp.sampling_rate == 1.0
+        assert client.hyper.mechanism(client.m_k, 1e-5).sampling_rate == 1.0
+        assert client.hyper.mechanism(1, 1e-5).sampling_rate == 1.0
 
     def test_empty_shard_or_test_rejected(self):
         ds = _dataset()
@@ -159,6 +167,9 @@ class TestClientState:
             _client(ds, shard=np.array([], dtype=int))
         with pytest.raises(ConfigError):
             _client(ds, test_idx=np.array([], dtype=int))
+        with pytest.raises(ConfigError, match="n >= 1"):
+            HyperConfig(eta=0.05, batch_size=32, clip=1.0, sigma=1.0).mechanism(
+                0, 1e-5)
 
 
 class TestLocalTrain:
@@ -445,7 +456,7 @@ class TestRunRounds:
         # the budget-safety check raises, so it also holds under python -O
         ds = _dataset(26)
         client = _client(ds, eps=0.35, sigma=1.1, batch=64)
-        client.ledger.increment(1000)
+        client.ledger.steps += 1000
         assert client.ledger.eps_spent() > 0.35
         with pytest.raises(FedNasError, match="budget safety violated"):
             run_rounds(TrainSpec(rounds=1, local_epochs=1), [client], ds,

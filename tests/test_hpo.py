@@ -29,7 +29,6 @@ from fednaslab.hpo import (
     Surrogate,
     expected_improvement_values,
     gp_fit,
-    gp_posterior,
     planned_cost,
     propose_next,
     run_bo,
@@ -388,7 +387,7 @@ class TestGPFit:
         x = rng.random((9, 4))
         y = 0.3 + 0.4 * x[:, 2]
         sur = gp_fit(x, y)
-        mean, var = gp_posterior(sur, x[4])
+        (mean,), (var,) = sur.posterior(x[4])
         assert abs(mean - y[4]) <= 1e-3
         assert var <= 1e-3
 
@@ -697,6 +696,27 @@ class TestDPTrialEvaluator:
             runs.append([ev(c) for c in cfgs])
         assert runs[0] == runs[1]
         assert ev.calls == 2
+
+    @pytest.mark.parametrize("batch", [40, 500])
+    def test_trial_spends_exactly_its_planned_cost(self, batch, monkeypatch):
+        # q = 40/240 < 1, and an oversized batch that trains at q = 1
+        x_tr, y_tr, x_va, y_va = self._data(21)
+        genome = sample_random_genome(self.SMALL, np.random.default_rng(5))
+        domain = self._domain(x_tr, 2)
+        ledgers, real = [], hpo.train_dp_sgd
+
+        def spy(model, x, y, ledger, **kwargs):
+            ledgers.append(ledger)
+            return real(model, x, y, ledger, **kwargs)
+
+        monkeypatch.setattr(hpo, "train_dp_sgd", spy)
+        config = HyperConfig(eta=0.05, batch_size=batch, clip=1.0, sigma=1.2)
+        DPTrialEvaluator(genome, self.SMALL, x_tr, y_tr, x_va, y_va, domain,
+                         seed=2, delta=1e-5)(config)
+        (ledger,) = ledgers
+        assert ledger.dp.sampling_rate == min(batch, 240) / 240
+        assert ledger.steps == domain.trial_steps(batch)
+        assert ledger.eps_spent() == planned_cost(config, domain, 1e-5)
 
     def test_shard_must_match_domain(self):
         # the domain sizes the sampling rate and the steps a trial is

@@ -12,6 +12,10 @@ Importing fednaslab.cli must load no scipy module and not numpy.f2py: the
 package runs on numpy alone, and scipy's import (with numpy.f2py, which its
 array-API layer pulls in) was most of every command's start-up. scipy stays
 a test-only oracle.
+
+Every benchmarks/bench_*.py imports: the suite collects none of them, so a
+renamed or deleted package name they use would otherwise break them
+unnoticed.
 """
 
 import ast
@@ -26,6 +30,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fednaslab"
 MODULES = sorted(PACKAGE.rglob("*.py"))
+BENCHES = sorted((ROOT / "benchmarks").glob("bench_*.py"))
 
 
 def _module_name(path):
@@ -107,3 +112,9 @@ def test_cli_import_loads_no_scipy_and_no_f2py():
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+@pytest.mark.parametrize("path", BENCHES, ids=lambda p: p.stem)
+def test_every_benchmark_module_imports(path):
+    spec = importlib.util.spec_from_file_location(f"benchmarks_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))

@@ -36,7 +36,7 @@ from fednaslab.nn import (
     softmax_cross_entropy,
     train_plain_sgd,
 )
-from fednaslab.privacy import DPConfig, dp_sgd_step
+from fednaslab.privacy import DPConfig, PrivacyLedger, dp_sgd_step
 from fednaslab.space import SpaceConfig, genome_from_string, materialize
 
 RTOL = 1e-3
@@ -822,11 +822,12 @@ class TestBatchCuts:
     def test_dp_step_moves_the_parameters_identically(self, paper_batch, monkeypatch):
         model, x, y = paper_batch
         dp = DPConfig(clip_norm=1.0, noise_multiplier=1.0, sampling_rate=0.1, delta=1e-5)
+        ledger = PrivacyLedger(dp)
         start = model.get_flat()
 
         def step():
             model.set_flat(start)
-            loss = dp_sgd_step(model, x, y, dp, 0.1, _rng(34))
+            loss = dp_sgd_step(model, x, y, ledger, 0.1, _rng(34))
             return loss, model.get_flat()
 
         cut_loss, cut_params = step()

@@ -331,7 +331,7 @@ class TestBudgets:
     def test_ledger_derives_eps_from_steps(self):
         dp = DPConfig(0.5, 1.92, 1.0, 1e-5)
         ledger = PrivacyLedger(dp)
-        ledger.increment(3)
+        ledger.steps += 3
         assert ledger.steps == 3
         assert abs(ledger.eps_spent() - privacy_cost(dp, 3)) < 1e-12
 
@@ -628,11 +628,11 @@ class TestDpSgd:
         y = rng.integers(0, 3, size=16)
         parts_dp = _tiny_stack(3)
         parts_plain = _tiny_stack(3)
-        dp = DPConfig(1e9, 0.0, 1.0, 1e-5)
+        ledger = PrivacyLedger(DPConfig(1e9, 0.0, 1.0, 1e-5))
         from fednaslab.nn.model import apply_update, batch_gradient
 
         for _ in range(20):
-            dp_sgd_step(parts_dp, x, y, dp, 0.1, np.random.default_rng(0))
+            dp_sgd_step(parts_dp, x, y, ledger, 0.1, np.random.default_rng(0))
             _, grads, _ = batch_gradient(parts_plain, x, y)
             apply_update(parts_plain, grads, 0.1)
         np.testing.assert_allclose(
@@ -651,12 +651,14 @@ class TestDpSgd:
         noise_rng = np.random.default_rng(6)
         # expected update without noise, from the same clipped sum
         quiet = _tiny_stack(5)
-        dp_sgd_step(quiet, x, y, DPConfig(0.7, 0.0, 1.0, 1e-5), eta, noise_rng)
+        dp_sgd_step(quiet, x, y, PrivacyLedger(DPConfig(0.7, 0.0, 1.0, 1e-5)),
+                    eta, noise_rng)
         mean_update = base - quiet.get_flat()
         samples = []
+        ledger = PrivacyLedger(dp)
         for _ in range(4000):
             parts.set_flat(base)
-            dp_sgd_step(parts, x, y, dp, eta, noise_rng)
+            dp_sgd_step(parts, x, y, ledger, eta, noise_rng)
             samples.append(base - parts.get_flat() - mean_update)
         flat = np.concatenate(samples)
         want = dp.noise_multiplier * dp.clip_norm / B
@@ -688,10 +690,11 @@ class TestDpSgd:
         x = np.full((4, 4), np.nan, dtype=np.float32)
         y = np.zeros(4, dtype=int)
         before = parts.get_flat().copy()
-        dp = DPConfig(1.0, 1.0, 1.0, 1e-5)
+        ledger = PrivacyLedger(DPConfig(1.0, 1.0, 1.0, 1e-5))
         with pytest.raises(NonFiniteError):
-            dp_sgd_step(parts, x, y, dp, 0.1, np.random.default_rng(0))
+            dp_sgd_step(parts, x, y, ledger, 0.1, np.random.default_rng(0))
         np.testing.assert_array_equal(parts.get_flat(), before)
+        assert ledger.steps == 0
 
     def test_determinism(self):
         rng = np.random.default_rng(12)
@@ -720,9 +723,9 @@ class TestDpSgd:
         parts, ref = _tiny_stack(16), _tiny_stack(16)
         train_dp_sgd(parts, x, y, ledger, eta=0.1, steps=6,
                      rng=np.random.default_rng(17))
-        ref_rng = np.random.default_rng(17)
+        ref_rng, ref_ledger = np.random.default_rng(17), PrivacyLedger(dp)
         for _ in range(6):
             idx = ref_rng.choice(n, size=batch, replace=False)
-            dp_sgd_step(ref, x[idx], y[idx], dp, 0.1, ref_rng)
+            dp_sgd_step(ref, x[idx], y[idx], ref_ledger, 0.1, ref_rng)
         np.testing.assert_array_equal(parts.get_flat(), ref.get_flat())
         assert ledger.steps == 6
