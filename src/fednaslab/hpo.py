@@ -169,12 +169,65 @@ class SearchDomain:
 
 
 def _matern52(a: np.ndarray, b: np.ndarray, lengthscales: np.ndarray,
-              signal_var: float) -> np.ndarray:
-    """Matérn-5/2 kernel matrix with per-dimension lengthscales."""
-    d = a[:, None, :] / lengthscales - b[None, :, :] / lengthscales
-    r = np.sqrt(np.maximum((d * d).sum(axis=2), 0.0))
+              signal_var) -> np.ndarray:
+    """Matérn-5/2 kernel matrix with per-dimension lengthscales.
+
+    `lengthscales` [..., dims] and `signal_var` [...] may carry leading
+    stack axes, which the result [..., len(a), len(b)] takes: one kernel per
+    parameter vector, each the same bits as on its own.
+    """
+    ls = np.asarray(lengthscales)[..., None, None, :]
+    d = a[:, None, :] / ls - b[None, :, :] / ls
+    r = np.sqrt(np.maximum((d * d).sum(axis=-1), 0.0))
     s5r = math.sqrt(5.0) * r
-    return signal_var * (1.0 + s5r + 5.0 * r * r / 3.0) * np.exp(-s5r)
+    var = np.asarray(signal_var)[..., None, None]
+    return var * (1.0 + s5r + 5.0 * r * r / 3.0) * np.exp(-s5r)
+
+
+def _cholesky(kernels: np.ndarray, jitter: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of each kernel + jitter I in a stack of
+    len(jitter) kernels.
+
+    A member whose factorization fails (a leading minor is not positive
+    definite) retries alone at ten times its jitter, up to JITTER_MAX;
+    `jitter` is updated in place to the values kept.
+    """
+    eye = np.eye(kernels.shape[-1])
+    try:
+        return np.linalg.cholesky(kernels + jitter[:, None, None] * eye)
+    except np.linalg.LinAlgError:
+        if len(jitter) > 1:
+            # the error does not say which member failed: factor each alone
+            return np.concatenate([_cholesky(kernels[i:i + 1], jitter[i:i + 1])
+                                   for i in range(len(jitter))])
+    jitter *= 10.0
+    if jitter[0] > JITTER_MAX:
+        raise InfeasibleError(f"kernel stayed singular up to jitter {JITTER_MAX}")
+    return _cholesky(kernels, jitter)
+
+
+def _gp_factors(x: np.ndarray, y: np.ndarray, lengthscales: np.ndarray,
+                signal_var: np.ndarray, jitter: float):
+    """The GP state of each of k parameter vectors on one data set: the
+    Cholesky factors [k, n, n], the whitened residuals L^-1 (y - mean)
+    [k, n] and the jitters kept [k]. One stacked kernel, factorization and
+    solve; `Surrogate` is a stack of one."""
+    resid = y - float(y.mean())
+    kernels = _matern52(x, x, lengthscales, signal_var)
+    if not (np.isfinite(kernels).all() and np.isfinite(y).all()):
+        raise ValueError("GP kernel or observations are not finite")
+    jitters = np.full(len(signal_var), float(jitter))
+    chol = _cholesky(kernels, jitters)
+    white = np.linalg.solve(chol, resid[:, None])[..., 0]
+    return chol, white, jitters
+
+
+def _log_marginal_likelihood(chol: np.ndarray, white: np.ndarray) -> float:
+    return float(
+        -0.5 * white @ white
+        - np.log(np.diag(chol)).sum()
+        - 0.5 * len(white) * math.log(2.0 * math.pi)
+    )
 
 
 @dataclass
@@ -184,8 +237,9 @@ class Surrogate:
     The prior mean is the observation mean; `signal_var` is the kernel's
     amplitude. The Cholesky factor L and the whitened residual
     L^-1 (y - mean), which is all the marginal likelihood needs, are cached
-    at construction; `alpha` = K^-1 (y - mean) on first use, since a fit
-    only reads the posterior of the surrogate it keeps.
+    at construction by `_gp_factors`, as a stack of one; `alpha` =
+    K^-1 (y - mean) on first use, since a fit only reads the posterior of
+    the surrogate it keeps.
     """
 
     x: np.ndarray
@@ -202,24 +256,10 @@ class Surrogate:
         self.y = np.asarray(self.y, dtype=np.float64)
         self.lengthscales = np.asarray(self.lengthscales, dtype=np.float64)
         self.y_mean = float(self.y.mean())
-        kernel = _matern52(self.x, self.x, self.lengthscales, self.signal_var)
-        if not (np.isfinite(kernel).all() and np.isfinite(self.y).all()):
-            raise ValueError("GP kernel or observations are not finite")
-        jitter = self.jitter
-        while True:
-            try:
-                chol = np.linalg.cholesky(kernel + jitter * np.eye(len(self.y)))
-                break
-            except np.linalg.LinAlgError:
-                # a leading minor is not positive definite
-                jitter *= 10.0
-                if jitter > JITTER_MAX:
-                    raise InfeasibleError(
-                        f"kernel stayed singular up to jitter {JITTER_MAX}"
-                    ) from None
-        self.chol = chol
-        self.jitter = jitter
-        self.white = np.linalg.solve(chol, self.y - self.y_mean)
+        chol, white, jitter = _gp_factors(
+            self.x, self.y, self.lengthscales[None], np.array([self.signal_var]),
+            self.jitter)
+        self.chol, self.white, self.jitter = chol[0], white[0], float(jitter[0])
 
     @functools.cached_property
     def alpha(self) -> np.ndarray:
@@ -235,11 +275,7 @@ class Surrogate:
         return mean, np.maximum(var, 0.0)
 
     def log_marginal_likelihood(self) -> float:
-        return float(
-            -0.5 * self.white @ self.white
-            - np.log(np.diag(self.chol)).sum()
-            - 0.5 * len(self.y) * math.log(2.0 * math.pi)
-        )
+        return _log_marginal_likelihood(self.chol, self.white)
 
 
 _LS_STARTS = (0.1, 0.25, 0.5, 1.0, 2.0)
@@ -248,9 +284,23 @@ _LS_BOUNDS = (0.02, 10.0)
 _VAR_BOUNDS = (1e-6, 10.0)
 
 
+def _score_stack(x: np.ndarray, y: np.ndarray, params: np.ndarray) -> list[float]:
+    """Log marginal likelihood of each parameter vector (lengthscales, then
+    signal variance) in the [k, dims + 1] stack `params`."""
+    dims = x.shape[1]
+    chol, white, _ = _gp_factors(x, y, params[:, :dims], params[:, dims],
+                                 JITTER_START)
+    return [_log_marginal_likelihood(c, w) for c, w in zip(chol, white)]
+
+
 def gp_fit(x, y) -> Surrogate:
     """Maximize log marginal likelihood by deterministic coordinate descent
-    from five fixed starts; no randomness, so refits are reproducible."""
+    from five fixed starts; no randomness, so refits are reproducible.
+
+    The starts descend in lockstep: each probe scores the new parameter
+    vectors of the starts still descending (at most five) as one stack.
+    A start's path reads only its own scores, so it is the path it takes
+    alone, and the fit is the one the starts make one after another."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if len(y) < 2:
@@ -259,38 +309,45 @@ def gp_fit(x, y) -> Surrogate:
     var0 = max(float(np.var(y)), 1e-4)
 
     # the descent revisits parameter vectors (a step and its inverse, starts
-    # that meet), and a surrogate is a deterministic function of them
+    # that meet), and a score is a deterministic function of them
     scored: dict[bytes, float] = {}
 
-    def score(params: np.ndarray) -> float:
-        key = params.tobytes()
-        if key not in scored:
-            scored[key] = Surrogate(
-                x, y, params[:dims], params[dims]).log_marginal_likelihood()
-        return scored[key]
+    def score(vectors: list[np.ndarray]) -> list[float]:
+        fresh = {}
+        for v in vectors:
+            if (key := v.tobytes()) not in scored:
+                fresh.setdefault(key, v)
+        if fresh:
+            lmls = _score_stack(x, y, np.array(list(fresh.values())))
+            scored.update(zip(fresh, lmls))
+        return [scored[v.tobytes()] for v in vectors]
 
-    best, best_lml = None, -np.inf
-    for ls0 in _LS_STARTS:
-        params = np.array([ls0] * dims + [var0])
-        lml = score(params)
-        for _ in range(3):  # descent passes
-            improved = False
-            for pi in range(dims + 1):
-                for factor in _STEP_FACTORS:
-                    trial = params.copy()
+    params = [np.array([ls0] * dims + [var0]) for ls0 in _LS_STARTS]
+    lml = score(params)
+    descending = range(len(params))
+    for _ in range(3):  # descent passes
+        improved = set()
+        for pi in range(dims + 1):
+            lo, hi = _LS_BOUNDS if pi < dims else _VAR_BOUNDS
+            for factor in _STEP_FACTORS:
+                trials = {}
+                for s in descending:
+                    trial = params[s].copy()
                     trial[pi] *= factor
-                    lo, hi = _LS_BOUNDS if pi < dims else _VAR_BOUNDS
                     trial[pi] = min(max(trial[pi], lo), hi)
-                    if trial[pi] == params[pi]:
-                        continue
-                    cand_lml = score(trial)
-                    if cand_lml > lml + 1e-10:
-                        params, lml = trial, cand_lml
-                        improved = True
-            if not improved:
-                break
-        if lml > best_lml:
-            best, best_lml = params, lml
+                    if trial[pi] != params[s][pi]:
+                        trials[s] = trial
+                for s, cand_lml in zip(trials, score(list(trials.values()))):
+                    if cand_lml > lml[s] + 1e-10:
+                        params[s], lml[s] = trials[s], cand_lml
+                        improved.add(s)
+        descending = [s for s in descending if s in improved]
+        if not descending:
+            break
+    best, best_lml = None, -np.inf
+    for start_params, start_lml in zip(params, lml):
+        if start_lml > best_lml:
+            best, best_lml = start_params, start_lml
     return Surrogate(x, y, best[:dims], best[dims])
 
 
@@ -381,29 +438,40 @@ def sobol_points(m: int, seed: int) -> np.ndarray:
     return (quasi ^ shift) * 2.0 ** -bits
 
 
+# candidates priced in the first chunk of `propose_next`; each later chunk
+# doubles
+_FIRST_CHUNK = 32
+
+
 def propose_next(surrogate: Surrogate, domain: SearchDomain, eps_budget: float,
                  delta: float, rng: np.random.Generator,
                  incumbent: float) -> HyperConfig:
     """Argmax-EI over a scrambled Sobol pool, feasible candidates only.
 
-    Feasibility uses the integer-order cost bound, which can only
-    over-estimate: nothing infeasible ever gets through.
+    EI is scored over the whole pool; candidates are then priced in
+    descending-EI order (ties in pool order), in chunks of _FIRST_CHUNK that
+    double, and the first that fits is returned: the feasible candidate of
+    highest EI, with only the chunks up to it priced. An infinite budget
+    prices nothing. Feasibility uses the integer-order cost bound, which can
+    only over-estimate: nothing infeasible ever gets through.
     """
     unit = sobol_points(int(math.log2(CANDIDATE_POOL)), int(rng.integers(2**31 - 1)))
-    configs = [domain.from_unit(u) for u in unit]
-    if math.isinf(eps_budget):
-        feasible = np.ones(len(configs), dtype=bool)
-    else:
-        feasible = _planned_costs(configs, domain, delta) <= eps_budget
-    if not feasible.any():
-        raise InfeasibleError(
-            f"no candidate of {len(configs)} fits eps={eps_budget}; widen the "
-            "sigma range or raise the budget"
-        )
-    idx = np.flatnonzero(feasible)
-    mean, var = surrogate.posterior(unit[idx])
+    mean, var = surrogate.posterior(unit)
     ei = expected_improvement_values(mean, np.sqrt(var), incumbent)
-    return configs[int(idx[int(np.argmax(ei))])]
+    order = np.argsort(-ei, kind="stable")
+    if math.isinf(eps_budget):
+        return domain.from_unit(unit[order[0]])
+    start, size = 0, _FIRST_CHUNK
+    while start < len(order):
+        configs = [domain.from_unit(u) for u in unit[order[start:start + size]]]
+        fits = _planned_costs(configs, domain, delta) <= eps_budget
+        if fits.any():
+            return configs[int(np.argmax(fits))]
+        start, size = start + size, 2 * size
+    raise InfeasibleError(
+        f"no candidate of {len(unit)} fits eps={eps_budget}; widen the "
+        "sigma range or raise the budget"
+    )
 
 
 @dataclass(frozen=True)

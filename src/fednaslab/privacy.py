@@ -574,19 +574,27 @@ def calibrate_sigma(
     q: float, steps: int, eps_budget: float, delta: float, lo: float = 0.05, hi: float = 512.0
 ) -> float:
     """Smallest noise multiplier whose cost over `steps` stays within the
-    budget, to a relative tolerance of 1e-12. The returned sigma is one whose
-    refined privacy_cost was evaluated and found <= eps_budget. Infinite
-    budget means no noise.
+    budget, to a relative tolerance of 1e-12. The returned sigma's refined
+    privacy_cost is <= eps_budget: it was either evaluated, or implied by
+    the integer-order bound, which is never below it. Infinite budget means
+    no noise.
 
     One vectorized integer-order pass over a log-spaced grid on [lo, hi]
-    brackets the answer: that bound is never below the refined cost, so a
-    grid point it admits is feasible. The bracket then steps down the grid,
-    in doubling strides, while the refined cost admits the point below, and
-    Brent's method closes it on the refined cost."""
+    brackets the answer and settles both ends where it can: the refined
+    cost prices hi only when the bound does not admit hi, and lo only when
+    the bound does not admit lo and the bracket walks down to it. The
+    bracket steps down the grid, in doubling strides, while the refined
+    cost admits the point below, and Brent's method closes it on the
+    refined cost."""
     if eps_budget == math.inf:
         return 0.0
     if eps_budget <= 0:
         raise InfeasibleError(f"eps budget must be positive, got {eps_budget}")
+    # reject a bad q, delta or step count with the errors the refined cost
+    # raises, before the bound pass raises its own
+    DPConfig(1.0, hi, q, delta)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     excess_at: dict[float, float] = {}
 
     def excess(sigma: float) -> float:
@@ -596,18 +604,17 @@ def calibrate_sigma(
             excess_at[sigma] = cost - eps_budget
         return excess_at[sigma]
 
-    if excess(hi) > 0:
+    grid = np.geomspace(lo, hi, _SIGMA_GRID)
+    admits = privacy_cost_integer_orders(q, grid, steps, delta) <= eps_budget
+    if not admits[-1] and excess(hi) > 0:
         raise InfeasibleError(
             f"even sigma={hi} cannot meet eps={eps_budget} over {steps} steps"
         )
-    if excess(lo) <= 0:
+    if admits[0]:
         return lo
-    grid = np.geomspace(lo, hi, _SIGMA_GRID)
-    admitted = np.flatnonzero(
-        privacy_cost_integer_orders(q, grid, steps, delta) <= eps_budget
-    )
-    # the bound cannot admit lo, whose refined cost is over budget; when it
-    # admits no point at all, start from hi, which the refined cost admits
+    admitted = np.flatnonzero(admits)
+    # when the bound admits no point at all, start from hi, which the
+    # refined cost admits
     top = int(admitted[0]) if admitted.size else grid.size - 1
     # strides double, so a bound far above the refined cost (optimal orders
     # below 2, where the integer grid is coarse) costs log2 steps, not one
@@ -615,6 +622,9 @@ def calibrate_sigma(
     stride = 1
     while (below := max(top - stride, 0)) > 0 and excess(float(grid[below])) <= 0:
         top, stride = below, stride * 2
+    # grid[0] is lo itself
+    if below == 0 and excess(lo) <= 0:
+        return lo
     _brentq(excess, float(grid[below]), float(grid[top]),
             xtol=_SIGMA_RTOL * lo, rtol=_SIGMA_RTOL)
     return min(sigma for sigma, over in excess_at.items() if over <= 0)

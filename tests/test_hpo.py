@@ -268,7 +268,8 @@ class TestScipyParity:
         factor = np.linalg.cholesky
 
         def spy(matrix):
-            tried.append(float(matrix[0, 0] - kernel[0, 0]))
+            # one jitter per member of the stack factored
+            tried.extend((matrix[..., 0, 0] - kernel[0, 0]).ravel().tolist())
             return factor(matrix)
 
         monkeypatch.setattr(hpo, "_matern52", lambda *args: kernel)
@@ -330,15 +331,48 @@ class TestGPFit:
         with pytest.raises(ConfigError):
             gp_fit(np.array([[0.5, 0.5, 0.5, 0.5]]), np.array([0.5]))
 
-    @staticmethod
-    def _ref_gp_fit(x, y):
-        # the descent as written before it scored each parameter vector once
+    class _RefSurrogate(Surrogate):
+        """The surrogate as written before it became a stack of one: one
+        kernel, factored and whitened on its own."""
+
+        def __post_init__(self):
+            self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
+            self.y = np.asarray(self.y, dtype=np.float64)
+            self.lengthscales = np.asarray(self.lengthscales, dtype=np.float64)
+            self.y_mean = float(self.y.mean())
+            d = (self.x[:, None, :] / self.lengthscales
+                 - self.x[None, :, :] / self.lengthscales)
+            r = np.sqrt(np.maximum((d * d).sum(axis=2), 0.0))
+            s5r = math.sqrt(5.0) * r
+            kernel = self.signal_var * (1.0 + s5r + 5.0 * r * r / 3.0) * np.exp(-s5r)
+            jitter = self.jitter
+            while True:
+                try:
+                    chol = np.linalg.cholesky(kernel + jitter * np.eye(len(self.y)))
+                    break
+                except np.linalg.LinAlgError:
+                    jitter *= 10.0
+                    if jitter > JITTER_MAX:
+                        raise InfeasibleError("singular") from None
+            self.chol = chol
+            self.jitter = jitter
+            self.white = np.linalg.solve(chol, self.y - self.y_mean)
+
+        def log_marginal_likelihood(self):
+            return float(-0.5 * self.white @ self.white
+                         - np.log(np.diag(self.chol)).sum()
+                         - 0.5 * len(self.y) * math.log(2.0 * math.pi))
+
+    @classmethod
+    def _ref_gp_fit(cls, x, y):
+        # the descent as written before it scored each parameter vector once,
+        # one start after another, one surrogate per probe
         dims = x.shape[1]
         var0 = max(float(np.var(y)), 1e-4)
         best, best_lml = None, -np.inf
         for ls0 in hpo._LS_STARTS:
             params = np.array([ls0] * dims + [var0])
-            current = Surrogate(x, y, params[:dims], params[dims])
+            current = cls._RefSurrogate(x, y, params[:dims], params[dims])
             lml = current.log_marginal_likelihood()
             for _ in range(3):
                 improved = False
@@ -350,7 +384,7 @@ class TestGPFit:
                         trial[pi] = min(max(trial[pi], lo), hi)
                         if trial[pi] == params[pi]:
                             continue
-                        cand = Surrogate(x, y, trial[:dims], trial[dims])
+                        cand = cls._RefSurrogate(x, y, trial[:dims], trial[dims])
                         cand_lml = cand.log_marginal_likelihood()
                         if cand_lml > lml + 1e-10:
                             params, current, lml = trial, cand, cand_lml
@@ -361,22 +395,67 @@ class TestGPFit:
                 best, best_lml = current, lml
         return best
 
-    @pytest.mark.parametrize("n", [2, 3, 12, 30])
+    # x of this size holds every row twice, and two of the starts meet: they
+    # propose the same vector in one probe
+    DUPLICATED = 6
+
+    @staticmethod
+    def _strict_factorization(monkeypatch):
+        """np.linalg.cholesky refusing, as dpotrf does at a nonpositive pivot,
+        every stack in which a member's smallest eigenvalue is under 5e-6 of
+        its diagonal; returns the (stack size, refused) of each call. The
+        real factorization accepts a kernel of repeated rows at jitter 1e-6
+        (its rounding is about 1e-13), so this makes the jitter escalate."""
+        calls = []
+        factor = np.linalg.cholesky
+
+        def strict(matrix):
+            smallest = np.linalg.eigvalsh(matrix)[..., 0]
+            refused = bool((smallest < 5e-6 * matrix[..., 0, 0]).any())
+            calls.append((len(matrix), refused))
+            if refused:
+                raise np.linalg.LinAlgError("not positive definite")
+            return factor(matrix)
+
+        monkeypatch.setattr(hpo.np.linalg, "cholesky", strict)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 30, DUPLICATED])
     def test_each_parameter_vector_is_built_once(self, n, monkeypatch):
         rng = np.random.default_rng(n)
         x, y = rng.random((n, 4)), rng.random(n)
+        if n == self.DUPLICATED:
+            x[n // 2:] = x[:n // 2]
+            factored = self._strict_factorization(monkeypatch)
         want = self._ref_gp_fit(x, y)
-        built = []
+        scored, built = [], []
+        score_stack = hpo._score_stack
+
+        def counting_stack(x, y, params):
+            scored.extend(p.tobytes() for p in params)
+            return score_stack(x, y, params)
 
         class Counting(Surrogate):
             def __post_init__(self):
                 built.append(np.append(self.lengthscales, self.signal_var).tobytes())
                 super().__post_init__()
 
+        monkeypatch.setattr(hpo, "_score_stack", counting_stack)
         monkeypatch.setattr(hpo, "Surrogate", Counting)
+        if n == self.DUPLICATED:
+            factored.clear()
         got = gp_fit(x, y)
-        # every vector once, and the winner once more to return it
-        assert len(built) == len(set(built)) + 1
+        # every vector scored once, in stacks of at most one per start, and
+        # one surrogate built for the winner
+        assert len(scored) == len(set(scored))
+        assert built == [np.append(got.lengthscales, got.signal_var).tobytes()]
+        assert built[0] in scored
+        if n == self.DUPLICATED:
+            # a refused stack retried member by member, and only some of
+            # its members escalated
+            assert (5, True) in factored
+            assert (1, True) in factored and (1, False) in factored
+            assert max(size for size, _ in factored) <= len(hpo._LS_STARTS)
         assert np.array_equal(got.lengthscales, want.lengthscales)
         assert got.signal_var == want.signal_var
         assert np.array_equal(got.chol, want.chol)
@@ -507,10 +586,14 @@ class TestProposeNext:
     def test_forced_infeasibility_raises_with_advice(self):
         dom = SearchDomain(BOSpec(trial_epochs=3, sigma_range=(0.5, 0.6)),
                            dataset_size=300)
-        rng = np.random.default_rng(12)
-        sur, inc = self._fitted(dom, rng)
-        with pytest.raises(InfeasibleError, match="sigma range|budget"):
-            propose_next(sur, dom, 1e-3, 1e-5, rng, inc)
+        sur, inc = self._fitted(dom, np.random.default_rng(12))
+        messages = []
+        for propose in (self._ref_propose_next, propose_next):
+            with pytest.raises(InfeasibleError, match="sigma range|budget") as err:
+                propose(sur, dom, 1e-3, 1e-5, np.random.default_rng(13), inc)
+            messages.append(str(err.value))
+        # the message of pricing the whole pool at once
+        assert messages[0] == messages[1]
 
     def test_admitted_configs_reverified_by_full_accountant(self):
         dom = SearchDomain(BOSpec(trial_epochs=3), dataset_size=500)
@@ -520,6 +603,77 @@ class TestProposeNext:
             sur, inc = self._fitted(dom, rng)
             cfg = propose_next(sur, dom, budget, 1e-5, rng, inc)
             assert planned_cost(cfg, dom, 1e-5) <= budget
+
+    @staticmethod
+    def _ref_propose_next(surrogate, domain, eps_budget, delta, rng, incumbent):
+        # the proposal as written before EI-ordered pricing: every candidate
+        # of the pool priced, the posterior taken on the feasible ones
+        unit = sobol_points(int(math.log2(CANDIDATE_POOL)),
+                            int(rng.integers(2**31 - 1)))
+        configs = [domain.from_unit(u) for u in unit]
+        if math.isinf(eps_budget):
+            feasible = np.ones(len(configs), dtype=bool)
+        else:
+            feasible = hpo._planned_costs(configs, domain, delta) <= eps_budget
+        if not feasible.any():
+            raise InfeasibleError(
+                f"no candidate of {len(configs)} fits eps={eps_budget}; widen the "
+                "sigma range or raise the budget")
+        idx = np.flatnonzero(feasible)
+        mean, var = surrogate.posterior(unit[idx])
+        ei = expected_improvement_values(mean, np.sqrt(var), incumbent)
+        return configs[int(idx[int(np.argmax(ei))])]
+
+    # on this domain under 5% of every seed's pool fits eps = 0.45
+    SCARCE_BUDGET = 0.45
+
+    @staticmethod
+    def _pool_fraction_fitting(dom, seed, budget):
+        pool_seed = int(np.random.default_rng(seed).integers(2**31 - 1))
+        configs = [dom.from_unit(u) for u in
+                   sobol_points(int(math.log2(CANDIDATE_POOL)), pool_seed)]
+        return float((hpo._planned_costs(configs, dom, 1e-5) <= budget).mean())
+
+    def test_same_choice_as_pricing_the_whole_pool(self):
+        dom = SearchDomain(BOSpec(trial_epochs=3), dataset_size=500)
+        for seed in range(20):
+            sur, inc = self._fitted(dom, np.random.default_rng(200 + seed))
+            assert 0.0 < self._pool_fraction_fitting(
+                dom, (200 + seed, 1), self.SCARCE_BUDGET) < 0.05
+            for budget in (math.inf, 5.0, self.SCARCE_BUDGET):
+                want = self._ref_propose_next(
+                    sur, dom, budget, 1e-5, np.random.default_rng((200 + seed, 1)), inc)
+                got = propose_next(
+                    sur, dom, budget, 1e-5, np.random.default_rng((200 + seed, 1)), inc)
+                assert got == want, (seed, budget)
+
+    def test_prices_only_the_chunks_it_reads(self, monkeypatch):
+        # desk-search's hpo domain: the first shard's nas_train subset
+        dom = SearchDomain(BOSpec(k_init=2, n_iter=1, trial_epochs=2,
+                                  q_range=(0.32, 0.34)), dataset_size=238)
+        priced = []
+        planned = hpo._planned_costs
+
+        def counting(configs, domain, delta):
+            priced.append(len(configs))
+            return planned(configs, domain, delta)
+
+        monkeypatch.setattr(hpo, "_planned_costs", counting)
+        for seed in range(5):
+            rng = np.random.default_rng(300 + seed)
+            sur, inc = self._fitted(dom, rng)
+            priced.clear()
+            propose_next(sur, dom, math.inf, 1e-5, rng, inc)
+            assert priced == []
+            propose_next(sur, dom, 5.0, 1e-5, rng, inc)
+            assert priced == [hpo._FIRST_CHUNK]
+        # a budget nothing fits prices the whole pool once, in doubling
+        # chunks, the last one cut at the pool's end
+        priced.clear()
+        with pytest.raises(InfeasibleError):
+            propose_next(sur, dom, 1e-3, 1e-5, rng, inc)
+        assert priced == [32, 64, 128, 256, 512, 32]
+        assert sum(priced) == CANDIDATE_POOL
 
 
 class TestSobolPoints:

@@ -369,7 +369,7 @@ def refined_calls(monkeypatch):
 
 
 class TestCalibrateSigma:
-    MAX_REFINED_CALLS = 16
+    MAX_REFINED_CALLS = 10
 
     @pytest.mark.parametrize("q", [0.01, 0.1, 0.5, 1.0])
     def test_matches_bisection(self, q, refined_calls):
@@ -409,10 +409,90 @@ class TestCalibrateSigma:
             calibrate_sigma(0.1, 10, 0.0, 1e-5)
         with pytest.raises(InfeasibleError):
             calibrate_sigma(0.5, 10_000, 1e-4, 1e-5)
-        # lo already within budget: returned as is, after the two guard checks
+        # lo already within budget by the integer-order bound, which is never
+        # below the refined cost: returned without a refined evaluation
         refined_calls[0] = 0
         assert calibrate_sigma(0.01, 1, 50.0, 1e-5, lo=0.5) == 0.5
-        assert refined_calls[0] == 2
+        assert refined_calls[0] == 0
+
+    # (q, steps, eps, lo): a budget midway between the refined cost at lo,
+    # which admits it, and the integer-order bound, which does not
+    LO_CASE = (0.01, 1, 0.5 * (privacy_cost(DPConfig(1.0, 1.0, 0.01, 1e-5), 1)
+                              + float(privacy_cost_integer_orders(0.01, 1.0, 1, 1e-5))), 1.0)
+
+    def test_lo_admitted_by_refined_cost_only(self, refined_calls):
+        # the bracket walks down to lo and prices it there
+        q, steps, eps, lo = self.LO_CASE
+        assert privacy_cost_integer_orders(q, lo, steps, 1e-5) > eps
+        refined_calls[0] = 0
+        assert calibrate_sigma(q, steps, eps, 1e-5, lo=lo) == lo
+        assert 0 < refined_calls[0] <= self.MAX_REFINED_CALLS
+
+    @staticmethod
+    def _ref_calibrate_sigma(q, steps, eps_budget, delta, lo=0.05, hi=512.0):
+        # the calibration as written before the bound settled the guards:
+        # the refined cost priced hi and lo before the grid pass
+        if eps_budget == math.inf:
+            return 0.0
+        if eps_budget <= 0:
+            raise InfeasibleError(f"eps budget must be positive, got {eps_budget}")
+        excess_at = {}
+
+        def excess(sigma):
+            if sigma not in excess_at:
+                cost = privacy_cost(DPConfig(1.0, sigma, q, delta), steps)
+                excess_at[sigma] = cost - eps_budget
+            return excess_at[sigma]
+
+        if excess(hi) > 0:
+            raise InfeasibleError(
+                f"even sigma={hi} cannot meet eps={eps_budget} over {steps} steps")
+        if excess(lo) <= 0:
+            return lo
+        grid = np.geomspace(lo, hi, privacy._SIGMA_GRID)
+        admitted = np.flatnonzero(
+            privacy_cost_integer_orders(q, grid, steps, delta) <= eps_budget)
+        top = int(admitted[0]) if admitted.size else grid.size - 1
+        stride = 1
+        while (below := max(top - stride, 0)) > 0 and excess(float(grid[below])) <= 0:
+            top, stride = below, stride * 2
+        privacy._brentq(excess, float(grid[below]), float(grid[top]),
+                        xtol=privacy._SIGMA_RTOL * lo, rtol=privacy._SIGMA_RTOL)
+        return min(sigma for sigma, over in excess_at.items() if over <= 0)
+
+    @staticmethod
+    def _outcome(fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (InfeasibleError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    def test_same_bits_as_pricing_both_ends(self):
+        cases = [(q, steps, eps, 0.05, hi)
+                 for q in (0.01, 32 / 333, 0.5, 1.0)
+                 for steps in (1, 22, 500)
+                 for eps in (1e-4, 1.0, 5.0, 50.0)
+                 for hi in (512.0, 1.0)]
+        # test_no_grid_point_admitted_by_integer_bound's case
+        cases.append((0.01, 1, privacy_cost(DPConfig(1.0, 1.0, 0.01, 1e-5), 1), 0.05, 1.0))
+        # test_lo_admitted_by_refined_cost_only's case
+        cases.append(self.LO_CASE + (512.0,))
+        exits = set()
+        for q, steps, eps, lo, hi in cases:
+            want = self._outcome(self._ref_calibrate_sigma, q, steps, eps, 1e-5, lo, hi)
+            got = self._outcome(calibrate_sigma, q, steps, eps, 1e-5, lo, hi)
+            assert got == want, (q, steps, eps, lo, hi)
+            exits.add("raised" if isinstance(want, tuple)
+                      else "lo" if want == lo else "root")
+        assert exits == {"raised", "lo", "root"}
+
+    @pytest.mark.parametrize("q, steps, delta", [
+        (0.0, 10, 1e-5), (1.5, 10, 1e-5), (0.1, 10, 0.0), (0.1, 10, 1.0),
+        (0.1, -1, 1e-5)])
+    def test_invalid_arguments_raise_as_before(self, q, steps, delta):
+        want = self._outcome(self._ref_calibrate_sigma, q, steps, 1.0, delta)
+        assert want[0] is ValueError
+        assert self._outcome(calibrate_sigma, q, steps, 1.0, delta) == want
 
 
 class TestCurveMemo:
