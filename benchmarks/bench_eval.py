@@ -41,7 +41,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fednaslab.nn import evaluate_accuracy, loss_and_per_sample_grads
+from fednaslab.nn.model import evaluate_accuracy, loss_and_per_sample_grads
 from fednaslab.space import SpaceConfig, genome_from_string, materialize
 
 GENOME = "C3x32-C3x64-Pavg"

@@ -33,7 +33,7 @@ scaled to the reference host speed (benchmarks/conftest.py).
 import numpy as np
 import pytest
 
-from fednaslab.nn import (
+from fednaslab.nn.layers import (
     AvgPool,
     ConvBlock,
     DepthwiseConv,

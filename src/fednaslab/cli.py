@@ -232,12 +232,6 @@ def _prepare(config: ExperimentConfig):
     return dataset, splits
 
 
-def _train_indices(split) -> np.ndarray:
-    """Federated-training samples: the post-search remainder when the shard
-    was large enough to leave one, otherwise the search-training subset."""
-    return split.fed_remainder if len(split.fed_remainder) else split.nas_train
-
-
 def _genome_path(out_dir: str, k: int) -> str:
     return os.path.join(out_dir, f"genome_client{k}.txt")
 
@@ -448,7 +442,7 @@ def train(config: ExperimentConfig, out_dir: str, no_nas: bool,
         genomes = _read_genomes(out_dir, config.clients.count)
     clients = []
     for k in range(config.clients.count):
-        shard = _train_indices(splits[k])
+        shard = splits[k].train
         hyper = _resolve_hyper(config, out_dir, k, len(shard))
         clients.append(ClientState.create(
             k, genomes[k], config.space, hyper, shard,

@@ -254,6 +254,13 @@ class SplitSets:
     nas_test: np.ndarray
     fed_remainder: np.ndarray
 
+    @property
+    def train(self) -> np.ndarray:
+        """Federated-training samples: the post-search remainder when the
+        shard was large enough to leave one, otherwise the search-training
+        subset."""
+        return self.fed_remainder if len(self.fed_remainder) else self.nas_train
+
 
 def split_nas_subsets(indices, labels, rng: np.random.Generator) -> SplitSets:
     """Carve 500/100/100 search subsets out of a shard, stratified by label;
@@ -277,7 +284,6 @@ def split_nas_subsets(indices, labels, rng: np.random.Generator) -> SplitSets:
     classes = np.unique(shard_labels)
     per_class = {int(c): rng.permutation(indices[shard_labels == c])
                  for c in classes}
-    class_sizes = np.array([len(per_class[int(c)]) for c in classes], dtype=np.float64)
     taken = {int(c): 0 for c in classes}
     parts = []
     for size in sizes:
@@ -285,9 +291,7 @@ def split_nas_subsets(indices, labels, rng: np.random.Generator) -> SplitSets:
             [len(per_class[int(c)]) - taken[int(c)] for c in classes],
             dtype=np.float64,
         )
-        quota = _largest_remainder(
-            np.where(class_sizes > 0, remaining, 0.0), size
-        )
+        quota = _largest_remainder(remaining, size)
         quota = np.minimum(quota, remaining.astype(np.int64))
         # top up if rounding against depleted classes left a shortfall
         short = size - quota.sum()

@@ -1,57 +1,8 @@
-"""Numpy neural-network kernel with per-sample gradients."""
+"""Numpy neural-network kernel with per-sample gradients.
 
-from .layers import (
-    AvgPool,
-    ConvBlock,
-    DepthwiseConv,
-    GlobalAvgPool,
-    Layer,
-    Linear,
-    MaxPool,
-    PerSampleNorm,
-    PointwiseConv,
-    ReLU,
-    Reshape,
-    Sequential,
-    TransposeConv,
-)
-from .model import (
-    Adam,
-    Model,
-    apply_update,
-    batch_gradient,
-    drawn_batches,
-    evaluate_accuracy,
-    loss_and_per_sample_grads,
-    mse,
-    shuffled_batches,
-    softmax_cross_entropy,
-    train_plain_sgd,
-)
-
-__all__ = [
-    "AvgPool",
-    "ConvBlock",
-    "DepthwiseConv",
-    "GlobalAvgPool",
-    "Layer",
-    "Linear",
-    "MaxPool",
-    "PerSampleNorm",
-    "PointwiseConv",
-    "ReLU",
-    "Reshape",
-    "Sequential",
-    "TransposeConv",
-    "Adam",
-    "Model",
-    "apply_update",
-    "batch_gradient",
-    "drawn_batches",
-    "evaluate_accuracy",
-    "loss_and_per_sample_grads",
-    "mse",
-    "shuffled_batches",
-    "softmax_cross_entropy",
-    "train_plain_sgd",
-]
+`nn.layers` holds the layer tree: each primitive's parameter layout,
+forward and backward (per-sample or batch-summed), and the containers
+that nest them. `nn.model` holds what runs on a tree: the split `Model`,
+the losses, the batch cuts, the minibatch samplers and the trainers.
+Import each name from the module that defines it.
+"""

@@ -6,6 +6,11 @@ pool genes become 2x2 stride-2 pools. Materialized bottoms end with a
 global average pool and an adaptation linear layer that pins the
 representation width, so every client's head has identical shape no matter
 what architecture its search found.
+
+`_build` is the one statement of the network a genome describes: it
+validates the genome and allocates the layer tree. `materialize` draws its
+weights, `param_count` reads its size and `load_model_npz` fills it from a
+file.
 """
 
 from __future__ import annotations
@@ -19,15 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, ParseError
-from .nn import (
-    AvgPool,
-    ConvBlock,
-    GlobalAvgPool,
-    Linear,
-    MaxPool,
-    Model,
-    Sequential,
-)
+from .nn.layers import AvgPool, ConvBlock, GlobalAvgPool, Linear, MaxPool, Sequential
+from .nn.model import Model
 from .records import read_record
 
 
@@ -189,14 +187,10 @@ def validate_genome(genome: Genome, space: SpaceConfig) -> list[str]:
                 )
         elif g.pool not in space.pool_types:
             problems.append(f"gene {i}: pool type {g.pool} not in {space.pool_types}")
+    # pool_cap = floor(log2(min(h, w))) halvings leave both sides >= 1
     n_pools = genome.n_pools()
     if n_pools > space.pool_cap:
         problems.append(f"{n_pools} pools exceed cap {space.pool_cap}")
-    _, h, w = space.input_shape
-    for _ in range(n_pools):
-        h, w = h // 2, w // 2
-    if h < 1 or w < 1:
-        problems.append("spatial dims collapse below 1x1 after pooling")
     return problems
 
 
@@ -218,8 +212,8 @@ def sample_random_genome(space: SpaceConfig, rng: np.random.Generator) -> Genome
     raise InfeasibleError(f"could not sample a valid genome from {space}")
 
 
-def materialize(genome: Genome, space: SpaceConfig, rng: np.random.Generator) -> Model:
-    """Build and initialize the split model this genome describes."""
+def _build(genome: Genome, space: SpaceConfig) -> Model:
+    """The split model this genome describes, its parameters still zero."""
     problems = validate_genome(genome, space)
     if problems:
         raise InfeasibleError(f"invalid genome {genome.key}: {problems}")
@@ -233,34 +227,26 @@ def materialize(genome: Genome, space: SpaceConfig, rng: np.random.Generator) ->
             layers.append(AvgPool() if g.pool == "avg" else MaxPool())
     layers.append(GlobalAvgPool())
     layers.append(Linear(c, space.d_rep))
-    model = Model(Sequential(layers),
-                  Sequential([Linear(space.d_rep, space.num_classes)]))
+    return Model(Sequential(layers),
+                 Sequential([Linear(space.d_rep, space.num_classes)]))
+
+
+def materialize(genome: Genome, space: SpaceConfig, rng: np.random.Generator) -> Model:
+    """Build and initialize the split model this genome describes."""
+    model = _build(genome, space)
     model.init_params(rng)
     return model
 
 
 def param_count(genome: Genome, space: SpaceConfig) -> int:
-    """Closed-form parameter total; must equal the materialized model's count."""
-    c = space.input_shape[0]
-    total = 0
-    for g in genome:
-        if g.kind == "conv":
-            out = g.channels
-            total += c * g.kernel * g.kernel  # depthwise weights
-            total += c * out + out  # pointwise weights + bias
-            total += 2 * out  # norm affine
-            if c != out:
-                total += c * out  # bias-free projection shortcut
-            c = out
-    total += c * space.d_rep + space.d_rep  # adaptation linear
-    total += space.d_rep * space.num_classes + space.num_classes  # head
-    return total
+    """The parameter total of the model this genome describes."""
+    return _build(genome, space).n_params
 
 
 def save_model_npz(path, model: Model, genome: Genome, space: SpaceConfig) -> None:
     """Persist a model as (genome string, space json, flat parameter vector).
 
-    Rebuilding goes through `materialize`, so the file stays valid as long
+    Rebuilding goes through `_build`, so the file stays valid as long
     as the genome string and space json round-trip — no pickling involved.
     """
     np.savez(path, genome=str(genome), space=space.to_json(),
@@ -279,7 +265,7 @@ def load_model_npz(path) -> tuple[Model, Genome, SpaceConfig]:
         except (ConfigError, json.JSONDecodeError) as exc:
             raise ParseError(f"{path}: {exc}") from None
         params = np.asarray(data["params"])
-    model = materialize(genome, space, np.random.default_rng(0))
+    model = _build(genome, space)
     if params.size != model.n_params:
         raise ParseError(
             f"{path}: parameter vector has {params.size} values, "

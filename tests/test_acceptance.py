@@ -52,9 +52,8 @@ from fednaslab.hpo import (
     planned_cost,
     run_bo,
 )
-from fednaslab.nn import (
-    Linear,
-    Sequential,
+from fednaslab.nn.layers import Linear, Sequential
+from fednaslab.nn.model import (
     apply_update,
     batch_gradient,
     loss_and_per_sample_grads,
@@ -405,7 +404,7 @@ def _federated_final_acc(eps_budget, run_seed, ds, splits, genome, space):
     """One full federated run; returns (final mean acc, best mean acc)."""
     clients = []
     for k, split in enumerate(splits):
-        train_idx = split.fed_remainder if len(split.fed_remainder) else split.nas_train
+        train_idx = split.train
         m_k = len(train_idx)
         batch = min(32, m_k)
         if math.isinf(eps_budget):

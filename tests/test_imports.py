@@ -5,6 +5,10 @@ the benchmark patches the name where the module looks it up, so the module
 keeps the import even after its own code stops calling it. Once the
 benchmark drops such a trace target, this test flags the leftover import.
 
+Every name a src/fednaslab module imports from another fednaslab module is
+defined by that module's own statements: no module re-exports a name, so
+each name has one import path, which is also the one the benchmark patches.
+
 Only fednaslab.records imports csv or calls json.dump: the CSV and JSON
 formats of every artifact live there (`write_csv`, `write_json`).
 
@@ -61,12 +65,7 @@ def _imported_names(tree):
 
 
 def _used_names(tree):
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    return used
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
 TRACED = _traced_names()
@@ -78,6 +77,51 @@ def test_every_module_level_import_is_used(path):
     traced = TRACED.get(_module_name(path), set())
     unused = _imported_names(tree) - _used_names(tree) - traced
     assert not unused, f"{_module_name(path)} imports {sorted(unused)} unused"
+
+
+def _defined_names(tree):
+    """The names a module's own top-level statements bind, imports aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def _source_module(path, node):
+    """The dotted name an `ImportFrom` node in the module at `path` reads from."""
+    if not node.level:
+        return node.module
+    package = _module_name(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    base = package[:len(package) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+MODULE_PATHS = {_module_name(p): p for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_name)
+def test_every_package_import_names_its_defining_module(path):
+    module = _module_name(path)
+    wrong = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = _source_module(path, node)
+        if source not in MODULE_PATHS:
+            continue
+        defined = _defined_names(ast.parse(MODULE_PATHS[source].read_text()))
+        wrong += [f"{a.name} from {source}" for a in node.names
+                  if a.name not in defined]
+    assert not wrong, (
+        f"{module} imports {wrong}, which those modules only re-export; "
+        "import each name from the module that defines it")
 
 
 def _artifact_writes(tree):

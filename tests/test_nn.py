@@ -12,20 +12,22 @@ import pytest
 
 import fednaslab.nn.model as nn_model
 from fednaslab.errors import NonFiniteError, ShapeMismatchError
-from fednaslab.nn import (
+from fednaslab.nn.layers import (
     AvgPool,
     ConvBlock,
     DepthwiseConv,
     GlobalAvgPool,
     Linear,
     MaxPool,
-    Model,
     PerSampleNorm,
     PointwiseConv,
     ReLU,
     Reshape,
     Sequential,
     TransposeConv,
+)
+from fednaslab.nn.model import (
+    Model,
     apply_update,
     batch_gradient,
     drawn_batches,

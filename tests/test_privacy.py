@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 
 from fednaslab import privacy
 from fednaslab.errors import BudgetExhaustedError, InfeasibleError, NonFiniteError
-from fednaslab.nn import Linear, Sequential
+from fednaslab.nn.layers import Linear, Sequential
 from fednaslab.privacy import (
     DEFAULT_ORDERS,
     STEP_CAP,

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from fednaslab.errors import InfeasibleError, ParseError
-from fednaslab.nn import AvgPool, ConvBlock, GlobalAvgPool, Linear, Sequential
+from fednaslab.nn.layers import AvgPool, ConvBlock, GlobalAvgPool, Linear, Sequential
 from fednaslab.space import (
     Genome,
     SpaceConfig,
@@ -101,13 +101,46 @@ def test_param_count_worked_example():
     assert param_count(g, space) == expected
 
 
+def _ref_param_count(genome, space):
+    """Each layer's weight and bias count, stated apart from the layer code."""
+    c = space.input_shape[0]
+    total = 0
+    for g in genome:
+        if g.kind == "conv":
+            out = g.channels
+            total += c * g.kernel * g.kernel  # depthwise weights
+            total += c * out + out  # pointwise weights + bias
+            total += 2 * out  # norm affine
+            if c != out:
+                total += c * out  # bias-free projection shortcut
+            c = out
+    total += c * space.d_rep + space.d_rep  # adaptation linear
+    total += space.d_rep * space.num_classes + space.num_classes  # head
+    return total
+
+
 def test_param_count_matches_materialized():
-    space = SpaceConfig(input_shape=(3, 16, 16), min_len=1, max_len=6)
     rng = np.random.default_rng(2)
-    for _ in range(25):
-        g = sample_random_genome(space, rng)
-        model = materialize(g, space, np.random.default_rng(3))
-        assert param_count(g, space) == model.n_params, g.key
+    for space in (DESK_SPACE, SpaceConfig()):
+        for _ in range(25):
+            g = sample_random_genome(space, rng)
+            model = materialize(g, space, np.random.default_rng(3))
+            assert model.n_params == _ref_param_count(g, space), g.key
+            assert param_count(g, space) == model.n_params, g.key
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (3, 7), (5, 8), (32, 32)])
+def test_pool_cap_pools_keep_both_sides_at_least_one(h, w):
+    space = SpaceConfig(input_shape=(3, h, w), d_rep=8, num_classes=2,
+                        min_len=1, max_len=12)
+    pools = tuple(pool_gene(("avg", "max")[i % 2]) for i in range(space.pool_cap))
+    model = materialize(Genome((conv_gene(3, 16),) + pools), space,
+                        np.random.default_rng(0))
+    x = np.random.default_rng(1).random((2, 3, h, w)).astype(np.float32)
+    assert model.forward_bottom(x).shape == (2, space.d_rep)
+    with pytest.raises(InfeasibleError, match=f"exceed cap {space.pool_cap}"):
+        materialize(Genome((conv_gene(3, 16),) + pools + (pool_gene("avg"),)),
+                    space, np.random.default_rng(0))
 
 
 def test_materialize_deterministic_and_forward_shapes():
