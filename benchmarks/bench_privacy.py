@@ -3,14 +3,17 @@
 Times, at the two desk-dp-train shard shapes (q = 32/333 and 32/267, 22
 steps, eps = 5, delta = 1e-5):
 
-- calibrate_sigma, starting from empty memos, as a fresh `fednaslab train`
-  process does;
-- privacy_cost at the calibrated sigma, cold (both memos emptied before
-  each call), warm (the curve memoized, the refined cost not, so only the
-  refinement runs) and memoized (the refined cost too, as a round's ledger
-  read after its plan pre-check finds it);
-- privacy_cost_integer_orders over the 257-point sigma grid that brackets
-  the calibration.
+- calibrate_sigma, starting from an empty refined-cost memo, as a fresh
+  `fednaslab train` process does;
+- privacy_cost at the calibrated sigma, cold (the memo emptied before each
+  call, so the grid minimum and the refinement run) and memoized (as a
+  round's ledger read after its plan pre-check finds it);
+- privacy_cost_integer_orders on the two sigma-grid passes that bracket
+  the calibration: the coarse pass over every 16th point of the 257-point
+  grid, and the fine pass over the 15 points below the first one the
+  coarse pass admits;
+- privacy._int_rdp, the packed integer-order pass, at 1 pair (one grid
+  minimum) and 32 pairs (one chunk of hpo candidates).
 
 The file name does not match test_*.py, so the tier-1 suite does not
 collect it. Run it on one BLAS thread, as the stage benchmark does:
@@ -39,11 +42,7 @@ EPS = 5.0
 DELTA = 1e-5
 # shard name -> sampling rate (batch 32 over the shard)
 SHARDS = {"shard333": 32 / 333, "shard267": 32 / 267}
-
-
-def _clear_memos():
-    privacy._grid_curve.cache_clear()
-    privacy._refined_cost.cache_clear()
+STRIDE = privacy._SIGMA_STRIDE
 
 
 @pytest.mark.parametrize("shard", sorted(SHARDS))
@@ -52,7 +51,7 @@ def test_calibrate_sigma(benchmark, shard):
     benchmark.group = f"calibrate-{shard}"
     sigma = benchmark.pedantic(
         calibrate_sigma, args=(q, STEPS, EPS, DELTA),
-        setup=_clear_memos, rounds=5,
+        setup=privacy._refined_cost.cache_clear, rounds=5,
     )
     assert privacy_cost(DPConfig(1.0, sigma, q, DELTA), STEPS) <= EPS
 
@@ -67,19 +66,8 @@ def test_privacy_cost_cold(benchmark, shard):
     dp = _calibrated(shard)
     benchmark.group = f"privacy-cost-{shard}"
     eps = benchmark.pedantic(
-        privacy_cost, args=(dp, STEPS), setup=_clear_memos, rounds=10,
-    )
-    assert eps <= EPS
-
-
-@pytest.mark.parametrize("shard", sorted(SHARDS))
-def test_privacy_cost_warm(benchmark, shard):
-    dp = _calibrated(shard)
-    privacy_cost(dp, STEPS)
-    benchmark.group = f"privacy-cost-{shard}"
-    eps = benchmark.pedantic(
-        privacy_cost, args=(dp, STEPS),
-        setup=privacy._refined_cost.cache_clear, rounds=20,
+        privacy_cost, args=(dp, STEPS), setup=privacy._refined_cost.cache_clear,
+        rounds=10,
     )
     assert eps <= EPS
 
@@ -92,9 +80,29 @@ def test_privacy_cost_memoized(benchmark, shard):
     assert benchmark(privacy_cost, dp, STEPS) <= EPS
 
 
+def _bracket_passes(q):
+    """calibrate_sigma's coarse and fine sigma points for the shard."""
+    grid = np.geomspace(0.05, 512.0, privacy._SIGMA_GRID)
+    coarse = grid[::STRIDE]
+    first = int(np.flatnonzero(
+        privacy_cost_integer_orders(q, coarse, STEPS, DELTA) <= EPS)[0]) * STRIDE
+    return {"coarse": coarse, "fine": grid[first - STRIDE + 1:first]}
+
+
+@pytest.mark.parametrize("sigma_pass", ["coarse", "fine"])
 @pytest.mark.parametrize("shard", sorted(SHARDS))
-def test_integer_orders_sigma_grid(benchmark, shard):
-    sigmas = np.geomspace(0.05, 512.0, 257)
+def test_integer_orders_sigma_pass(benchmark, shard, sigma_pass):
+    sigmas = _bracket_passes(SHARDS[shard])[sigma_pass]
     benchmark.group = f"integer-orders-{shard}"
     eps = benchmark(privacy_cost_integer_orders, SHARDS[shard], sigmas, STEPS, DELTA)
     assert np.isfinite(eps).all()
+
+
+@pytest.mark.parametrize("pairs", [1, 32])
+def test_int_rdp(benchmark, pairs):
+    rng = np.random.default_rng(pairs)
+    qs = rng.uniform(0.01, 0.9, pairs)
+    sigmas = rng.uniform(0.5, 5.0, pairs)
+    benchmark.group = "int-rdp"
+    rdp = benchmark(privacy._int_rdp, qs, sigmas, privacy._INT_ORDER_GRID)
+    assert rdp.shape == (pairs, privacy._INT_ORDER_GRID.size)

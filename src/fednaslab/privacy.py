@@ -8,12 +8,14 @@ orders. The fixed order grid {1.25, 1.5, ..., 64} is reported, and the
 conversion refines the minimizing order continuously between the best grid
 order's neighbors so the returned eps is not quantized by the grid.
 
-The per-step curve on that grid depends only on (q, sigma), not on the clip
-norm or delta, so it is memoized per (q, sigma) pair in a bounded LRU cache:
-calibration leaves the entry that every later budget check and ledger read
-of the same client hits. The refined cost is memoized in the same way per
-(q, sigma, delta, steps) point: a round's plan pre-check at steps + k and the
-ledger read after those k steps ask for the same point, and refine it once.
+The conversion prices only the grid orders that can hold its minimum: all
+63 integer orders, in one packed pass, and the fractional orders that a
+convexity lower bound from the integer orders cannot rule out (see
+`_grid_eps`), typically 4 of the 190. The minimum and its order are those
+of the full grid, bit for bit. The refined cost is memoized per (q, sigma,
+delta, steps) point in a bounded LRU cache: a round's plan pre-check at
+steps + k and the ledger read after those k steps ask for the same point,
+and refine it once.
 
 The package imports no scipy at run time; scipy's import was most of every
 command's start-up. Each scipy call the accountant made has a numpy or
@@ -80,12 +82,14 @@ class DPConfig:
     delta: float
 
     def __post_init__(self):
+        # each test is written so that NaN fails it
         if not (0.0 < self.sampling_rate <= 1.0):
             raise ValueError(f"sampling_rate must be in (0, 1], got {self.sampling_rate}")
-        if self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.noise_multiplier < 0:
-            raise ValueError(f"noise_multiplier must be >= 0, got {self.noise_multiplier}")
+        if not (0.0 < self.clip_norm < math.inf):
+            raise ValueError(f"clip_norm must be positive and finite, got {self.clip_norm}")
+        if not (0.0 <= self.noise_multiplier < math.inf):
+            raise ValueError(
+                f"noise_multiplier must be >= 0 and finite, got {self.noise_multiplier}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
@@ -98,28 +102,68 @@ _INT_LOGBINOM = {
 }
 
 
-def _log_a_int(lq: np.ndarray, l1q: np.ndarray, inv2s2: np.ndarray, a: int) -> np.ndarray:
-    """log E[(mu/mu0)^a] at integer order a >= 2 via the exact binomial sum.
+class _Packing:
+    """The binomial terms of integer orders laid end to end: order a's
+    slice (`slices`, first slot in `starts`) holds i = 0..a with
+    log C(a, i), a - i and i^2 - i. Coefficients above order 64 (refinement
+    past the grid's right edge) come from math.lgamma, not the table."""
 
-    lq, l1q and inv2s2 are log(q), log(1 - q) and 1 / (2 sigma^2) for any
-    number of (q, sigma) pairs with 0 < q < 1: arrays that broadcast to one
-    shape, which the result takes. The sum runs along a new trailing axis of
-    length a + 1; coefficients above order 64 (refinement past the grid's
-    right edge) come from math.lgamma instead of the table.
-    """
-    i = np.arange(a + 1, dtype=np.float64)
-    log_binom = _INT_LOGBINOM.get(a)
-    if log_binom is None:
-        log_fact = np.array([math.lgamma(k + 1.0) for k in range(a + 1)])
-        log_binom = log_fact[a] - log_fact - log_fact[::-1]
-    terms = (
-        log_binom
-        + i * lq[..., None]
-        + (a - i) * l1q[..., None]
-        + (i * i - i) * inv2s2[..., None]
-    )
-    peak = terms.max(axis=-1)
-    return peak + np.log(np.exp(terms - peak[..., None]).sum(axis=-1))
+    def __init__(self, orders):
+        logs = []
+        for a in orders:
+            log_binom = _INT_LOGBINOM.get(a)
+            if log_binom is None:
+                log_fact = np.array([math.lgamma(k + 1.0) for k in range(a + 1)])
+                log_binom = log_fact[a] - log_fact - log_fact[::-1]
+            logs.append(log_binom)
+        self.sizes = np.array(orders) + 1
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.slices = [slice(start, start + size)
+                       for start, size in zip(self.starts.tolist(), self.sizes.tolist())]
+        # the order (column of a [pairs, orders] array) each slot belongs to
+        self.owner = np.repeat(np.arange(self.sizes.size), self.sizes)
+        self.i = np.concatenate([np.arange(a + 1.0) for a in orders])
+        self.a_minus_i = np.repeat(np.array(orders, dtype=np.float64), self.sizes) - self.i
+        self.i2_minus_i = self.i * self.i - self.i
+        self.log_binom = np.concatenate(logs)
+
+
+_GRID_PACKING = _Packing(range(2, 65))
+
+# pairs per block of the packed pass: 16 x 2,142 terms keeps each of its
+# two temporaries near 270 KB, whatever the number of pairs
+_PAIR_BLOCK = 16
+
+
+def _log_a_packed(lq: np.ndarray, l1q: np.ndarray, inv2s2: np.ndarray,
+                  packing: _Packing) -> np.ndarray:
+    """log E[(mu/mu0)^a] at each packed integer order a >= 2 via the exact
+    binomial sum, as a [pairs, orders] array.
+
+    lq, l1q and inv2s2 are log(q), log(1 - q) and 1 / (2 sigma^2) of each
+    (q, sigma) pair, 0 < q < 1. Every order's terms come from one packed
+    pass per block of pairs; the max over a slice is exact whatever order
+    it takes, and each slice is summed on its own, so every value has the
+    bits of a per-order log-sum-exp."""
+    out = np.empty((lq.size, packing.sizes.size))
+    for lo in range(0, lq.size, _PAIR_BLOCK):
+        rows = slice(lo, lo + _PAIR_BLOCK)
+        # two block-sized arrays, updated in place: the terms sum left to
+        # right, log C + i log q + (a - i) log(1 - q) + (i^2 - i) / (2 sigma^2)
+        terms = packing.i * lq[rows, None]
+        np.add(packing.log_binom, terms, out=terms)
+        part = packing.a_minus_i * l1q[rows, None]
+        terms += part
+        np.multiply(packing.i2_minus_i, inv2s2[rows, None], out=part)
+        terms += part
+        peak = np.maximum.reduceat(terms, packing.starts, axis=1)
+        terms -= np.take(peak, packing.owner, axis=1, out=part, mode="clip")
+        np.exp(terms, out=terms)
+        sums = np.empty_like(peak)
+        for k, order in enumerate(packing.slices):
+            np.add.reduce(terms[:, order], axis=1, out=sums[:, k])
+        out[rows] = peak + np.log(sums)
+    return out
 
 
 # log Phi takes the asymptotic series below _NDTR_LOW, where Phi nears the
@@ -261,26 +305,10 @@ def _log_a_frac_vec(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
 
 
 def rdp_orders(dp: DPConfig, orders=None) -> np.ndarray:
-    """Per-step Renyi divergence at each order.
-
-    Without `orders` this is the memoized curve on DEFAULT_ORDERS: the array
-    is the shared cache entry for (q, sigma) and is read-only."""
-    if orders is None:
-        return _grid_curve(float(dp.sampling_rate), float(dp.noise_multiplier))
-    return _rdp(dp.sampling_rate, dp.noise_multiplier,
-                np.asarray(orders, dtype=np.float64))
-
-
-# one entry is DEFAULT_ORDERS.size floats (2 KB); the bound keeps a long
-# search over many (q, sigma) pairs from growing the process without limit
-_CURVE_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=_CURVE_CACHE_SIZE)
-def _grid_curve(q: float, sigma: float) -> np.ndarray:
-    curve = _rdp(q, sigma, DEFAULT_ORDERS)
-    curve.flags.writeable = False
-    return curve
+    """Per-step Renyi divergence at each order (DEFAULT_ORDERS without
+    `orders`), as a new array."""
+    orders = DEFAULT_ORDERS if orders is None else np.asarray(orders, dtype=np.float64)
+    return _rdp(dp.sampling_rate, dp.noise_multiplier, orders)
 
 
 def _rdp(q: float, sigma: float, orders: np.ndarray) -> np.ndarray:
@@ -304,18 +332,19 @@ def _rdp(q: float, sigma: float, orders: np.ndarray) -> np.ndarray:
 def _int_rdp(qs: np.ndarray, sigmas: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Per-step Renyi divergence of each (q, sigma) pair at integer orders
     >= 2, as a [pairs, orders] array: inf at sigma = 0, a / (2 sigma^2) at
-    q = 1, and the exact binomial sum of `_log_a_int` below that, clamped at
-    0. Each order divides by its float value minus 1, so an order within
-    _INT_TOL of an integer keeps its own bits."""
+    q = 1, and the exact binomial sum of `_log_a_packed` below that,
+    clamped at 0. Each order divides by its float value minus 1, so an
+    order within _INT_TOL of an integer keeps its own bits."""
     out = np.full((qs.size, orders.size), np.inf)
     full = (sigmas > 0.0) & (qs >= 1.0)
     out[full] = orders / (2.0 * sigmas[full, None] ** 2)
     sub = (sigmas > 0.0) & (qs < 1.0)
     if sub.any():
+        whole = [int(round(a)) for a in orders]
+        packing = _GRID_PACKING if whole == list(range(2, 65)) else _Packing(whole)
         lq, l1q = np.log(qs[sub]), np.log1p(-qs[sub])
         inv2s2 = 1.0 / (2.0 * sigmas[sub] ** 2)
-        out[sub] = np.column_stack([_log_a_int(lq, l1q, inv2s2, int(round(a)))
-                                    for a in orders]) / (orders - 1.0)
+        out[sub] = _log_a_packed(lq, l1q, inv2s2, packing) / (orders - 1.0)
     return np.maximum(out, 0.0)
 
 
@@ -336,9 +365,9 @@ def privacy_cost_integer_orders(qs, sigmas, steps, delta: float) -> np.ndarray:
         np.asarray(sigmas, dtype=np.float64),
         np.asarray(steps, dtype=np.float64),
     )
-    if np.any((qs <= 0.0) | (qs > 1.0)):
+    if not np.all((qs > 0.0) & (qs <= 1.0)):
         raise ValueError("sampling rates must lie in (0, 1]")
-    if np.any(sigmas < 0.0) or np.any(steps < 0.0):
+    if not (np.all(sigmas >= 0.0) and np.all(steps >= 0.0)):
         raise ValueError("sigma and steps must be non-negative")
     eps = np.where(steps == 0.0, 0.0, np.inf)
     live = steps > 0.0
@@ -355,6 +384,9 @@ def privacy_cost(dp: DPConfig, steps: int) -> float:
     min over orders of [steps * rdp(order) + ln(1/delta) / (order - 1)],
     first on DEFAULT_ORDERS and then continuously between the best grid
     order's neighbors, so the result never exceeds the grid-only value.
+    The grid minimum prices the integer orders and only the fractional
+    orders a convexity bound leaves in contention (`_grid_eps`); it is the
+    full grid's minimum at the full grid's order.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -366,12 +398,58 @@ def privacy_cost(dp: DPConfig, steps: int) -> float:
                          float(dp.delta), steps)
 
 
-@functools.lru_cache(maxsize=_CURVE_CACHE_SIZE)
+# DEFAULT_ORDERS' integer orders 2..64 and its fractional ones, each
+# fractional order alpha with the integer k below it
+_INT_AT = np.flatnonzero(DEFAULT_ORDERS % 1.0 == 0.0)
+_FRAC_AT = np.flatnonzero(DEFAULT_ORDERS % 1.0 != 0.0)
+_FRAC_K = np.floor(DEFAULT_ORDERS[_FRAC_AT]).astype(np.intp)
+_FRAC_UP = DEFAULT_ORDERS[_FRAC_AT] - _FRAC_K
+
+# a fractional order is priced unless its lower bound clears the best
+# integer-order eps by this relative margin, which covers the rounding of
+# the bound and the series' truncation
+_PRUNE_RTOL = 1e-9
+
+# one entry is a float and its key; the bound keeps a long search over many
+# (q, sigma, delta, steps) points from growing the process without limit
+_COST_CACHE_SIZE = 256
+
+
+def _grid_eps(q: float, sigma: float, log_inv_delta: float, steps: int) -> np.ndarray:
+    """eps on DEFAULT_ORDERS where it can be the grid minimum, inf where a
+    lower bound shows it cannot.
+
+    The integer orders are always priced. The log-moment f(alpha) = (alpha
+    - 1) rdp(alpha) is convex in alpha with f(1) = 0, so on (k, k + 1) it
+    lies above the secants through (k - 1, k) and through (k + 1, k + 2),
+    extended; a fractional order is priced only when that bound leaves its
+    eps within _PRUNE_RTOL of the best integer-order eps. Each priced value
+    has the bits the full-grid curve gives it, so the argmin and the
+    minimum are the full grid's."""
+    eps = np.full(DEFAULT_ORDERS.size, np.inf)
+    rdp = _rdp(q, sigma, _INT_ORDER_GRID)
+    eps[_INT_AT] = steps * rdp + log_inv_delta / (_INT_ORDER_GRID - 1.0)
+    # f at orders 0..64 (order 0 unused) and the secant slopes between
+    # orders j and j + 1, -inf and inf past the ends so no bound is taken
+    f = np.concatenate(([np.nan, 0.0], rdp * (_INT_ORDER_GRID - 1.0)))
+    k, up = _FRAC_K, _FRAC_UP
+    with np.errstate(invalid="ignore"):
+        slope = np.concatenate(([-np.inf], np.diff(f[1:]), [np.inf]))
+        low = np.maximum(np.maximum(f[k] + up * slope[k - 1],
+                                    f[k + 1] - (1.0 - up) * slope[k + 1]), 0.0)
+        bound = (steps * low + log_inv_delta) / (DEFAULT_ORDERS[_FRAC_AT] - 1.0)
+        # NaN anywhere prunes nothing
+        priced = _FRAC_AT[~(bound > eps[_INT_AT].min() * (1.0 + _PRUNE_RTOL))]
+    orders = DEFAULT_ORDERS[priced]
+    eps[priced] = steps * _rdp(q, sigma, orders) + log_inv_delta / (orders - 1.0)
+    return eps
+
+
+@functools.lru_cache(maxsize=_COST_CACHE_SIZE)
 def _refined_cost(q: float, sigma: float, delta: float, steps: int) -> float:
-    rdp = _grid_curve(q, sigma)
     orders = DEFAULT_ORDERS
     log_inv_delta = math.log(1.0 / delta)
-    eps_grid = steps * rdp + log_inv_delta / (orders - 1.0)
+    eps_grid = _grid_eps(q, sigma, log_inv_delta, steps)
     best = int(np.argmin(eps_grid))
 
     def objective(alpha: float) -> float:
@@ -565,9 +643,30 @@ def max_steps_within_budget(dp: DPConfig, eps_budget: float) -> int:
 
 
 # log-spaced sigma grid for the bracketing pass: 257 points on the default
-# [0.05, 512] give a spacing of about 4%
+# [0.05, 512] give a spacing of about 4%. The bound is priced on every
+# 16th point first, ends included (256 = 16 x 16), then on the 15 points
+# below the first of those it admits.
 _SIGMA_GRID = 257
+_SIGMA_STRIDE = 16
 _SIGMA_RTOL = 1e-12
+
+
+def _first_admitted(q: float, grid: np.ndarray, steps: int, delta: float,
+                    eps_budget: float) -> int:
+    """Index of the first sigma on the grid that the integer-order bound
+    admits, grid.size if it admits none. The bound falls as sigma grows, so
+    the admitted points are a suffix of the grid: the coarse pass finds the
+    stride that holds its first point, the fine pass the point itself."""
+    coarse = np.flatnonzero(
+        privacy_cost_integer_orders(q, grid[::_SIGMA_STRIDE], steps, delta) <= eps_budget)
+    if not coarse.size:
+        return grid.size
+    first = int(coarse[0]) * _SIGMA_STRIDE
+    if first == 0:
+        return 0
+    fine = grid[first - _SIGMA_STRIDE + 1:first]
+    hits = np.flatnonzero(privacy_cost_integer_orders(q, fine, steps, delta) <= eps_budget)
+    return first - fine.size + int(hits[0]) if hits.size else first
 
 
 def calibrate_sigma(
@@ -579,13 +678,13 @@ def calibrate_sigma(
     the integer-order bound, which is never below it. Infinite budget means
     no noise.
 
-    One vectorized integer-order pass over a log-spaced grid on [lo, hi]
-    brackets the answer and settles both ends where it can: the refined
-    cost prices hi only when the bound does not admit hi, and lo only when
-    the bound does not admit lo and the bracket walks down to it. The
-    bracket steps down the grid, in doubling strides, while the refined
-    cost admits the point below, and Brent's method closes it on the
-    refined cost."""
+    The integer-order bound, coarse to fine on a log-spaced grid over
+    [lo, hi] (`_first_admitted`), brackets the answer and settles both ends
+    where it can: the refined cost prices hi only when the bound does not
+    admit hi, and lo only when the bound does not admit lo and the bracket
+    walks down to it. The bracket steps down the grid, in doubling strides,
+    while the refined cost admits the point below, and Brent's method
+    closes it on the refined cost."""
     if eps_budget == math.inf:
         return 0.0
     if eps_budget <= 0:
@@ -605,17 +704,17 @@ def calibrate_sigma(
         return excess_at[sigma]
 
     grid = np.geomspace(lo, hi, _SIGMA_GRID)
-    admits = privacy_cost_integer_orders(q, grid, steps, delta) <= eps_budget
-    if not admits[-1] and excess(hi) > 0:
-        raise InfeasibleError(
-            f"even sigma={hi} cannot meet eps={eps_budget} over {steps} steps"
-        )
-    if admits[0]:
+    top = _first_admitted(q, grid, steps, delta, eps_budget)
+    if top == grid.size:
+        if excess(hi) > 0:
+            raise InfeasibleError(
+                f"even sigma={hi} cannot meet eps={eps_budget} over {steps} steps"
+            )
+        # the bound admits no point at all: start from hi, which the
+        # refined cost admits
+        top -= 1
+    if top == 0:
         return lo
-    admitted = np.flatnonzero(admits)
-    # when the bound admits no point at all, start from hi, which the
-    # refined cost admits
-    top = int(admitted[0]) if admitted.size else grid.size - 1
     # strides double, so a bound far above the refined cost (optimal orders
     # below 2, where the integer grid is coarse) costs log2 steps, not one
     # per grid point

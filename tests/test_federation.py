@@ -447,7 +447,6 @@ class TestRunRounds:
         # every value the run read equals a cold, unmemoized refinement
         for (q, sigma, delta, steps), value in asked:
             privacy._refined_cost.cache_clear()
-            privacy._grid_curve.cache_clear()
             assert privacy_cost(DPConfig(1.0, sigma, q, delta), steps) == value
         spent = {row.eps_spent for report in reports for row in report.rows}
         assert spent == {value for _, value in asked}

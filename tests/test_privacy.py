@@ -41,6 +41,41 @@ def grid_eps(dp, steps, orders=None):
     return float(np.min(steps * rdp + math.log(1.0 / dp.delta) / (orders - 1.0)))
 
 
+def _log_a_int(lq, l1q, inv2s2, a):
+    """log E[(mu/mu0)^a] at integer order a >= 2 by the exact binomial sum,
+    one order at a time: the kernel the packed `privacy._log_a_packed`
+    replaced. lq, l1q and inv2s2 are log(q), log(1 - q) and 1 / (2 sigma^2)
+    of each (q, sigma) pair; coefficients above order 64 come from
+    math.lgamma instead of the table."""
+    i = np.arange(a + 1, dtype=np.float64)
+    log_binom = privacy._INT_LOGBINOM.get(a)
+    if log_binom is None:
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(a + 1)])
+        log_binom = log_fact[a] - log_fact - log_fact[::-1]
+    terms = (
+        log_binom
+        + i * lq[..., None]
+        + (a - i) * l1q[..., None]
+        + (i * i - i) * inv2s2[..., None]
+    )
+    peak = terms.max(axis=-1)
+    return peak + np.log(np.exp(terms - peak[..., None]).sum(axis=-1))
+
+
+def _ref_int_rdp(qs, sigmas, orders):
+    """privacy._int_rdp with one `_log_a_int` call per order."""
+    out = np.full((qs.size, orders.size), np.inf)
+    full = (sigmas > 0.0) & (qs >= 1.0)
+    out[full] = orders / (2.0 * sigmas[full, None] ** 2)
+    sub = (sigmas > 0.0) & (qs < 1.0)
+    if sub.any():
+        lq, l1q = np.log(qs[sub]), np.log1p(-qs[sub])
+        inv2s2 = 1.0 / (2.0 * sigmas[sub] ** 2)
+        out[sub] = np.column_stack([_log_a_int(lq, l1q, inv2s2, int(round(a)))
+                                    for a in orders]) / (orders - 1.0)
+    return np.maximum(out, 0.0)
+
+
 def oracle_rdp(q, sigma, alpha, n=600_001):
     """Quadrature oracle for the per-step Renyi divergence.
 
@@ -148,6 +183,21 @@ class TestAccountantOracle:
         assert privacy_cost(dp, 1) == math.inf
         dp2 = DPConfig(1.0, 1.0, 0.5, 1e-5)
         assert privacy_cost(dp2, 0) == 0.0
+
+    @pytest.mark.parametrize("clip, sigma", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_mechanism_rejected(self, clip, sigma):
+        # NaN passed both sign checks, and privacy_cost then ran the
+        # fractional series to its 2M-term limit
+        with pytest.raises(ValueError):
+            DPConfig(clip, sigma, 0.1, 1e-5)
+
+    @pytest.mark.parametrize("q, sigma, steps", [
+        (math.nan, 1.0, 10), (0.1, math.nan, 10), (0.1, 1.0, math.nan),
+        (np.array([0.1, math.nan]), 1.0, 10)])
+    def test_integer_orders_reject_nan(self, q, sigma, steps):
+        with pytest.raises(ValueError):
+            privacy_cost_integer_orders(q, sigma, steps, 1e-5)
 
     def test_edge_extension_stays_sane(self):
         # tiny cost regime pushes the optimal order past the grid edge
@@ -298,8 +348,7 @@ class TestScipyParity:
         terms = (log_binom + i * lq[:, None] + (a - i) * l1q[:, None]
                  + (i * i - i) * inv2s2[:, None])
         want = logsumexp(terms, axis=1)
-        np.testing.assert_allclose(privacy._log_a_int(lq, l1q, inv2s2, a), want,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(_log_a_int(lq, l1q, inv2s2, a), want, rtol=1e-12)
 
 
 class TestBudgets:
@@ -496,6 +545,9 @@ class TestCalibrateSigma:
 
 
 class TestCurveMemo:
+    """The refined-cost memo, the accountant's only cache: curves are
+    computed afresh on every call."""
+
     def test_cached_equals_uncached(self):
         for q, sigma in [(0.01, 0.9), (0.2, 1.3), (0.5, 3.0), (1.0, 2.0)]:
             dp = DPConfig(1.0, sigma, q, 1e-5)
@@ -503,33 +555,34 @@ class TestCurveMemo:
             for steps in (1, 40, 2000):
                 cached = privacy_cost(dp, steps)
                 assert privacy_cost(dp, steps) == cached
-                privacy._grid_curve.cache_clear()
                 privacy._refined_cost.cache_clear()
                 assert privacy_cost(dp, steps) == cached
 
-    def test_cached_curve_is_read_only(self):
-        curve = rdp_orders(DPConfig(1.0, 1.1, 0.3, 1e-5))
-        assert not curve.flags.writeable
-        with pytest.raises(ValueError):
-            curve[0] = 0.0
-
-    def test_clip_and_delta_share_one_entry(self):
-        privacy._grid_curve.cache_clear()
+    def test_curve_is_a_new_array(self):
+        # a caller that writes into a curve changes no later curve or cost
+        dp = DPConfig(1.0, 1.1, 0.3, 1e-5)
+        curve = rdp_orders(dp)
+        want, cost = curve.copy(), privacy_cost(dp, 30)
+        curve[:] = 0.0
         privacy._refined_cost.cache_clear()
+        np.testing.assert_array_equal(rdp_orders(dp), want)
+        assert privacy_cost(dp, 30) == cost
+
+    def test_curve_ignores_clip_and_delta(self):
         a = rdp_orders(DPConfig(0.5, 1.7, 0.25, 1e-5))
         b = rdp_orders(DPConfig(4.0, 1.7, 0.25, 1e-3))
-        assert a is b
-        privacy_cost(DPConfig(2.0, 1.7, 0.25, 1e-6), 30)
-        info = privacy._grid_curve.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+        np.testing.assert_array_equal(a, b)
 
     def test_custom_orders_bypass_cache(self):
+        # curves, on the default grid or any other, neither read nor fill
+        # the refined-cost memo
         dp = DPConfig(1.0, 1.4, 0.15, 1e-5)
-        before = privacy._grid_curve.cache_info()
+        before = privacy._refined_cost.cache_info()
         grid_eps(dp, 25, DEFAULT_ORDERS)
         grid_eps(dp, 25, np.arange(2, 65.0))
+        rdp_orders(dp)
         rdp_orders(dp, np.array([1.5, 3.0]))
-        assert privacy._grid_curve.cache_info() == before
+        assert privacy._refined_cost.cache_info() == before
 
     def test_refined_cost_keyed_without_clip(self):
         privacy._refined_cost.cache_clear()
@@ -544,7 +597,6 @@ class TestCurveMemo:
 
     def test_refined_cost_memo_is_bounded(self):
         maxsize = privacy._refined_cost.cache_info().maxsize
-        assert maxsize == privacy._grid_curve.cache_info().maxsize
         privacy._refined_cost.cache_clear()
         dp = DPConfig(1.0, 1.0, 1.0, 1e-5)
         for steps in range(1, maxsize + 6):
@@ -553,13 +605,87 @@ class TestCurveMemo:
         privacy._refined_cost.cache_clear()
 
     def test_cache_is_bounded(self):
-        maxsize = privacy._grid_curve.cache_info().maxsize
+        # over many (q, sigma) pairs, as a long search asks for; q = 1
+        # costs are closed-form, so filling the memo is cheap
+        maxsize = privacy._refined_cost.cache_info().maxsize
         assert maxsize is not None
-        # q = 1 curves are closed-form, so filling the cache is cheap
+        privacy._refined_cost.cache_clear()
         for k in range(maxsize + 5):
-            rdp_orders(DPConfig(1.0, 1.0 + k / 64.0, 1.0, 1e-5))
-        assert privacy._grid_curve.cache_info().currsize == maxsize
-        privacy._grid_curve.cache_clear()
+            privacy_cost(DPConfig(1.0, 1.0 + k / 64.0, 1.0, 1e-5), 3)
+        assert privacy._refined_cost.cache_info().currsize == maxsize
+        privacy._refined_cost.cache_clear()
+
+
+class TestPricedOrders:
+    """The accountant prices a subset of orders and sigma points; each
+    result equals the full pass it replaced."""
+
+    @staticmethod
+    def _pairs(rng, n):
+        qs = np.exp(rng.uniform(math.log(1e-3), 0.0, n))
+        sigmas = np.exp(rng.uniform(math.log(0.05), math.log(600.0), n))
+        # q = 1 and sigma = 0 rows take their own branches
+        qs[::7], sigmas[::11] = 1.0, 0.0
+        return qs, sigmas
+
+    @pytest.mark.parametrize("pairs", [1, 16, 17, 257])
+    def test_packed_int_rdp_matches_per_order_oracle(self, pairs):
+        # one block, a full block, a block and a row, the old sigma bracket;
+        # past the table, and an order within _INT_TOL of an integer
+        qs, sigmas = self._pairs(np.random.default_rng(pairs), pairs)
+        for orders in (privacy._INT_ORDER_GRID, np.array([65.0, 3.0 + 1e-10, 128.0])):
+            np.testing.assert_array_equal(privacy._int_rdp(qs, sigmas, orders),
+                                          _ref_int_rdp(qs, sigmas, orders))
+
+    # (q, sigma, steps, delta, the full grid's argmin, or None): the best
+    # order at 1.25, past 64 (refinement extends the bracket), q = 1 and
+    # sigma = 0
+    EDGES = [(1.0, 0.5, 1000, 1e-5, 0), (0.5, 0.5, 2000, 1e-5, 0),
+             (0.01, 50.0, 10, 1e-5, DEFAULT_ORDERS.size - 1),
+             (1.0, 2.0, 7, 1e-5, None), (1.0, 30.0, 3, 1e-9, None),
+             (0.3, 0.0, 10, 1e-5, 0)]
+
+    def test_pruned_grid_minimum_matches_full_grid(self):
+        rng = np.random.default_rng(24)
+        cases = [(float(np.exp(rng.uniform(math.log(1e-3), 0.0))),
+                  float(np.exp(rng.uniform(math.log(0.3), math.log(60.0)))),
+                  int(np.exp(rng.uniform(0.0, math.log(20_000)))),
+                  float(10.0 ** rng.uniform(-9.0, -2.0)), None) for _ in range(40)]
+        priced = []
+        for q, sigma, steps, delta, want_best in cases + self.EDGES:
+            log_inv_delta = math.log(1.0 / delta)
+            full = steps * rdp_orders(DPConfig(1.0, sigma, q, delta)) + log_inv_delta / (
+                DEFAULT_ORDERS - 1.0)
+            got = privacy._grid_eps(q, sigma, log_inv_delta, steps)
+            best = int(np.argmin(full))
+            assert int(np.argmin(got)) == best, (q, sigma, steps, delta)
+            assert got[best] == full[best], (q, sigma, steps, delta)
+            if want_best is not None:
+                assert best == want_best, (q, sigma, steps, delta)
+            if sigma > 0:
+                priced.append(np.isfinite(got[privacy._FRAC_AT]).sum())
+        # the pruning prunes: a handful of the 190 fractional orders
+        assert max(priced) <= 12
+
+    def test_coarse_to_fine_bracket_matches_full_pass(self):
+        rng = np.random.default_rng(25)
+        firsts = set()
+        for _ in range(100):
+            q = float(np.exp(rng.uniform(math.log(1e-3), 0.0)))
+            steps = int(np.exp(rng.uniform(0.0, math.log(20_000))))
+            delta = float(10.0 ** rng.uniform(-9.0, -2.0))
+            eps = float(np.exp(rng.uniform(math.log(0.05), math.log(200.0))))
+            lo = float(np.exp(rng.uniform(math.log(0.05), math.log(2.0))))
+            grid = np.geomspace(lo, lo * np.exp(rng.uniform(0.1, 10.0)), privacy._SIGMA_GRID)
+            admitted = np.flatnonzero(
+                privacy_cost_integer_orders(q, grid, steps, delta) <= eps)
+            want = int(admitted[0]) if admitted.size else grid.size
+            assert privacy._first_admitted(q, grid, steps, delta, eps) == want
+            firsts.add(want)
+        # none admitted, all admitted, on a coarse point and between two
+        assert {0, privacy._SIGMA_GRID} <= firsts
+        inside = firsts - {0, privacy._SIGMA_GRID}
+        assert {f % privacy._SIGMA_STRIDE == 0 for f in inside} == {True, False}
 
 
 class TestBrentq:
