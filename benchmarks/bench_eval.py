@@ -7,14 +7,21 @@ with n = 512 and 1024 samples, and evaluate_accuracy at desk shape. This is
 the forward that representation emission, accuracy, the round's loss and
 the inversion probe's auxiliary set all run. It also times
 loss_and_per_sample_grads on one B=64 paper batch for the default genome
-and C5x64-C5x64-Pavg-C5x64: the per-sample gradients of one DP step. Each
-case also stores the tracemalloc peak of one untimed call, in MiB, under
-`extra_info["tracemalloc_peak_mib"]`. With paper batches run in 4-row cuts
-(nn.model.batch_cuts), the paper-shape forward peaks at about 7 MiB at
-n = 512 and 1024 (830 MiB with the former 512-row cuts), and the
-per-sample gradients at 13 MiB and 19 MiB (140 MiB and 209 MiB uncut).
+and C5x64-C5x64-Pavg-C5x64: the per-sample gradients of one DP step; and
+privacy.dp_sgd_step for the default genome on the 77-row batch of a
+desk-search hpo trial and on one B=64 paper batch: those gradients, then
+their clipped, noised sum. Each case also stores the tracemalloc peak of
+one untimed call, in MiB, under `extra_info["tracemalloc_peak_mib"]`.
+With paper batches run in 4-row cuts (nn.model.batch_cuts), the
+paper-shape forward peaks at 5.6-5.9 MiB at n = 512 and 1024 (830 MiB with
+the former 512-row cuts), and the per-sample gradients at 12.2 MiB and
+18.8 MiB (140 MiB and 209 MiB uncut). The DP step peaks at 10.8 MiB at
+desk shape and 12.2 MiB at paper shape. Before ConvBlock freed the
+activations no cache holds, the forward peaked at 6.8-7.1 MiB and the
+per-sample gradients at 13.4 and 19.4 MiB.
 With every evaluation input run in cuts, 64 rows at desk shape, the
-desk-shape forward peaks at 6.6 MiB at n = 512 and 1024; when inputs of
+desk-shape forward peaks at 5.6 MiB at n = 512 and 1024 (6.6 MiB before
+ConvBlock freed its spent activations); when inputs of
 at most 512 KiB ran whole it peaked at 52.5 MiB at n = 512 (and 34.2 MiB
 on a 333-row desk shard, 43.8 MiB on a 27-row paper test set).
 
@@ -42,6 +49,7 @@ import numpy as np
 import pytest
 
 from fednaslab.nn.model import evaluate_accuracy, loss_and_per_sample_grads
+from fednaslab.privacy import DPConfig, PrivacyLedger, dp_sgd_step
 from fednaslab.space import SpaceConfig, genome_from_string, materialize
 
 GENOME = "C3x32-C3x64-Pavg"
@@ -102,3 +110,17 @@ def test_loss_and_per_sample_grads(benchmark, genome):
     _, psg, _ = benchmark.pedantic(loss_and_per_sample_grads, (model, x, y),
                                    rounds=5, iterations=1, warmup_rounds=1)
     assert sum(p.shape[1] for p in psg) == model.n_params
+
+
+@pytest.mark.parametrize("shape,batch", [("desk", 77), ("paper", 64)])
+def test_dp_sgd_step(benchmark, shape, batch):
+    model, x, y = _setup(shape, batch)
+    ledger = PrivacyLedger(DPConfig(1.0, 1.0, 0.1, 1e-5))
+    rng = np.random.default_rng(1)
+    benchmark.group = f"dp_sgd_step-{shape}-{batch}"
+    benchmark.extra_info["tracemalloc_peak_mib"] = _peak_mib(
+        dp_sgd_step, model, x, y, ledger, 0.01, rng)
+    loss = benchmark.pedantic(dp_sgd_step, (model, x, y, ledger, 0.01, rng),
+                              rounds=20 if shape == "desk" else 5, iterations=1,
+                              warmup_rounds=1)
+    assert np.isfinite(loss)

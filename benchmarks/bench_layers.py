@@ -1,8 +1,11 @@
 """Kernel timings for the layers of the DP training path and the decoder.
 
 Times forward and backward of DepthwiseConv (kernels 3 and 5),
-PointwiseConv, PerSampleNorm, TransposeConv, AvgPool, Linear and ConvBlock
-at desk shape (n=32, 8x8 maps) and paper shape (n=64, 32x32 maps), float32.
+PointwiseConv, PerSampleNorm, TransposeConv, AvgPool, GlobalAvgPool, Linear
+and ConvBlock at desk shape (n=32, 8x8 maps) and paper shape (n=64, 32x32
+maps), float32. "depthwise3-hpo" is the second block's depthwise conv of the
+default genome on the 77-row batch of a desk-search hpo trial, and
+"globalavgpool-desk" the pooling after that block at desk shape.
 The "stem" cases and ConvBlock(32, 64, 3) are the shapes the default genome
 C3x32-C3x64-Pavg runs at paper shape: the first block's depthwise conv on
 the 3 image channels and its norm over 32 channels, and the second block
@@ -37,6 +40,7 @@ from fednaslab.nn.layers import (
     AvgPool,
     ConvBlock,
     DepthwiseConv,
+    GlobalAvgPool,
     Linear,
     PerSampleNorm,
     PointwiseConv,
@@ -53,6 +57,7 @@ CASES = {
     "depthwise3-block-paper": (lambda: DepthwiseConv(32, 3), (64, 32, 32, 32)),
     "depthwise3-block-cut": (lambda: DepthwiseConv(32, 3), (4, 32, 32, 32)),
     "depthwise5-cut": (lambda: DepthwiseConv(64, 5), (4, 64, 32, 32)),
+    "depthwise3-hpo": (lambda: DepthwiseConv(32, 3), (77, 32, 8, 8)),
     "norm-desk": (lambda: PerSampleNorm(32), (32, 32, 8, 8)),
     "norm-paper": (lambda: PerSampleNorm(64), (64, 64, 32, 32)),
     "norm-stem-paper": (lambda: PerSampleNorm(32), (64, 32, 32, 32)),
@@ -69,6 +74,7 @@ CASES = {
     "transpose-cut": (lambda: TransposeConv(32, 16), (4, 32, 16, 16)),
     "avgpool-desk": (AvgPool, (32, 64, 8, 8)),
     "avgpool-paper": (AvgPool, (64, 64, 32, 32)),
+    "globalavgpool-desk": (GlobalAvgPool, (32, 64, 8, 8)),
 }
 PLAIN_CASES = [
     "depthwise3-desk", "depthwise5-desk", "depthwise3-block-cut", "depthwise5-cut",

@@ -4,12 +4,15 @@ backward(gout, cache, per_sample) computes the input gradient the same way
 in both modes; the flag sets only the weight gradient. In per-sample mode
 (the default, and the mode DP-SGD needs) the weight-gradient contraction
 keeps the batch axis, so each sample's gradient comes out exact and
-vectorized: batched matmul over (n, channels, positions) views, and k^2
-einsums for the depthwise kernel. With the flag off each primitive returns
-the gradient summed over the batch: Linear as one GEMM, DepthwiseConv as
-one batched GEMM of row stacks per row offset, PointwiseConv and
-TransposeConv as their batched matmul summed over n, and PerSampleNorm as
-the sum of the [n, C] terms its input gradient needs anyway.
+vectorized: batched matmul over (n, channels, positions) views, and for the
+depthwise kernel one einsum per tap over contiguous runs of its
+width-padded row stacks read flat. Every sum over H x W is an einsum
+("nchw->nc"), which gives a row the same bits in any batch. With the flag
+off each primitive returns the gradient summed over the batch: Linear as
+one GEMM, DepthwiseConv as one batched GEMM of row stacks per row offset,
+PointwiseConv and TransposeConv as their batched matmul summed over n, and
+PerSampleNorm as the sum of the [n, C] terms its input gradient needs
+anyway.
 Input-gradient contractions, which sum over the batch in both modes, run on
 BLAS. The depthwise conv runs as banded GEMMs: each of its k row offsets is
 one batched GEMM of every sample's rows against per-channel banded (W, W)
@@ -110,39 +113,48 @@ class Layer:
 
 
 def _row_stack(x, p):
-    """[n, c, H, W] -> channels-first rows [c, 2p + n(H + p), W]: p zero rows,
-    then each sample's H rows followed by p zero rows, then p more. One gap of
-    p zero rows pads both neighbours, so the rows a .. a + n(H + p) of the
-    stack are, per sample, its H rows shifted by a - p, then p spare rows."""
+    """[n, c, H, W] -> channels-first rows [c, 2p + n(H + p), W + 2p]: p zero
+    rows, then each sample's H rows followed by p zero rows, then p more.
+    Each row is its W values between p zeros on each side. One gap of p zero
+    rows pads both neighbours, so the rows a .. a + n(H + p) of the stack
+    are, per sample, its H rows shifted by a - p, then p spare rows."""
     n, c, H, W = x.shape
-    rows = np.zeros((c, 2 * p + n * (H + p), W), dtype=x.dtype)
-    _sample_rows(rows, n, H, p, p)[:] = x.transpose(1, 0, 2, 3)
+    rows = np.zeros((c, 2 * p + n * (H + p), W + 2 * p), dtype=x.dtype)
+    samples = rows[:, p:p + n * (H + p)].reshape(c, n, H + p, W + 2 * p)
+    samples[:, :, :H, p:-p] = x.transpose(1, 0, 2, 3)
     return rows
 
 
-def _sample_rows(rows, n, H, p, offset):
-    """View [c, n, H, W] of a row stack's sample rows, shifted by offset - p."""
-    c, _, W = rows.shape
-    return rows[:, offset:offset + n * (H + p)].reshape(c, n, H + p, W)[:, :, :H]
+def _flat_runs(rows, n, H, p, shifts):
+    """The row stack read as one flat row per channel: for each shift, the
+    view [c, n, H(W + 2p) - 2p] that holds, per sample, the values from its
+    first to its last, each moved `shift` places along the flat row."""
+    c, _, width = rows.shape
+    windows = np.lib.stride_tricks.sliding_window_view(
+        rows.reshape(c, -1), H * width - 2 * p, axis=1)
+    first, pitch = p * width + p, (H + p) * width
+    return [windows[:, first + shift::pitch][:, :n] for shift in shifts]
 
 
 def _banded_conv(rows, w, n, H):
     """'Same' depthwise conv of a row stack with w [c, k, k] -> [n, c, H, W].
 
-    Row offset a is one batched GEMM: the stack's rows a .. a + n(H + p)
-    times, per channel, the banded (W, W) matrix that holds w[c, a, b] on
-    the diagonal j_in - j_out = b - p. The band's edges are the zero padding
-    along W, so only H needs padded rows.
+    Row offset a is one batched GEMM: the value columns of the stack's rows
+    a .. a + n(H + p) times, per channel, the banded (W, W) matrix that
+    holds w[c, a, b] on the diagonal j_in - j_out = b - p. The band's edges
+    are the zero padding along W, so the GEMMs read no zero column.
     """
     c, k, _ = w.shape
-    p, W = k // 2, rows.shape[2]
+    p = k // 2
+    values = rows[:, :, p:-p]
+    W = values.shape[2]
     span = H + p
     shift = np.arange(W)[:, None] - np.arange(W)[None, :] + p
     inside = (shift >= 0) & (shift < k)
     bands = np.where(inside, w[:, :, np.clip(shift, 0, k - 1)], 0)
-    out = np.matmul(rows[:, :n * span], bands[:, 0])
+    out = np.matmul(values[:, :n * span], bands[:, 0])
     for a in range(1, k):
-        out += np.matmul(rows[:, a:a + n * span], bands[:, a])
+        out += np.matmul(values[:, a:a + n * span], bands[:, a])
     return np.ascontiguousarray(out.reshape(c, n, span, W)[:, :, :H].transpose(1, 0, 2, 3))
 
 
@@ -151,7 +163,14 @@ class DepthwiseConv(Layer):
 
     Forward and input gradient run as k banded GEMMs over a row stack
     (_banded_conv): the input gradient is the same conv of the output
-    gradient with the kernel flipped in both axes.
+    gradient with the kernel flipped in both axes. The per-sample weight
+    gradient reads both stacks as flat rows (_flat_runs). Each stack row is
+    its W values between p zeros on each side, so tap (a, b), which pairs
+    gout[i, j] with x[i + a - p, j + b - p], is a move of
+    (a - p)(W + 2p) + (b - p) places along the flat row, and a value moved
+    past either end of its row lands on a zero. Each tap is then one
+    contraction over contiguous runs of H(W + 2p) - 2p values per sample and
+    channel.
     """
 
     def __init__(self, channels: int, kernel: int):
@@ -182,21 +201,17 @@ class DepthwiseConv(Layer):
             # x[.., i + a - p, j_in] * gout[.., i, j_out] over samples and
             # rows, and gw[c, a, b] is its diagonal j_in - j_out = b - p
             span = n * (H + p)
-            g_t = g_rows[:, p:p + span]
-            pairs = np.stack([np.matmul(rows[:, a:a + span].transpose(0, 2, 1), g_t)
+            g_t = g_rows[:, p:p + span, p:-p]
+            pairs = np.stack([np.matmul(rows[:, a:a + span, p:-p].transpose(0, 2, 1), g_t)
                               for a in range(k)])
             gw = np.stack([np.trace(pairs, offset=p - b, axis1=2, axis2=3)
                            for b in range(k)], axis=-1)
             return gin, [gw.transpose(1, 0, 2).reshape(-1)]
         # gw[n, c, a, b] = sum_ij x[n, c, i + a - p, j + b - p] * gout[n, c, i, j]
-        g = _sample_rows(g_rows, n, H, p, p)
-        gw = np.empty((n, c, k, k), dtype=gout.dtype)
-        for a in range(k):
-            window = _sample_rows(rows, n, H, p, a)
-            for b in range(k):
-                lo, hi = max(0, p - b), min(W, W + p - b)
-                gw[:, :, a, b] = np.einsum(
-                    "cnhw,cnhw->nc", window[..., lo + b - p:hi + b - p], g[..., lo:hi])
+        [g] = _flat_runs(g_rows, n, H, p, [0])
+        taps = _flat_runs(rows, n, H, p, [(a - p) * (W + 2 * p) + b - p
+                                          for a in range(k) for b in range(k)])
+        gw = np.stack([np.einsum("cnl,cnl->nc", tap, g) for tap in taps], axis=-1)
         return gin, [gw.reshape(n, -1)]
 
 
@@ -232,7 +247,7 @@ class PointwiseConv(Layer):
             # operand transposes cost more than the sum at 32x32 maps
             gw = gw.sum(axis=0)
         if self.bias:
-            gb = gout.sum(axis=(2, 3) if per_sample else (0, 2, 3))
+            gb = np.einsum("nchw->nc" if per_sample else "nchw->c", gout)
             return gin, [np.concatenate([gw, gb], axis=-1)]
         return gin, [gw]
 
@@ -275,7 +290,7 @@ class PerSampleNorm(Layer):
             self._bad_input(x, f"[n, {self.channels}, h, w]")
         gamma, beta = self._views()
         hw = x.shape[2] * x.shape[3]
-        xc = x - self._group_mean(x.sum(axis=(2, 3)), hw)[:, :, None, None]
+        xc = x - self._group_mean(np.einsum("nchw->nc", x), hw)[:, :, None, None]
         var = self._group_mean(np.einsum("nchw,nchw->nc", xc, xc), hw)
         istd = 1.0 / np.sqrt(var + self.EPS)
         y = xc * (gamma * istd)[:, :, None, None]
@@ -287,7 +302,7 @@ class PerSampleNorm(Layer):
         gamma, _ = self._views()
         hw = gout.shape[2] * gout.shape[3]
         dgamma = np.einsum("nchw,nchw->nc", gout, xc) * istd
-        dbeta = gout.sum(axis=(2, 3))
+        dbeta = np.einsum("nchw->nc", gout)
         # with dxhat = gout * gamma, the group means of dxhat and of
         # dxhat * xhat are those of dbeta * gamma and dgamma * gamma
         m1 = self._group_mean(dbeta * gamma, hw)
@@ -372,7 +387,7 @@ class GlobalAvgPool(Layer):
     def forward(self, x):
         if x.ndim != 4:
             self._bad_input(x, "[n, c, h, w]")
-        return x.mean(axis=(2, 3)), x.shape
+        return np.einsum("nchw->nc", x) / (x.shape[2] * x.shape[3]), x.shape
 
     def backward(self, gout, cache, per_sample=True):
         n, c, H, W = cache
@@ -446,7 +461,7 @@ class TransposeConv(Layer):
             # as in PointwiseConv; one GEMM over all n*H*W rows pays a
             # channels-last copy of x and ran slower at every decoder shape
             gw = gw.sum(axis=0)
-        gb = gout.sum(axis=(2, 3) if per_sample else (0, 2, 3))
+        gb = np.einsum("nchw->nc" if per_sample else "nchw->c", gout)
         return gin, [np.concatenate([gw, gb], axis=-1)]
 
 
@@ -489,32 +504,37 @@ class ConvBlock(Layer):
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.c_in:
             self._bad_input(x, f"[n, {self.c_in}, h, w]")
-        h1, c_dw = self.dw.forward(x)
-        h2, c_pw = self.pw.forward(h1)
-        h3, c_norm = self.norm.forward(h2)
+        # one name for the chain, and s dropped after the add, so each
+        # activation that no cache holds is freed once it has been read
+        h, c_dw = self.dw.forward(x)
+        h, c_pw = self.pw.forward(h)
+        h, c_norm = self.norm.forward(h)
         if self.proj is not None:
             s, c_proj = self.proj.forward(x)
         else:
             s, c_proj = x, None
-        # h3 is the norm's fresh output, so the residual and ReLU run in place
-        h3 += s
-        mask = h3 > 0
-        h3 *= mask
-        return h3, (c_dw, c_pw, c_norm, c_proj, mask)
+        # h is the norm's fresh output, so the residual and ReLU run in place
+        h += s
+        del s
+        mask = h > 0
+        h *= mask
+        return h, (c_dw, c_pw, c_norm, c_proj, mask)
 
     def backward(self, gout, cache, per_sample=True):
         c_dw, c_pw, c_norm, c_proj, mask = cache
         g = gout * mask
-        g_norm, psg_norm = self.norm.backward(g, c_norm, per_sample)
-        g_pw, psg_pw = self.pw.backward(g_norm, c_pw, per_sample)
-        g_dw, psg_dw = self.dw.backward(g_pw, c_dw, per_sample)
+        # as in forward; the depthwise input gradient is fresh, so the
+        # shortcut's gradient is added in place
+        h, psg_norm = self.norm.backward(g, c_norm, per_sample)
+        h, psg_pw = self.pw.backward(h, c_pw, per_sample)
+        h, psg_dw = self.dw.backward(h, c_dw, per_sample)
         if self.proj is not None:
             g_proj, psg_proj = self.proj.backward(g, c_proj, per_sample)
-            gin = g_dw + g_proj
+            h += g_proj
         else:
             psg_proj = []
-            gin = g_dw + g
-        return gin, psg_dw + psg_pw + psg_norm + psg_proj
+            h += g
+        return h, psg_dw + psg_pw + psg_norm + psg_proj
 
 
 class Sequential(Layer):

@@ -762,7 +762,7 @@ def dp_sgd_step(model, x, y, ledger: PrivacyLedger, eta: float,
     noise_scale = dp.noise_multiplier * dp.clip_norm
     deltas = []
     for psg in psg_list:
-        summed = (psg * factors[:, None].astype(psg.dtype)).sum(axis=0)
+        summed = factors.astype(psg.dtype) @ psg
         if noise_scale > 0:
             summed = summed + rng.normal(0.0, noise_scale, size=summed.shape)
         deltas.append(summed / batch)

@@ -434,8 +434,15 @@ class TestKernelParity:
         return y, gin, []
 
     @staticmethod
+    def _ref_globalavgpool(layer, x, gout):
+        n, c, H, W = x.shape
+        gin = np.broadcast_to(gout[:, :, None, None] / (H * W), x.shape)
+        return x.mean(axis=(2, 3)), gin, []
+
+    @staticmethod
     def _ref_depthwise(layer, x, gout):
-        # the k^2 shifted-slice loop that the banded GEMMs replaced
+        # the k^2 shifted-slice loop that the banded GEMMs and, for the
+        # per-sample weight gradient, the flat-run taps replaced
         k, p = layer.kernel, layer.kernel // 2
         w, _ = layer._views()
         n, c, H, W = x.shape
@@ -529,6 +536,12 @@ class TestKernelParity:
     def test_avgpool(self, dtype, shape):
         n, H, W = self.SHAPES[shape]
         self._check(AvgPool(), self._ref_avgpool, (n, 8, H, W), dtype, 23)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ["desk", "paper", "non-square", "odd"])
+    def test_globalavgpool(self, dtype, shape):
+        n, H, W = self.SHAPES[shape]
+        self._check(GlobalAvgPool(), self._ref_globalavgpool, (n, 8, H, W), dtype, 27)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", ["desk", "paper", "non-square", "odd"])
@@ -803,6 +816,16 @@ class TestBatchCuts:
         out, cache = model.forward(x)
         _, psg = model.backward(softmax_cross_entropy(out, y)[1], cache)
         _, short, _ = loss_and_per_sample_grads(model, x[8:8 + rows], y[8:8 + rows])
+        for got, ref in zip(short, psg, strict=True):
+            np.testing.assert_array_equal(got, ref[8:8 + rows])
+
+    @pytest.mark.parametrize("rows", [2, 3, 32])
+    def test_a_desk_rows_gradients_do_not_depend_on_its_batch(self, desk_model, rows):
+        # the 77-row batch of a desk-search hpo trial, run whole
+        x = _rng(39).normal(size=(77, 3, 8, 8)).astype(np.float32)
+        y = _rng(40).integers(0, 3, size=77)
+        _, psg, _ = loss_and_per_sample_grads(desk_model, x, y)
+        _, short, _ = loss_and_per_sample_grads(desk_model, x[8:8 + rows], y[8:8 + rows])
         for got, ref in zip(short, psg, strict=True):
             np.testing.assert_array_equal(got, ref[8:8 + rows])
 

@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 
 from fednaslab import privacy
 from fednaslab.errors import BudgetExhaustedError, InfeasibleError, NonFiniteError
-from fednaslab.nn.layers import Linear, Sequential
+from fednaslab.nn.layers import ConvBlock, GlobalAvgPool, Linear, Sequential
 from fednaslab.privacy import (
     DEFAULT_ORDERS,
     STEP_CAP,
@@ -844,6 +844,36 @@ class TestDpSgd:
         np.testing.assert_allclose(
             parts_dp.get_flat(), parts_plain.get_flat(), atol=1e-5
         )
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_clipped_update_is_the_mean_of_clipped_rows(self, dtype, rtol, monkeypatch):
+        # sigma = 0 and C below most per-sample norms: the update is exactly
+        # the clipped weighted sum, checked against a row-by-row reference
+        from fednaslab.nn.model import loss_and_per_sample_grads
+
+        rng = np.random.default_rng(11)
+        model = Sequential([ConvBlock(2, 8, 3), GlobalAvgPool(), Linear(8, 3)])
+        model.init_params(rng)
+        model.astype(dtype)
+        x = rng.normal(size=(12, 2, 5, 5)).astype(dtype)
+        y = rng.integers(0, 3, size=12)
+        _, psg, _ = loss_and_per_sample_grads(model, x, y)
+        rows = np.concatenate(psg, axis=1).astype(np.float64)
+        norms = np.linalg.norm(rows, axis=1)
+        clip = float(np.quantile(norms, 0.25))
+        assert (norms > clip).sum() >= 9
+        ref = np.mean([row * min(1.0, clip / norm) for row, norm in zip(rows, norms)],
+                      axis=0)
+        updates = []
+        monkeypatch.setattr(privacy, "apply_update",
+                            lambda model, deltas, eta: updates.append(deltas))
+        ledger = PrivacyLedger(DPConfig(clip, 0.0, 1.0, 1e-5))
+        dp_sgd_step(model, x, y, ledger, 0.1, np.random.default_rng(0))
+        [deltas] = updates
+        assert [d.dtype for d in deltas] == [np.dtype(dtype)] * len(psg)
+        got = np.concatenate(deltas).astype(np.float64)
+        np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+        assert ledger.steps == 1
 
     def test_noise_std_scaling(self):
         # empirical per-coordinate update noise must be sigma*C/B
